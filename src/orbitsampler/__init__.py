@@ -14,7 +14,6 @@ from .estimators import (
     CovarianceContext,
     Estimate,
     EstimatorUndefinedError,
-    InconsistentEstimatesError,
     OrbitReport,
     UnsupportedPairError,
     combine,
@@ -23,7 +22,6 @@ from .estimators import (
     estimate_orbit_degrees,
     estimate_single,
     estimate_undirected,
-    select_sampler,
 )
 from .experiment import EvalReport, measure_sample_time, run_experiment
 from .graph import (
@@ -56,14 +54,9 @@ from .samplers import (
     BiasUndefinedError,
     CannotSampleError,
     METHOD_ORDER,
-    SAMPLERS,
-    Sample,
     bias_vector,
-    random_vertex,
     sample_members,
     tally_orbits,
-    weighted_random_vertex,
-    weighted_random_vertex_excluding,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +74,6 @@ __all__ = [
     "GraphError",
     "GuardExceededError",
     "IdentityReport",
-    "InconsistentEstimatesError",
     "LoadSummary",
     "METHOD_ORDER",
     "NodeStats",
@@ -90,8 +82,6 @@ __all__ = [
     "OrbitCounts",
     "OrbitReport",
     "ParseError",
-    "SAMPLERS",
-    "Sample",
     "UnsupportedPairError",
     "bias_vector",
     "classify_directed3",
@@ -109,14 +99,10 @@ __all__ = [
     "measure_sample_time",
     "nrmse",
     "orbit_table",
-    "random_vertex",
     "run_experiment",
     "sample_members",
-    "select_sampler",
     "tally_orbits",
     "topk_detection",
     "unorbit",
     "verify_identities",
-    "weighted_random_vertex",
-    "weighted_random_vertex_excluding",
 ]

@@ -28,7 +28,6 @@ from .estimators import (
     Estimate,
     OrbitReport,
     estimate_orbit_degrees,
-    select_sampler,
 )
 from .experiment import measure_sample_time, run_experiment
 from .generators import sparse_random_graph
@@ -302,15 +301,11 @@ def _cmd_bench(args) -> int:
                 "draws_per_second": 1.0 / per_draw if per_draw > 0 else float("inf"),
             }
         )
-    timed = [
-        (r["method"], 1.0, r["seconds_per_draw"]) for r in rows if "error" not in r
-    ]
     payload = {
         "node": g.to_original(v),
         "degree": int(g.degrees[v]),
         "draws": args.draws,
         "rates": rows,
-        "fastest_at_equal_variance": select_sampler(timed) if timed else None,
     }
     if args.format == "csv":
         buf = io.StringIO()

@@ -3,16 +3,20 @@
 A tally of ``m`` hits out of ``K`` draws at per-subgraph probability ``p``
 inverts to the unbiased estimate ``m / (K p)`` with variance
 ``d/K (1/p - d)``.  Orbits reachable by two routes combine their estimates
-with inverse-variance weights; orbits reachable by none are recovered from
-exact identities against the node's normalizers.
+with :func:`combine`; orbits reachable by none are recovered from exact
+identities against the node's normalizers.
 
 The undirected pipeline runs routes R32, R41 and R42 and assembles all
 fourteen orbit degrees; the directed pipeline runs R31 and R32 and assembles
 the thirty 3-node directed orbit degrees.  Reported variances and
 covariances follow the exact formulas for these estimators with plug-in
-values; plug-in weights can degenerate (a zero sampled count makes the
-plug-in variance vanish), which is handled by clamping variances at zero and
-falling back to equal weights when both sides vanish.
+values, with variances clamped at zero.
+
+The combination rule weights each side by the other's plug-in variance.  A
+route that drew no hit for an orbit has plug-in variance 0 and so wins
+outright; with both variances 0 the two sides get equal weights.  At small
+budgets this collapses a combined orbit to 0 whenever one route missed it,
+although the other route saw hits, biasing the estimate towards 0.
 
 Identity-derived orbit estimates (2, 4 and 7) keep their raw, possibly
 negative value; ``Estimate.clamped`` gives the floored convenience value.
@@ -20,21 +24,19 @@ negative value; ``Estimate.clamped`` gives the floored convenience value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph
-from .orbits import CENTER_IDS, END_IDS, TRIANGLE_IDS
-from .samplers import METHOD_ORDER, sampling_probability, tally_orbits
+from .orbits import CENTER_IDS, END_IDS, TRIANGLE_IDS, UNORBIT, WALK_IDENTITY
+from .samplers import bias_vector, tally_orbits
 
 UNDIRECTED_ROUTES = ("R32", "R41", "R42")
 DIRECTED_ROUTES = ("R31", "R32")
 
-# Coefficients of the identity three_walks = sum(chi_i * d_i); orbit 4 is
-# recovered by rearranging it.
-WALK_COEFFS = {3: 2, 8: 2, 9: 2, 10: 1, 12: 4, 13: 2, 14: 6}
+# The walk identity without orbit 4, which is recovered by rearranging it.
+_WALK_TERMS = {i: c for i, c in WALK_IDENTITY.items() if i != 4}
 
 _SET_A = frozenset({5, 8, 11})        # estimated from R41 alone
 _SET_B = frozenset({6, 9})            # estimated from R42 alone
@@ -44,10 +46,6 @@ _COV_ORBITS = _SET_A | _SET_B | _SET_C | {3}
 
 class EstimatorUndefinedError(ValueError):
     """Estimation attempted with zero probability or zero draws."""
-
-
-class InconsistentEstimatesError(ValueError):
-    """Two exact (zero-variance) estimates disagree."""
 
 
 class UnsupportedPairError(ValueError):
@@ -123,51 +121,25 @@ def estimate_single(m: int, k: int, p: float, source: str = "single") -> Estimat
     return Estimate(value, max(variance, 0.0), source)
 
 
-def combine(a: Estimate, b: Estimate) -> Estimate:
-    """Minimum-variance convex combination of two independent estimates.
+def combine(a: Estimate, b: Estimate) -> tuple[Estimate, tuple[float, float]]:
+    """Inverse-variance combination of two independent estimates.
 
-    An exact input (variance zero) dominates; two conflicting exact inputs
-    raise :class:`InconsistentEstimatesError`.
+    Returns the combined estimate and the weights ``(la, lb)`` it gave to
+    ``a`` and ``b``.  A side whose plug-in variance is 0 wins outright; when
+    both are 0 the sides get equal weights.  A route with no hit for the
+    orbit has plug-in variance 0, so at small budgets one route's miss
+    overrides the other's hits and the result is 0 (see the module notes).
     """
     va, vb = a.variance, b.variance
     if va == 0.0 and vb == 0.0:
-        if not math.isclose(a.value, b.value, rel_tol=1e-9, abs_tol=1e-12):
-            raise InconsistentEstimatesError(
-                f"exact estimates disagree: {a.value} vs {b.value}"
-            )
-        return Estimate(a.value, 0.0, "combined")
+        return Estimate(0.5 * (a.value + b.value), 0.0, "combined"), (0.5, 0.5)
     if va == 0.0:
-        return Estimate(a.value, 0.0, "combined")
+        return Estimate(a.value, 0.0, "combined"), (1.0, 0.0)
     if vb == 0.0:
-        return Estimate(b.value, 0.0, "combined")
-    total = va + vb
-    value = (vb * a.value + va * b.value) / total
-    return Estimate(value, va * vb / total, "combined")
-
-
-def _combine_weighted(
-    check: Estimate, tilde: Estimate
-) -> tuple[Estimate, tuple[float, float]]:
-    """Pipeline combination that also reports the weights it used.
-
-    Equal weights stand in when both plug-in variances vanish (the 0/0
-    case); a single vanishing variance wins outright.
-    """
-    va, vb = check.variance, tilde.variance
-    if va == 0.0 and vb == 0.0:
-        return (
-            Estimate(0.5 * (check.value + tilde.value), 0.0, "combined"),
-            (0.5, 0.5),
-        )
-    if va == 0.0:
-        return Estimate(check.value, 0.0, "combined"), (1.0, 0.0)
-    if vb == 0.0:
-        return Estimate(tilde.value, 0.0, "combined"), (0.0, 1.0)
+        return Estimate(b.value, 0.0, "combined"), (0.0, 1.0)
     total = va + vb
     lam = (vb / total, va / total)
-    est = Estimate(
-        lam[0] * check.value + lam[1] * tilde.value, va * vb / total, "combined"
-    )
+    est = Estimate(lam[0] * a.value + lam[1] * b.value, va * vb / total, "combined")
     return est, lam
 
 
@@ -262,12 +234,14 @@ def estimate_undirected(
         m: tally_orbits(g, v, m, ks[m], rngs[m]) if avail[m] else None
         for m in UNDIRECTED_ROUTES
     }
+    bias = {m: bias_vector(m, st) for m in UNDIRECTED_ROUTES if avail[m]}
 
     def single(method: str, orbit: int) -> Estimate | None:
         if not avail[method]:
             return None
-        p = sampling_probability(method, st, orbit)
-        return estimate_single(int(tallies[method][orbit]), ks[method], p, method)
+        return estimate_single(
+            int(tallies[method][orbit]), ks[method], bias[method][orbit], method
+        )
 
     est: dict[int, Estimate] = {0: Estimate(float(st.degree), 0.0, "exact")}
     lam: dict[int, tuple[float, float]] = {}
@@ -290,8 +264,7 @@ def estimate_undirected(
         if check is None:
             lam[orbit] = (0.0, 1.0)
             return tilde
-        out, weights = _combine_weighted(check, tilde)
-        lam[orbit] = weights
+        out, lam[orbit] = combine(check, tilde)
         return out
 
     est[3] = combined(3, "R32")
@@ -308,12 +281,12 @@ def estimate_undirected(
         k42=ks["R42"] if avail["R42"] else 0,
     )
 
-    value4 = st.three_walks - sum(c * est[i].value for i, c in WALK_COEFFS.items())
-    var4 = sum(c * c * est[i].variance for i, c in WALK_COEFFS.items())
-    walk_ids = sorted(WALK_COEFFS)
+    value4 = st.three_walks - sum(c * est[i].value for i, c in _WALK_TERMS.items())
+    var4 = sum(c * c * est[i].variance for i, c in _WALK_TERMS.items())
+    walk_ids = sorted(_WALK_TERMS)
     for x, i in enumerate(walk_ids):
         for j in walk_ids[x + 1 :]:
-            var4 += 2.0 * WALK_COEFFS[i] * WALK_COEFFS[j] * covariance(i, j, ctx)
+            var4 += 2.0 * _WALK_TERMS[i] * _WALK_TERMS[j] * covariance(i, j, ctx)
     est[4] = Estimate(value4, max(var4, 0.0), "identity")
 
     value7 = st.triples - est[11].value - est[13].value - est[14].value
@@ -353,49 +326,29 @@ def estimate_directed3(
     st = g.stats(v)
     ks = budget.resolve(DIRECTED_ROUTES)
     rngs = _method_streams(seed, DIRECTED_ROUTES)
-    avail31 = st.wedges > 0
-    avail32 = st.two_paths > 0
-    t31 = (
-        tally_orbits(g, v, "R31", ks["R31"], rngs["R31"], directed=True)
-        if avail31
-        else None
-    )
-    t32 = (
-        tally_orbits(g, v, "R32", ks["R32"], rngs["R32"], directed=True)
-        if avail32
-        else None
-    )
+    avail = {"R31": st.wedges > 0, "R32": st.two_paths > 0}
+    tallies = {
+        m: tally_orbits(g, v, m, ks[m], rngs[m], directed=True) if avail[m] else None
+        for m in DIRECTED_ROUTES
+    }
+    bias = {m: bias_vector(m, st) for m in DIRECTED_ROUTES if avail[m]}
+
+    def single(method: str, orbit: int) -> Estimate:
+        p = bias[method][UNORBIT[orbit]]
+        return estimate_single(int(tallies[method][orbit]), ks[method], p, method)
 
     est: dict[int, Estimate] = {}
     for orbit in CENTER_IDS:
-        est[orbit] = (
-            estimate_single(
-                int(t31[orbit]), ks["R31"], sampling_probability("R31", st, 2), "R31"
-            )
-            if avail31
-            else _EXACT_ZERO
-        )
+        est[orbit] = single("R31", orbit) if avail["R31"] else _EXACT_ZERO
     for orbit in END_IDS:
-        est[orbit] = (
-            estimate_single(
-                int(t32[orbit]), ks["R32"], sampling_probability("R32", st, 1), "R32"
-            )
-            if avail32
-            else _EXACT_ZERO
-        )
+        est[orbit] = single("R32", orbit) if avail["R32"] else _EXACT_ZERO
     for orbit in TRIANGLE_IDS:
-        if not (avail31 and avail32):
+        if avail["R31"] and avail["R32"]:
+            est[orbit], _ = combine(single("R31", orbit), single("R32", orbit))
+        else:
             # A triangle at v needs both a neighbour pair and a two-edge
             # walk, so either denominator vanishing forces a zero count.
             est[orbit] = _EXACT_ZERO
-            continue
-        check = estimate_single(
-            int(t31[orbit]), ks["R31"], sampling_probability("R31", st, 3), "R31"
-        )
-        tilde = estimate_single(
-            int(t32[orbit]), ks["R32"], sampling_probability("R32", st, 3), "R32"
-        )
-        est[orbit], _ = _combine_weighted(check, tilde)
 
     return OrbitReport(
         node=v,
@@ -416,19 +369,3 @@ def estimate_orbit_degrees(
     if mode == "directed3":
         return estimate_directed3(g, v, budget, seed)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def select_sampler(candidates: list[tuple[str, float, float]]) -> str:
-    """Pick the route with the lowest variance-per-time product.
-
-    ``candidates`` holds (method, variance, seconds-per-draw) triples;
-    ties break towards the earlier route in the canonical order.
-    """
-    if not candidates:
-        raise ValueError("no candidate routes")
-    for method, _, t in candidates:
-        if t <= 0:
-            raise ValueError(f"non-positive draw time for {method}")
-    return min(
-        candidates, key=lambda c: (c[1] * c[2], METHOD_ORDER.index(c[0]))
-    )[0]

@@ -175,7 +175,10 @@ def run_experiment(
     )
 
     try:
-        counts = exact_orbit_degrees(g, v, guard=oracle_guard)
+        # Directed orbits only need the 3-node subgraphs; the guard still
+        # bounds both sizes.
+        sizes = (3,) if mode == "directed3" else (3, 4)
+        counts = exact_orbit_degrees(g, v, guard=oracle_guard, sizes=sizes)
     except GuardExceededError:
         return report
 

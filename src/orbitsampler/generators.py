@@ -12,8 +12,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(len(iu)) < p
-    edges = list(zip(iu[mask].tolist(), iv[mask].tolist()))
-    return Graph.from_edges(edges, node_count=n)
+    return Graph.from_arrays(iu[mask], iv[mask], node_count=n)
 
 
 def gnp_directed(
@@ -31,13 +30,10 @@ def gnp_directed(
     a, b = iu[mask], iv[mask]
     mut = rng.random(len(a)) < mutual_fraction
     fwd = rng.random(len(a)) < 0.5
-    arcs: list[tuple[int, int]] = []
-    for u, v, m, f in zip(a.tolist(), b.tolist(), mut.tolist(), fwd.tolist()):
-        if m or f:
-            arcs.append((u, v))
-        if m or not f:
-            arcs.append((v, u))
-    return Graph.from_edges(arcs, directed=True, node_count=n)
+    ahead, back = mut | fwd, mut | ~fwd  # arcs a->b and b->a
+    src = np.concatenate((a[ahead], b[back]))
+    dst = np.concatenate((b[ahead], a[back]))
+    return Graph.from_arrays(src, dst, directed=True, node_count=n)
 
 
 def sparse_random_graph(n: int, avg_degree: float, seed: int) -> Graph:
@@ -58,8 +54,7 @@ def sparse_random_graph(n: int, avg_degree: float, seed: int) -> Graph:
         hi = np.maximum(a, b)[ok].astype(np.int64)
         keys = np.unique(np.concatenate([keys, lo * n + hi]))
     keys = rng.permutation(keys)[:m]  # unique() sorts; reshuffle before trimming
-    edges = [(int(k // n), int(k % n)) for k in keys]
-    return Graph.from_edges(edges, node_count=n)
+    return Graph.from_arrays(keys // n, keys % n, node_count=n)
 
 
 def preferential_attachment(n: int, m: int, seed: int) -> Graph:
@@ -67,16 +62,14 @@ def preferential_attachment(n: int, m: int, seed: int) -> Graph:
     if n <= m:
         raise ValueError("need more nodes than links per step")
     rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = []
-    endpoints: list[int] = []  # each node appears once per incident edge
+    endpoints: list[int] = []  # both ends of every edge, edge by edge
     for v in range(1, m + 1):  # small seed star
-        edges.append((0, v))
         endpoints += [0, v]
     for v in range(m + 1, n):
         targets: set[int] = set()
         while len(targets) < m:
             targets.add(endpoints[int(rng.integers(len(endpoints)))])
         for t in targets:
-            edges.append((v, t))
             endpoints += [v, t]
-    return Graph.from_edges(edges, node_count=n)
+    ends = np.array(endpoints, dtype=np.int64).reshape(-1, 2)
+    return Graph.from_arrays(ends[:, 0], ends[:, 1], node_count=n)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import threading
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -147,70 +148,75 @@ class Graph:
         For ``directed=True`` each pair is an arc; a reciprocal pair yields a
         mutual edge.  Self loops and duplicates are dropped silently.
         """
-        merged: dict[tuple[int, int], int] = {}
-        loops = dups = 0
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                loops += 1
-                continue
-            a, b = (u, v) if u < v else (v, u)
-            # flag bits: 1 = arc a->b seen, 2 = arc b->a seen
-            flag = 3 if not directed else (1 if u < v else 2)
-            prev = merged.get((a, b))
-            if prev is None:
-                merged[(a, b)] = flag
-            else:
-                if prev | flag == prev:
-                    dups += 1
-                merged[(a, b)] = prev | flag
-        if node_count is None:
-            node_count = 1 + max((b for _, b in merged), default=-1)
-        if not merged:
-            raise EmptyGraphError("no edges")
-        low = min(a for a, _ in merged)
-        top = max(b for _, b in merged)
-        if low < 0 or top >= node_count:
-            raise GraphError(f"node ids outside 0..{node_count - 1}")
-        return cls._from_merged(
-            merged,
-            node_count,
-            directed,
-            original_ids=None,
-            summary=LoadSummary(0, len(merged), loops, dups),
-        )
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        return cls.from_arrays(pairs[:, 0], pairs[:, 1], directed, node_count)
 
     @classmethod
-    def _from_merged(
+    def from_arrays(
         cls,
-        merged: dict[tuple[int, int], int],
-        node_count: int,
-        directed: bool,
-        original_ids: np.ndarray | None,
-        summary: LoadSummary | None,
+        u: np.ndarray,
+        v: np.ndarray,
+        directed: bool = False,
+        node_count: int | None = None,
+        *,
+        compact: bool = False,
+        lines_read: int = 0,
     ) -> "Graph":
-        m = len(merged)
-        rows = np.empty(2 * m, dtype=np.int64)
-        cols = np.empty(2 * m, dtype=np.int64)
-        labs = np.empty(2 * m, dtype=np.int8) if directed else None
-        for i, ((a, b), flag) in enumerate(merged.items()):
-            rows[2 * i], cols[2 * i] = a, b
-            rows[2 * i + 1], cols[2 * i + 1] = b, a
-            if labs is not None:
-                code = MUTUAL if flag == 3 else (OUT if flag == 1 else IN)
-                labs[2 * i] = code
-                labs[2 * i + 1] = code if code == MUTUAL else (OUT + IN - code)
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        if labs is not None:
-            labs = labs[order]
+        """Build a graph from aligned endpoint arrays, one pair per line.
+
+        Self loops are dropped and repeated pairs merged; for ``directed=True``
+        pair ``(u, v)`` is an arc and a reciprocal arc makes the edge mutual.
+        Ids are dense (``0..node_count-1``, by default ``0..max``) unless
+        ``compact`` maps the distinct ids to ``0..n-1`` and keeps them as
+        ``original_ids``.  The counts land in the graph's :class:`LoadSummary`.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        keep = u != v
+        loops = len(u) - int(keep.sum())
+        u, v = u[keep], v[keep]
+        if not len(u):
+            raise EmptyGraphError("no usable edges")
+        original_ids = None
+        if compact:
+            ids = np.sort(np.concatenate((u, v)))
+            original_ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+            u = np.searchsorted(original_ids, u)
+            v = np.searchsorted(original_ids, v)
+            node_count = len(original_ids)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if node_count is None:
+            node_count = 1 + int(hi.max())
+        if int(lo.min()) < 0 or int(hi.max()) >= node_count:
+            raise GraphError(f"node ids outside 0..{node_count - 1}")
+        # flag bits: 1 = arc lo->hi seen, 2 = arc hi->lo seen
+        flag = np.where(u < v, 1, 2) if directed else np.full(len(u), 3)
+        order = np.lexsort((flag, hi, lo))
+        lo, hi, flag = lo[order], hi[order], flag[order]
+        new_edge = np.concatenate(([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])))
+        # a line repeats an earlier one when both have the same edge and flag
+        new_pair = new_edge | np.concatenate(([True], flag[1:] != flag[:-1]))
+        starts = np.flatnonzero(new_edge)
+        flag = np.bitwise_or.reduceat(flag, starts)
+        lo, hi = lo[starts], hi[starts]
+        summary = LoadSummary(
+            lines_read, len(lo), loops, len(new_pair) - int(new_pair.sum())
+        )
+        # Symmetric CSR: each edge once from either end.  Seen from lo the
+        # flag is the direction code itself; seen from hi it is reversed.
+        rows = np.concatenate((lo, hi))
+        cols = np.concatenate((hi, lo))
+        order = np.argsort(rows * node_count + cols)
+        labels = None
+        if directed:
+            back = np.where(flag == MUTUAL, MUTUAL, OUT + IN - flag)
+            labels = np.concatenate((flag, back))[order]
         indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
         return cls(
             indptr,
-            cols,
-            labels=labs,
+            cols[order],
+            labels=labels,
             directed=directed,
             original_ids=original_ids,
             summary=summary,
@@ -416,8 +422,8 @@ def load_edge_list(src, directed: bool = False) -> Graph:
     compacted to ``0..n-1``; the original ids stay available through
     ``Graph.original_ids``.
     """
-    merged: dict[tuple[int, int], int] = {}
-    lines = loops = dups = 0
+    ends = array("q")
+    lines = 0
     handle = _open_lines(src)
     try:
         for line_no, raw in enumerate(handle, start=1):
@@ -436,36 +442,14 @@ def load_edge_list(src, directed: bool = False) -> Graph:
                 raise ParseError("negative node id", line_no)
             if u > _MAX_NODE_ID or v > _MAX_NODE_ID:
                 raise ParseError("node id exceeds 63 bits", line_no)
-            if u == v:
-                loops += 1
-                continue
-            a, b = (u, v) if u < v else (v, u)
-            flag = 3 if not directed else (1 if u < v else 2)
-            prev = merged.get((a, b))
-            if prev is None:
-                merged[(a, b)] = flag
-            else:
-                if prev | flag == prev:
-                    dups += 1
-                merged[(a, b)] = prev | flag
+            ends.append(u)
+            ends.append(v)
     finally:
         close = getattr(handle, "close", None)
         if close is not None:
             close()
 
-    if not merged:
-        raise EmptyGraphError("edge list contains no usable edges")
-
-    ids = sorted({x for pair in merged for x in pair})
-    dense = {orig: i for i, orig in enumerate(ids)}
-    remapped = {
-        (dense[a], dense[b]): flag for (a, b), flag in merged.items()
-    }
-    summary = LoadSummary(lines, len(merged), loops, dups)
-    return Graph._from_merged(
-        remapped,
-        len(ids),
-        directed,
-        original_ids=np.asarray(ids, dtype=np.int64),
-        summary=summary,
+    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    return Graph.from_arrays(
+        pairs[:, 0], pairs[:, 1], directed, compact=True, lines_read=lines
     )

@@ -25,6 +25,7 @@ from .orbits import (
     END_RANK,
     TRIANGLE_RANK,
     UNORBIT,
+    WALK_IDENTITY,
     _triangle_canonical,
 )
 
@@ -81,6 +82,18 @@ def check_guard(g: Graph, v: int, limit: int | None = DEFAULT_GUARD) -> None:
         )
 
 
+class _NeighbourSets(dict):
+    """Neighbour sets of a graph's nodes, built on first lookup."""
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, u: int) -> set[int]:
+        s = self[u] = {int(x) for x in self.g.neighbors(u)}
+        return s
+
+
 def enumerate_cises(g: Graph, v: int, k: int) -> Iterator[tuple[int, ...]]:
     """Yield each connected induced ``k``-node subgraph containing ``v`` once.
 
@@ -89,15 +102,10 @@ def enumerate_cises(g: Graph, v: int, k: int) -> Iterator[tuple[int, ...]]:
     """
     if k not in (3, 4):
         raise ValueError(f"subgraph size must be 3 or 4, got {k}")
-    adj: dict[int, set[int]] = {}
+    return _cises(_NeighbourSets(g), v, k)
 
-    def nbrs(u: int) -> set[int]:
-        s = adj.get(u)
-        if s is None:
-            s = {int(x) for x in g.neighbors(u)}
-            adj[u] = s
-        return s
 
+def _cises(nbrs: _NeighbourSets, v: int, k: int) -> Iterator[tuple[int, ...]]:
     sub = [v]
 
     def extend(ext: list[int], forbidden: set[int]) -> Iterator[tuple[int, ...]]:
@@ -107,13 +115,12 @@ def enumerate_cises(g: Graph, v: int, k: int) -> Iterator[tuple[int, ...]]:
         ext = list(ext)
         while ext:
             w = ext.pop()
-            fresh = [x for x in nbrs(w) if x not in forbidden]
+            fresh = [x for x in nbrs[w] if x not in forbidden]
             sub.append(w)
             yield from extend(ext + fresh, forbidden | set(fresh))
             sub.pop()
 
-    start = sorted(nbrs(v))
-    yield from extend(start, {v} | nbrs(v))
+    yield from extend(sorted(nbrs[v]), {v} | nbrs[v])
 
 
 def exact_orbit_degrees(
@@ -137,15 +144,7 @@ def exact_orbit_degrees(
     want_directed = g.directed if directed is None else directed
     if want_directed and not g.directed:
         raise ValueError("directed counts need a directed graph")
-    adj: dict[int, set[int]] = {}
-
-    def nbrs(u: int) -> set[int]:
-        s = adj.get(u)
-        if s is None:
-            s = {int(x) for x in g.neighbors(u)}
-            adj[u] = s
-        return s
-
+    nbrs = _NeighbourSets(g)
     succ: dict[int, set[int]] = {}
 
     def outs(u: int) -> set[int]:
@@ -167,11 +166,11 @@ def exact_orbit_degrees(
     dir3 = {i: 0 for i in range(1, 31)} if want_directed else None
 
     if 3 in sizes:
-        for members in enumerate_cises(g, v, 3):
+        for members in _cises(nbrs, v, 3):
             x, y = (m for m in members if m != v)
-            vx = x in nbrs(v)
-            vy = y in nbrs(v)
-            xy = y in nbrs(x)
+            vx = x in nbrs[v]
+            vy = y in nbrs[v]
+            xy = y in nbrs[x]
             edges = vx + vy + xy
             if edges == 3:
                 und[3] += 1
@@ -190,9 +189,9 @@ def exact_orbit_degrees(
                     dir3[END_RANK[(code(v, mid), code(mid, far))]] += 1
 
     if 4 in sizes:
-        for members in enumerate_cises(g, v, 4):
+        for members in _cises(nbrs, v, 4):
             a, b, c = (m for m in members if m != v)
-            nb_v, nb_a, nb_b = nbrs(v), nbrs(a), nbrs(b)
+            nb_v, nb_a, nb_b = nbrs[v], nbrs[a], nbrs[b]
             va = a in nb_v
             vb = b in nb_v
             vc = c in nb_v
@@ -215,16 +214,11 @@ def exact_orbit_degrees(
     return OrbitCounts(node=v, undirected=und, directed3=dir3)
 
 
-# Coefficients of the 4-node walk identity: the weighted orbit counts sum to
-# the three_walks normalizer.
-WALK_IDENTITY_WEIGHTS = {3: 2, 4: 1, 8: 2, 9: 2, 10: 1, 12: 4, 13: 2, 14: 6}
-
-
 def verify_identities(counts: OrbitCounts, stats: NodeStats) -> IdentityReport:
     """Residuals of the three exact identities; all must be zero."""
     c = counts.undirected
     wedge = c[2] + c[3] - stats.wedges
-    walk = sum(w * c[i] for i, w in WALK_IDENTITY_WEIGHTS.items()) - stats.three_walks
+    walk = sum(w * c[i] for i, w in WALK_IDENTITY.items()) - stats.three_walks
     triple = c[7] + c[11] + c[13] + c[14] - stats.triples
     return IdentityReport(
         wedge_residual=wedge,

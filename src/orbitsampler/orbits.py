@@ -44,6 +44,11 @@ UNORBIT = {i: 1 for i in END_IDS}
 UNORBIT.update({i: 2 for i in CENTER_IDS})
 UNORBIT.update({i: 3 for i in TRIANGLE_IDS})
 
+# Walk identity: three_walks = sum(c * d_i) over these (orbit, c) pairs.
+# The oracle checks it on exact counts; the undirected estimator solves it
+# for orbit 4.
+WALK_IDENTITY = {3: 2, 4: 1, 8: 2, 9: 2, 10: 1, 12: 4, 13: 2, 14: 6}
+
 
 class NotACisError(ValueError):
     """Raised when a member set is not connected and induced around the anchor."""

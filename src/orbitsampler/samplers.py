@@ -20,16 +20,12 @@ R41 and R43 may produce a coincidence (w == r, resp. r == v); the draw then
 degenerates to a 3-node triangle and is kept as such --- resampling would
 bias the estimates.
 
-Scalar functions return one :class:`Sample`; the ``*_batch`` path draws many
-at once with vectorized arithmetic and is what the estimation pipelines use.
-Both consume a ``numpy.random.Generator``, so identical seeds give identical
-draw sequences.
+:func:`draw_batch` draws ``k`` subgraphs of one route at once with vectorized
+arithmetic and consumes a ``numpy.random.Generator``, so identical seeds give
+identical draw sequences.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,8 +37,6 @@ from .orbits import (
 )
 
 METHOD_ORDER = ("R31", "R32", "R41", "R42", "R43", "R44")
-THREE_NODE_METHODS = ("R31", "R32")
-FOUR_NODE_METHODS = ("R41", "R42", "R43", "R44")
 
 
 class CannotSampleError(ValueError):
@@ -51,181 +45,6 @@ class CannotSampleError(ValueError):
 
 class BiasUndefinedError(ValueError):
     """The route's bias denominator is zero at this node."""
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One sampled connected induced subgraph."""
-
-    anchor: int
-    members: tuple[int, ...]  # sorted, includes anchor; 3 or 4 nodes
-    method: str
-
-
-def _members(*nodes: int) -> tuple[int, ...]:
-    return tuple(sorted({int(x) for x in nodes}))
-
-
-# -- selection primitives ----------------------------------------------------
-
-
-def random_vertex(neighbors, excluded: Iterable[int], rng: np.random.Generator) -> int:
-    """Uniform draw from ``neighbors`` minus up to two excluded members.
-
-    Constant time: draws an index from the reduced range and remaps it
-    around the excluded positions instead of rejecting.
-    """
-    nb = np.asarray(neighbors)
-    positions = sorted(int(np.searchsorted(nb, x)) for x in excluded)
-    pool = len(nb) - len(positions)
-    if pool <= 0:
-        raise CannotSampleError("no candidates left after exclusions")
-    i = int(rng.integers(pool))
-    for p in positions:
-        if i >= p:
-            i += 1
-    return int(nb[i])
-
-
-def weighted_random_vertex(acc, neighbors, rng: np.random.Generator) -> int:
-    """Draw ``neighbors[i]`` with probability proportional to its weight.
-
-    ``acc`` is the nondecreasing cumulative weight array; the draw picks a
-    uniform integer in [1, acc[-1]] and locates its bucket by binary search.
-    """
-    total = int(acc[-1]) if len(acc) else 0
-    if total <= 0:
-        raise CannotSampleError("all candidate weights are zero")
-    rnd = int(rng.integers(1, total + 1))
-    return int(neighbors[int(np.searchsorted(acc, rnd, side="left"))])
-
-
-def weighted_random_vertex_excluding(
-    acc, neighbors, excluded: int, rng: np.random.Generator
-) -> int:
-    """Weighted draw from ``neighbors`` minus one excluded member.
-
-    Draws from the cumulative range with the excluded node's weight block
-    cut out, then shifts back over the gap, so no rejection is needed.
-    """
-    nb = np.asarray(neighbors)
-    pos = int(np.searchsorted(nb, excluded))
-    if pos >= len(nb) or nb[pos] != excluded:
-        raise CannotSampleError(f"{excluded} is not a candidate")
-    total = int(acc[-1]) if len(acc) else 0
-    lo = int(acc[pos - 1]) if pos > 0 else 0
-    block = int(acc[pos]) - lo
-    residual = total - block
-    if residual <= 0:
-        raise CannotSampleError("all candidate weights are zero after exclusion")
-    rnd = int(rng.integers(1, residual + 1))
-    if rnd > lo:
-        rnd += block
-    return int(nb[int(np.searchsorted(acc, rnd, side="left"))])
-
-
-def _uniform_excluding_one(n: int, pos: int, rng: np.random.Generator) -> int:
-    i = int(rng.integers(n - 1))
-    return i + 1 if i >= pos else i
-
-
-# -- scalar samplers ---------------------------------------------------------
-
-
-def sample_r31(g: Graph, v: int, rng: np.random.Generator) -> Sample:
-    """Two distinct uniform neighbours of v."""
-    nb = g.neighbors(v)
-    d = len(nb)
-    if d < 2:
-        raise CannotSampleError(f"node {v} has degree {d} < 2")
-    iu = int(rng.integers(d))
-    iw = _uniform_excluding_one(d, iu, rng)
-    return Sample(v, _members(v, nb[iu], nb[iw]), "R31")
-
-
-def sample_r32(g: Graph, v: int, rng: np.random.Generator) -> Sample:
-    """Degree-weighted neighbour, then a uniform second step away from v."""
-    st = g.stats(v)
-    if st.two_paths <= 0:
-        raise CannotSampleError(f"node {v} has no two-edge walks")
-    nb = g.neighbors(v)
-    u = weighted_random_vertex(g.acc_degree(v), nb, rng)
-    pos_v = g.pos_of(u, v)
-    j = _uniform_excluding_one(g.degree(u), pos_v, rng)
-    w = int(g.neighbors(u)[j])
-    return Sample(v, _members(v, u, w), "R32")
-
-
-def sample_r41(g: Graph, v: int, rng: np.random.Generator) -> Sample:
-    """R32's first step plus an extra neighbour of v and of u."""
-    st = g.stats(v)
-    if st.forked_paths <= 0:
-        raise CannotSampleError(f"node {v} has no forked two-edge walks")
-    nb = g.neighbors(v)
-    u = weighted_random_vertex(g.acc_degree(v), nb, rng)
-    iw = _uniform_excluding_one(len(nb), g.pos_of(v, u), rng)
-    w = int(nb[iw])
-    j = _uniform_excluding_one(g.degree(u), g.pos_of(u, v), rng)
-    r = int(g.neighbors(u)[j])
-    return Sample(v, _members(v, u, w, r), "R41")  # degenerates to 3 when w == r
-
-
-def sample_r42(g: Graph, v: int, rng: np.random.Generator) -> Sample:
-    """Wedge-weighted neighbour u, then two distinct of u's other neighbours."""
-    st = g.stats(v)
-    if st.tail_wedges <= 0:
-        raise CannotSampleError(f"node {v} has no neighbour with spare pairs")
-    u = weighted_random_vertex(g.acc_wedge(v), g.neighbors(v), rng)
-    nu = g.neighbors(u)
-    du = len(nu)
-    pos_v = g.pos_of(u, v)
-    jw = _uniform_excluding_one(du, pos_v, rng)
-    e1, e2 = sorted((pos_v, jw))
-    jr = int(rng.integers(du - 2))
-    if jr >= e1:
-        jr += 1
-    if jr >= e2:
-        jr += 1
-    return Sample(v, _members(v, u, nu[jw], nu[jr]), "R42")
-
-
-def sample_r43(g: Graph, v: int, rng: np.random.Generator) -> Sample:
-    """Walk-weighted u, degree-weighted w around u, uniform third step."""
-    st = g.stats(v)
-    if st.three_walks <= 0:
-        raise CannotSampleError(f"node {v} has no three-edge walks")
-    u = weighted_random_vertex(g.acc_walk(v), g.neighbors(v), rng)
-    w = weighted_random_vertex_excluding(g.acc_degree(u), g.neighbors(u), v, rng)
-    j = _uniform_excluding_one(g.degree(w), g.pos_of(w, u), rng)
-    r = int(g.neighbors(w)[j])
-    return Sample(v, _members(v, u, w, r), "R43")  # degenerates to 3 when r == v
-
-
-def sample_r44(g: Graph, v: int, rng: np.random.Generator) -> Sample:
-    """Three distinct uniform neighbours of v."""
-    nb = g.neighbors(v)
-    d = len(nb)
-    if d < 3:
-        raise CannotSampleError(f"node {v} has degree {d} < 3")
-    iu = int(rng.integers(d))
-    iw = _uniform_excluding_one(d, iu, rng)
-    e1, e2 = sorted((iu, iw))
-    ir = int(rng.integers(d - 2))
-    if ir >= e1:
-        ir += 1
-    if ir >= e2:
-        ir += 1
-    return Sample(v, _members(v, nb[iu], nb[iw], nb[ir]), "R44")
-
-
-SAMPLERS: dict[str, Callable[[Graph, int, np.random.Generator], Sample]] = {
-    "R31": sample_r31,
-    "R32": sample_r32,
-    "R41": sample_r41,
-    "R42": sample_r42,
-    "R43": sample_r43,
-    "R44": sample_r44,
-}
 
 
 # -- bias probabilities ------------------------------------------------------
@@ -253,17 +72,6 @@ def bias_vector(method: str, stats: NodeStats) -> dict[int, float]:
             f"{method} is undefined at node {stats.node} ({denom_field} = 0)"
         )
     return {i: numerators.get(i, 0) / denom for i in range(1, max_orbit + 1)}
-
-
-def sampling_probability(method: str, stats: NodeStats, orbit: int) -> float:
-    """Single entry of :func:`bias_vector` without building the dict."""
-    numerators, denom_field, _ = _BIAS_NUMERATORS[method]
-    denom = getattr(stats, denom_field)
-    if denom <= 0:
-        raise BiasUndefinedError(
-            f"{method} is undefined at node {stats.node} ({denom_field} = 0)"
-        )
-    return numerators.get(orbit, 0) / denom
 
 
 # -- vectorized batch draws --------------------------------------------------

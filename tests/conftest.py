@@ -66,24 +66,6 @@ def eight() -> Graph:
     return Graph.from_edges(EIGHT_EDGES)
 
 
-class ScriptedRng:
-    """Replays a fixed integer sequence through the Generator.integers API.
-
-    Lets tests enumerate a sampler's entire outcome lattice and check the
-    induced distribution exactly instead of statistically.
-    """
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def integers(self, low, high=None, size=None):
-        assert size is None, "scripted rng is scalar only"
-        lo, hi = (0, low) if high is None else (low, high)
-        v = self.values.pop(0)
-        assert lo <= v < hi, f"scripted value {v} outside [{lo}, {hi})"
-        return v
-
-
 def naive_cises(g: Graph, v: int, k: int) -> set[tuple[int, ...]]:
     """Reference enumeration: combinations over the anchor's 3-hop ball
     filtered by induced connectivity.  Independent of the package oracle."""

@@ -258,6 +258,29 @@ def test_run_experiment_forced_graph():
     assert rep.exact[14] == 1
 
 
+def test_run_experiment_oracle_sizes_by_mode(monkeypatch):
+    # directed orbits are all 3-node ones, so directed3 mode must not ask
+    # the oracle for 4-node subgraphs; undirected mode needs both sizes
+    from orbitsampler import experiment
+    from orbitsampler.generators import gnp_directed
+
+    requested = []
+    exact = experiment.exact_orbit_degrees
+
+    def spy(*args, **kwargs):
+        requested.append(kwargs.get("sizes"))
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "exact_orbit_degrees", spy)
+    g = gnp_directed(20, 0.25, seed=6)
+    v = int(np.argmax(g.degrees))
+    rep = run_experiment(g, v, "directed3", BudgetConfig(total=400), runs=3, seed=0)
+    assert requested == [(3,)]
+    assert rep.exact == {i: c for i, c in exact(g, v).directed3.items()}
+    run_experiment(g, v, "undirected", BudgetConfig(total=300), runs=2, seed=0)
+    assert requested == [(3,), (3, 4)]
+
+
 def test_nrmse_tracks_variance_model():
     # for an unbiased estimator the relative error over many runs should
     # approach sqrt(Var)/d; check the well-sampled single-route orbits

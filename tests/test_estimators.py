@@ -11,7 +11,6 @@ from orbitsampler import (
     CovarianceContext,
     Estimate,
     EstimatorUndefinedError,
-    InconsistentEstimatesError,
     UnsupportedPairError,
     combine,
     covariance,
@@ -20,7 +19,6 @@ from orbitsampler import (
     estimate_single,
     estimate_undirected,
     exact_orbit_degrees,
-    select_sampler,
 )
 from orbitsampler.generators import gnp
 from orbitsampler.graph import Graph
@@ -46,16 +44,21 @@ def test_estimate_single_boundaries():
 
 
 def test_combine_examples():
-    c = combine(Estimate(10, 4, "a"), Estimate(14, 4, "b"))
+    c, lam = combine(Estimate(10, 4, "a"), Estimate(14, 4, "b"))
     assert c.value == pytest.approx(12) and c.variance == pytest.approx(2)
-    c = combine(Estimate(10, 0, "a"), Estimate(99, 5, "b"))
-    assert c.value == 10 and c.variance == 0
-    c = combine(Estimate(10, 2, "a"), Estimate(10, 6, "b"))
+    assert lam == (0.5, 0.5)
+    c, lam = combine(Estimate(10, 2, "a"), Estimate(10, 6, "b"))
     assert c.value == pytest.approx(10) and c.variance == pytest.approx(1.5)
-    c = combine(Estimate(3, 0, "a"), Estimate(3, 0, "b"))
-    assert c.value == 3
-    with pytest.raises(InconsistentEstimatesError):
-        combine(Estimate(3, 0, "a"), Estimate(4, 0, "b"))
+    assert lam == (0.75, 0.25)
+    # a zero-variance side wins outright, whichever side it is
+    c, lam = combine(Estimate(10, 0, "a"), Estimate(99, 5, "b"))
+    assert (c.value, c.variance, lam) == (10, 0, (1.0, 0.0))
+    c, lam = combine(Estimate(99, 5, "a"), Estimate(0, 0, "b"))
+    assert (c.value, c.variance, lam) == (0, 0, (0.0, 1.0))
+    # both variances zero: equal weights, even when the values disagree
+    c, lam = combine(Estimate(3, 0, "a"), Estimate(4, 0, "b"))
+    assert (c.value, c.variance, lam) == (3.5, 0, (0.5, 0.5))
+    assert c.source == "combined"
 
 
 @given(
@@ -65,7 +68,8 @@ def test_combine_examples():
     st.floats(0, 1e5),
 )
 def test_combine_is_optimal_and_convex(va, vb, xa, xb):
-    c = combine(Estimate(xa, va, "a"), Estimate(xb, vb, "b"))
+    c, (la, lb) = combine(Estimate(xa, va, "a"), Estimate(xb, vb, "b"))
+    assert la + lb == pytest.approx(1.0) and la >= 0 and lb >= 0
     assert c.variance <= min(va, vb) + 1e-9
     assert min(xa, xb) - 1e-9 <= c.value <= max(xa, xb) + 1e-9
 
@@ -83,16 +87,6 @@ def test_budget_even_split_with_remainder():
         BudgetConfig(split=(1, 2)).resolve(("R32", "R41", "R42"))
     with pytest.raises(ValueError):
         BudgetConfig().resolve(("R31",))
-
-
-def test_select_sampler():
-    assert select_sampler([("R31", 4, 1), ("R32", 3, 1)]) == "R32"
-    assert select_sampler([("R41", 2, 5), ("R42", 4, 1)]) == "R42"
-    assert select_sampler([("R32", 2, 3), ("R31", 3, 2)]) == "R31"  # tie at 6
-    with pytest.raises(ValueError):
-        select_sampler([])
-    with pytest.raises(ValueError):
-        select_sampler([("R31", 1, 0)])
 
 
 def _ctx(values, lam=None, k41=1000, k42=1000):

@@ -4,11 +4,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from orbitsampler import (
     EmptyGraphError,
     Graph,
     GraphError,
+    LoadSummary,
     NotANeighborError,
     ParseError,
     load_edge_list,
@@ -68,6 +70,93 @@ def test_load_empty_graph_error():
 def test_load_accepts_bytes_and_line_iterables():
     for src in (b"0 1\n1 2\n", io.BytesIO(b"0 1\n1 2\n"), ["0 1", "1 2"]):
         assert load_edge_list(src).edge_count == 2
+
+
+def test_load_directed_repeated_and_reciprocal_arcs():
+    g = load_edge_list(io.StringIO("0 1\n0 1\n1 0\n1 0\n"), directed=True)
+    assert g.edge_count == 1 and g.direction_code(0, 1) == MUTUAL
+    assert g.summary.duplicates_merged == 2
+    g = load_edge_list(io.StringIO("0 1\n1 0\n0 1\n"), directed=True)
+    assert g.direction_code(0, 1) == MUTUAL
+    assert g.summary.duplicates_merged == 1
+
+
+def test_load_largest_node_id():
+    top = 2**63 - 1
+    g = load_edge_list(io.StringIO(f"{top} 3\n3 0\n"))
+    assert g.original_ids.tolist() == [0, 3, top]
+    assert g.to_dense(top) == 2 and g.to_original(2) == top
+    with pytest.raises(ParseError) as exc:
+        load_edge_list(io.StringIO(f"0 1\n# c\n{2**63} 1\n"))
+    assert exc.value.line_no == 3
+
+
+def reference_load(lines, directed):
+    """Arrays and summary of an edge list, from plain sets and dicts.
+
+    A line repeats when the same arc (directed) or the same edge
+    (undirected) appeared on an earlier line.
+    """
+    pairs = [tuple(map(int, t.split())) for t in lines if not t.startswith("#")]
+    loops = sum(u == v for u, v in pairs)
+    seen, flags, dups = set(), {}, 0
+    for u, v in pairs:
+        if u == v:
+            continue
+        edge = (min(u, v), max(u, v))
+        flag = 3 if not directed else (1 if u < v else 2)
+        dups += (edge, flag) in seen
+        seen.add((edge, flag))
+        flags[edge] = flags.get(edge, 0) | flag
+    ids = sorted({x for edge in flags for x in edge})
+    dense = {x: i for i, x in enumerate(ids)}
+    rows = {i: [] for i in range(len(ids))}
+    for (a, b), flag in flags.items():
+        rows[dense[a]].append((dense[b], flag))
+        rows[dense[b]].append((dense[a], flag if flag == MUTUAL else OUT + IN - flag))
+    indptr, indices, labels = [0], [], []
+    for i in range(len(ids)):
+        for j, code in sorted(rows[i]):
+            indices.append(j)
+            labels.append(code)
+        indptr.append(len(indices))
+    summary = LoadSummary(len(lines), len(flags), loops, dups)
+    return indptr, indices, labels, ids, summary
+
+
+@st.composite
+def edge_list_lines(draw):
+    # a small pool of sparse ids makes self loops common; repeated and
+    # reversed copies of drawn pairs add repeats and reciprocal arcs
+    ids = st.integers(0, 2**63 - 1)
+    pool = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    node = st.sampled_from(pool)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=20))
+    again = draw(st.lists(st.sampled_from(pairs), max_size=10))
+    flipped = draw(st.lists(st.sampled_from(pairs), max_size=10))
+    lines = [f"{u} {v}" for u, v in pairs + again]
+    lines += [f"{v} {u}" for u, v in flipped]
+    lines += ["# comment"] * draw(st.integers(0, 2))
+    return draw(st.permutations(lines))
+
+
+@given(edge_list_lines(), st.booleans())
+def test_load_matches_set_reference(lines, directed):
+    indptr, indices, labels, ids, summary = reference_load(lines, directed)
+    text = io.StringIO("\n".join(lines) + "\n")
+    if not indices:
+        with pytest.raises(EmptyGraphError):
+            load_edge_list(text, directed=directed)
+        return
+    g = load_edge_list(text, directed=directed)
+    assert g.indptr.tolist() == indptr
+    assert g.indices.tolist() == indices
+    assert g.original_ids.tolist() == ids
+    assert g.summary == summary
+    if directed:
+        assert g.labels.tolist() == labels
+    else:
+        assert g.labels is None
 
 
 def test_from_edges_rejects_out_of_range_ids():

@@ -1,9 +1,10 @@
 """Sampler tests: exact outcome-lattice enumeration against stated biases.
 
-Rather than only testing statistically, ``enumerate_outcomes`` drives each
-scalar sampler through every value its random draws could take, with exact
-probabilities.  The induced distribution over member sets must equal the
-per-subgraph bias of the route at the anchor's orbit, subgraph by subgraph.
+Rather than only testing statistically, ``enumerate_outcomes`` drives one
+draw of ``draw_batch(g, v, method, 1, probe)`` through every value its random
+draws could take, with exact probabilities.  The induced distribution over
+member sets must equal the per-subgraph bias of the route at the anchor's
+orbit, subgraph by subgraph.
 """
 
 from collections import defaultdict
@@ -15,18 +16,15 @@ from orbitsampler import (
     BiasUndefinedError,
     CannotSampleError,
     METHOD_ORDER,
-    SAMPLERS,
     bias_vector,
     classify_undirected,
-    random_vertex,
     sample_members,
     tally_orbits,
-    weighted_random_vertex,
-    weighted_random_vertex_excluding,
 )
 from orbitsampler.graph import Graph
+from orbitsampler.samplers import _skip_one, _skip_two, _weighted_pick, draw_batch
 
-from conftest import EIGHT_EDGES, ScriptedRng, complete_graph, star_graph
+from conftest import EIGHT_EDGES, complete_graph, star_graph
 
 
 class _NeedMore(Exception):
@@ -34,25 +32,31 @@ class _NeedMore(Exception):
 
 
 class _Probe:
+    """Random source for single draws: replays ``prefix`` through the
+    ``Generator.integers`` calls of a batch of one, each answered as a
+    length-1 array, and records the range of the first call beyond it."""
+
     def __init__(self, prefix):
         self.prefix = prefix
         self.i = 0
         self.need = None
 
     def integers(self, low, high=None, size=None):
-        assert size is None
-        lo, hi = (0, int(low)) if high is None else (int(low), int(high))
+        lo, hi = (0, low) if high is None else (low, high)
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        assert size == 1 or (size is None and max(lo.size, hi.size) == 1)
+        lo, hi = int(lo.reshape(-1)[0]), int(hi.reshape(-1)[0])
         if self.i < len(self.prefix):
             v = self.prefix[self.i]
             self.i += 1
             assert lo <= v < hi
-            return v
+            return np.array([v], dtype=np.int64)
         self.need = (lo, hi)
         raise _NeedMore
 
 
 def enumerate_outcomes(fn):
-    """All (probability, result) pairs of a function of one scalar rng."""
+    """All (probability, result) pairs of a function of one probe."""
     results = []
 
     def walk(prefix, prob):
@@ -70,21 +74,32 @@ def enumerate_outcomes(fn):
     return results
 
 
+def draw_outcomes(g: Graph, v: int, method: str):
+    """(probability, sorted member tuple) of every outcome of one draw."""
+    return [
+        (p, tuple(sorted({v, *(int(c[0]) for c in cols)})))
+        for p, cols in enumerate_outcomes(lambda rng: draw_batch(g, v, method, 1, rng))
+    ]
+
+
 def assert_exact_bias(g: Graph, v: int, method: str):
-    """Outcome lattice of one sampler matches its bias vector exactly."""
-    sampler = SAMPLERS[method]
-    outcomes = enumerate_outcomes(lambda rng: sampler(g, v, rng))
+    """Outcome lattice of one route matches its bias vector exactly."""
     prob_by_set = defaultdict(float)
-    for prob, sample in outcomes:
-        assert sample.anchor == v and v in sample.members
-        assert len(sample.members) in (3, 4)
-        prob_by_set[sample.members] += prob
+    for prob, members in draw_outcomes(g, v, method):
+        assert len(members) in (3, 4)
+        prob_by_set[members] += prob
     assert abs(sum(prob_by_set.values()) - 1.0) < 1e-12
     p = bias_vector(method, g.stats(v))
     for members, prob in prob_by_set.items():
         orbit = classify_undirected(g, v, members)
         assert p[orbit] > 0, f"{method} produced zero-probability orbit {orbit}"
         assert abs(prob - p[orbit]) < 1e-12, (members, orbit, prob, p[orbit])
+
+
+def _cannot_sample(g: Graph, v: int, method: str) -> None:
+    # an empty probe: the route must refuse before drawing anything
+    with pytest.raises(CannotSampleError):
+        draw_batch(g, v, method, 1, _Probe([]))
 
 
 EIGHT = Graph.from_edges(EIGHT_EDGES)
@@ -113,125 +128,105 @@ def test_exact_bias_on_small_graphs(method):
 
 def test_r31_examples(paw, star4, k3):
     # triangle through the paw hub appears with probability 1/wedges = 1/3
-    outcomes = enumerate_outcomes(lambda rng: SAMPLERS["R31"](paw, 2, rng))
-    tri = sum(p for p, s in outcomes if s.members == (0, 1, 2))
+    tri = sum(p for p, s in draw_outcomes(paw, 2, "R31") if s == (0, 1, 2))
     assert abs(tri - 1 / 3) < 1e-12
     # star centre: every draw is a path with the centre in the middle
-    for p, s in enumerate_outcomes(lambda rng: SAMPLERS["R31"](star4, 0, rng)):
-        assert classify_undirected(star4, 0, s.members) == 2
+    for p, s in draw_outcomes(star4, 0, "R31"):
+        assert classify_undirected(star4, 0, s) == 2
     # triangle graph: always the whole triangle
-    for p, s in enumerate_outcomes(lambda rng: SAMPLERS["R31"](k3, 0, rng)):
-        assert s.members == (0, 1, 2)
+    for p, s in draw_outcomes(k3, 0, "R31"):
+        assert s == (0, 1, 2)
 
 
 def test_r32_examples(paw, path4, star4):
     # paw hub: only the triangle is reachable (probability one)
-    outcomes = enumerate_outcomes(lambda rng: SAMPLERS["R32"](paw, 2, rng))
-    assert all(s.members == (0, 1, 2) for _, s in outcomes)
+    assert all(s == (0, 1, 2) for _, s in draw_outcomes(paw, 2, "R32"))
     # path end: forced two-step chain
-    outcomes = enumerate_outcomes(lambda rng: SAMPLERS["R32"](path4, 0, rng))
-    assert all(s.members == (0, 1, 2) for _, s in outcomes)
+    assert all(s == (0, 1, 2) for _, s in draw_outcomes(path4, 0, "R32"))
     assert classify_undirected(path4, 0, (0, 1, 2)) == 1
-    with pytest.raises(CannotSampleError):
-        SAMPLERS["R32"](star4, 0, np.random.default_rng(0))
+    _cannot_sample(star4, 0, "R32")
 
 
 def test_r41_k4_split(k4):
     # half the draws degenerate to triangles, half give the full clique
-    outcomes = enumerate_outcomes(lambda rng: SAMPLERS["R41"](k4, 0, rng))
-    p3 = sum(p for p, s in outcomes if len(s.members) == 3)
-    p14 = sum(p for p, s in outcomes if len(s.members) == 4)
+    outcomes = draw_outcomes(k4, 0, "R41")
+    p3 = sum(p for p, s in outcomes if len(s) == 3)
+    p14 = sum(p for p, s in outcomes if len(s) == 4)
     assert abs(p3 - 0.5) < 1e-12 and abs(p14 - 0.5) < 1e-12
-    with pytest.raises(CannotSampleError):
-        SAMPLERS["R41"](star_graph(3), 0, np.random.default_rng(0))
+    _cannot_sample(star_graph(3), 0, "R41")
 
 
 def test_r41_path_mid_never_degenerates(path4):
     # a triangle-free anchor can only yield full 4-node draws
-    outcomes = enumerate_outcomes(lambda rng: SAMPLERS["R41"](path4, 1, rng))
-    assert all(s.members == (0, 1, 2, 3) for _, s in outcomes)
+    assert all(s == (0, 1, 2, 3) for _, s in draw_outcomes(path4, 1, "R41"))
 
 
 def test_r42_examples(k4, k3):
     # star-of-star: deterministic draw with the anchor at a leaf
     g = Graph.from_edges([(0, 1), (1, 2), (1, 3)])
-    outcomes = enumerate_outcomes(lambda rng: SAMPLERS["R42"](g, 0, rng))
-    assert all(s.members == (0, 1, 2, 3) for _, s in outcomes)
+    assert all(s == (0, 1, 2, 3) for _, s in draw_outcomes(g, 0, "R42"))
     assert classify_undirected(g, 0, (0, 1, 2, 3)) == 6
     # 4-clique: always the clique itself
-    outcomes = enumerate_outcomes(lambda rng: SAMPLERS["R42"](k4, 0, rng))
-    assert all(s.members == (0, 1, 2, 3) for _, s in outcomes)
-    with pytest.raises(CannotSampleError):
-        SAMPLERS["R42"](k3, 0, np.random.default_rng(0))
+    assert all(s == (0, 1, 2, 3) for _, s in draw_outcomes(k4, 0, "R42"))
+    _cannot_sample(k3, 0, "R42")
 
 
 def test_r43_examples(k4, path4, star4):
-    outcomes = enumerate_outcomes(lambda rng: SAMPLERS["R43"](path4, 0, rng))
-    assert all(s.members == (0, 1, 2, 3) for _, s in outcomes)
-    outcomes = enumerate_outcomes(lambda rng: SAMPLERS["R43"](k4, 0, rng))
-    p3 = sum(p for p, s in outcomes if len(s.members) == 3)
+    assert all(s == (0, 1, 2, 3) for _, s in draw_outcomes(path4, 0, "R43"))
+    p3 = sum(p for p, s in draw_outcomes(k4, 0, "R43") if len(s) == 3)
     assert abs(p3 - 0.5) < 1e-12
-    with pytest.raises(CannotSampleError):
-        SAMPLERS["R43"](star4, 0, np.random.default_rng(0))
+    _cannot_sample(star4, 0, "R43")
 
 
 def test_r44_examples(k4, star4, path4):
-    outcomes = enumerate_outcomes(lambda rng: SAMPLERS["R44"](star4, 0, rng))
-    assert all(s.members == (0, 1, 2, 3) for _, s in outcomes)
+    assert all(s == (0, 1, 2, 3) for _, s in draw_outcomes(star4, 0, "R44"))
     assert classify_undirected(star4, 0, (0, 1, 2, 3)) == 7
-    outcomes = enumerate_outcomes(lambda rng: SAMPLERS["R44"](k4, 0, rng))
-    assert all(s.members == (0, 1, 2, 3) for _, s in outcomes)
-    with pytest.raises(CannotSampleError):
-        SAMPLERS["R44"](path4, 1, np.random.default_rng(0))
+    assert all(s == (0, 1, 2, 3) for _, s in draw_outcomes(k4, 0, "R44"))
+    _cannot_sample(path4, 1, "R44")
 
 
 def test_random_vertex_primitives():
+    # uniform index draws that skip one or two excluded positions, mapped
+    # exactly over every drawn index
     nb = np.array([10, 20, 30])
-    # full exclusion mapping, enumerated exactly
-    seen = {random_vertex(nb, {20}, ScriptedRng([i])) for i in range(2)}
-    assert seen == {10, 30}
-    seen = {random_vertex(nb, {10, 30}, ScriptedRng([0]))}
-    assert seen == {20}
-    assert {random_vertex(nb, (), ScriptedRng([i])) for i in range(3)} == {10, 20, 30}
-    with pytest.raises(CannotSampleError):
-        random_vertex(np.array([5]), {5}, ScriptedRng([0]))
+    assert nb[_skip_one(np.arange(2), 1)].tolist() == [10, 30]
+    assert nb[_skip_one(np.arange(3), 3)].tolist() == [10, 20, 30]
+    for p1, p2 in ((0, 2), (2, 0)):  # either order of the two exclusions
+        assert nb[_skip_two(np.array([0]), p1, p2)].tolist() == [20]
+    four = np.array([10, 20, 30, 40])
+    assert four[_skip_two(np.arange(2), 1, 3)].tolist() == [10, 30]
 
 
 def test_weighted_random_vertex_mapping():
-    nb = np.array([7, 8, 9])
     acc = np.array([2, 2, 6])  # weights 2, 0, 4
-    picks = [weighted_random_vertex(acc, nb, ScriptedRng([r])) for r in range(1, 7)]
-    assert picks == [7, 7, 9, 9, 9, 9]  # middle node never chosen
+    picks = [int(_weighted_pick(acc, 1, _Probe([r]))[0]) for r in range(1, 7)]
+    assert picks == [0, 0, 2, 2, 2, 2]  # middle position never chosen
     # equal weights split evenly, a single candidate is certain
-    picks = [
-        weighted_random_vertex(np.array([1, 2]), nb[:2], ScriptedRng([r]))
-        for r in (1, 2)
-    ]
-    assert picks == [7, 8]
-    assert weighted_random_vertex(np.array([5]), np.array([3]), ScriptedRng([1])) == 3
+    picks = [int(_weighted_pick(np.array([1, 2]), 1, _Probe([r]))[0]) for r in (1, 2)]
+    assert picks == [0, 1]
+    assert _weighted_pick(np.array([5]), 1, _Probe([1]))[0] == 0
     with pytest.raises(CannotSampleError):
-        weighted_random_vertex(np.array([0, 0]), nb[:2], ScriptedRng([]))
+        _weighted_pick(np.array([0, 0]), 1, _Probe([]))
+    with pytest.raises(CannotSampleError):
+        _weighted_pick(np.array([], dtype=np.int64), 1, _Probe([]))
 
 
 def test_weighted_random_vertex_excluding_mapping():
-    nb = np.array([4, 5, 6])
-    acc = np.array([3, 4, 6])  # weights 3, 1, 2; node 4 excluded
-    picks = [
-        weighted_random_vertex_excluding(acc, nb, 4, ScriptedRng([r]))
-        for r in range(1, 4)
-    ]
-    assert picks == [5, 6, 6]  # residual weights 1 and 2
-    # excluding the heavy middle node leaves two equal halves
-    acc2 = np.array([1, 6, 7])  # weights 1, 5, 1
-    picks = [
-        weighted_random_vertex_excluding(acc2, nb, 5, ScriptedRng([r]))
-        for r in range(1, 3)
-    ]
-    assert picks == [4, 6]
-    with pytest.raises(CannotSampleError):
-        weighted_random_vertex_excluding(np.array([3, 3]), nb[:2], 4, ScriptedRng([]))
-    with pytest.raises(CannotSampleError):
-        weighted_random_vertex_excluding(acc, nb, 9, ScriptedRng([]))
+    # R43's second step: w in N(u) - {v} weighted by d_w - 1, drawn from the
+    # cumulative range with v's weight block cut out.  Anchor 2 sits between
+    # the neighbours of u = 1: N(1) = [0, 2, 3] with weights 3, 1, 1, and
+    # every walk-weighted first step lands on u.
+    g = Graph.from_edges(
+        [(1, 0), (1, 2), (1, 3), (2, 4), (0, 5), (0, 6), (0, 7), (3, 8)]
+    )
+    assert g.acc_degree(1).tolist() == [3, 4, 5]
+    assert g.acc_walk(2).tolist() == [4, 4]
+    picks = []
+    for r in range(1, 5):  # residual weight 3 + 1
+        u, w, _ = draw_batch(g, 2, "R43", 1, _Probe([1, r, 0]))
+        assert u[0] == 1
+        picks.append(int(w[0]))
+    assert picks == [0, 0, 0, 3]
 
 
 def test_bias_vector_values(paw, k4):
@@ -246,14 +241,6 @@ def test_bias_vector_values(paw, k4):
     assert p[7] == p[11] == p[13] == p[14] == 1.0
     with pytest.raises(BiasUndefinedError):
         bias_vector("R32", star_graph(3).stats(0))
-
-
-def test_scalar_determinism(eight):
-    for method in METHOD_ORDER:
-        rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-        s1 = [SAMPLERS[method](eight, 0, rng1).members for _ in range(50)]
-        s2 = [SAMPLERS[method](eight, 0, rng2).members for _ in range(50)]
-        assert s1 == s2
 
 
 def test_batch_determinism_and_members(eight):
@@ -320,17 +307,3 @@ def test_batch_directed_labels_match_scalar_classifier():
         for row in range(500):
             members = {v, int(cols[0][row]), int(cols[1][row])}
             assert classify_directed3(g, v, members) == labels[row]
-
-
-def test_batch_agrees_with_scalar_distribution(eight):
-    # same per-orbit hit rates from the two code paths, loose statistical bound
-    rng = np.random.default_rng(123)
-    k = 40_000
-    for method in ("R32", "R41", "R43"):
-        batch = tally_orbits(eight, 0, method, k, np.random.default_rng(5)) / k
-        scalar = np.zeros(15)
-        for _ in range(8000):
-            s = SAMPLERS[method](eight, 0, rng)
-            scalar[classify_undirected(eight, 0, s.members)] += 1
-        scalar /= 8000
-        assert np.abs(batch - scalar).max() < 0.03, method
