@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import (
+    MODE_ROUTES,
     BudgetConfig,
     Estimate,
     OrbitReport,
@@ -35,7 +36,7 @@ from .graph import Graph, GraphError, load_edge_list
 from .oracle import DEFAULT_GUARD, GuardExceededError, exact_orbit_degrees
 from .orbits import orbit_table
 from .report import dumps, report_to_dict, write_report_csv
-from .samplers import METHOD_ORDER
+from .samplers import METHOD_ORDER, CannotSampleError
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_GUARD = 0, 1, 2, 3
 
@@ -147,10 +148,16 @@ def _budget_from_args(args) -> BudgetConfig:
             split = tuple(int(x) for x in args.budget_split.split(","))
         except ValueError:
             raise _UsageError(f"bad --budget-split {args.budget_split!r}") from None
-        return BudgetConfig(split=split)
-    if args.budget is not None:
-        return BudgetConfig(total=args.budget)
-    raise _UsageError("need --budget or --budget-split")
+        budget = BudgetConfig(split=split)
+    elif args.budget is not None:
+        budget = BudgetConfig(total=args.budget)
+    else:
+        raise _UsageError("need --budget or --budget-split")
+    try:
+        budget.resolve(MODE_ROUTES[args.mode])
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    return budget
 
 
 def _load_graph(args) -> Graph:
@@ -182,10 +189,11 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    budget = _budget_from_args(args)
     g = _load_graph(args)
     _check_mode(g, args.mode)
     v = _pick_node(g, args)
-    report = estimate_orbit_degrees(g, v, args.mode, _budget_from_args(args), args.seed)
+    report = estimate_orbit_degrees(g, v, args.mode, budget, args.seed)
     _emit_report(args, report, g.to_original(v))
     return EXIT_OK
 
@@ -219,6 +227,9 @@ def _emit_report(args, report: OrbitReport, node_label: int) -> None:
 
 
 def _cmd_evaluate(args) -> int:
+    budget = _budget_from_args(args)
+    if args.runs < 2:
+        raise _UsageError(f"--runs must be at least 2, got {args.runs}")
     g = _load_graph(args)
     _check_mode(g, args.mode)
     v = _pick_node(g, args)
@@ -226,7 +237,7 @@ def _cmd_evaluate(args) -> int:
         g,
         v,
         args.mode,
-        _budget_from_args(args),
+        budget,
         runs=args.runs,
         seed=args.seed,
         workers=args.workers,
@@ -281,6 +292,8 @@ def _cmd_orbit_table(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.draws < 1:
+        raise _UsageError(f"--draws must be at least 1, got {args.draws}")
     if args.graph is not None:
         g = load_edge_list(args.graph, directed=args.directed)
     else:
@@ -291,7 +304,7 @@ def _cmd_bench(args) -> int:
     for m in methods:
         try:
             per_draw = measure_sample_time(g, v, m, draws=args.draws, seed=args.seed)
-        except Exception as exc:  # route undefined at this node
+        except CannotSampleError as exc:  # route undefined at this node
             rows.append({"method": m, "error": str(exc)})
             continue
         rows.append(

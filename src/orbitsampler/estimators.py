@@ -18,6 +18,9 @@ outright; with both variances 0 the two sides get equal weights.  At small
 budgets this collapses a combined orbit to 0 whenever one route missed it,
 although the other route saw hits, biasing the estimate towards 0.
 
+Route tallies are multinomial, so two orbit estimates covary only through
+the routes whose draws they share (see :func:`covariance`).
+
 Identity-derived orbit estimates (2, 4 and 7) keep their raw, possibly
 negative value; ``Estimate.clamped`` gives the floored convenience value.
 """
@@ -25,23 +28,27 @@ negative value; ``Estimate.clamped`` gives the floored convenience value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .graph import Graph
-from .orbits import CENTER_IDS, END_IDS, TRIANGLE_IDS, UNORBIT, WALK_IDENTITY
-from .samplers import bias_vector, tally_orbits
+from .orbits import CENTER_IDS, END_IDS, TRIANGLE_IDS, UNORBIT
+from .orbits import TRIPLE_IDENTITY, WALK_IDENTITY, WEDGE_IDENTITY
+from .samplers import bias_vector, route_defined, tally_orbits
 
-UNDIRECTED_ROUTES = ("R32", "R41", "R42")
-DIRECTED_ROUTES = ("R31", "R32")
+# Each mode's routes, in pipeline (and budget split) order.
+MODE_ROUTES = {"undirected": ("R32", "R41", "R42"), "directed3": ("R31", "R32")}
 
-# The walk identity without orbit 4, which is recovered by rearranging it.
-_WALK_TERMS = {i: c for i, c in WALK_IDENTITY.items() if i != 4}
-
-_SET_A = frozenset({5, 8, 11})        # estimated from R41 alone
-_SET_B = frozenset({6, 9})            # estimated from R42 alone
-_SET_C = frozenset({10, 12, 13, 14})  # combined R41 + R42
-_COV_ORBITS = _SET_A | _SET_B | _SET_C | {3}
+# Routes each undirected orbit with a covariance is estimated from; a
+# combined orbit's ``lam`` weights follow this order.  Orbit 3's R32 tally is
+# shared with no other orbit here, so it never enters a covariance.
+_COV_ROUTES = {
+    3: ("R41", "R32"),
+    5: ("R41",), 8: ("R41",), 11: ("R41",),
+    6: ("R42",), 9: ("R42",),
+    10: ("R41", "R42"), 12: ("R41", "R42"), 13: ("R41", "R42"), 14: ("R41", "R42"),
+}
 
 
 class EstimatorUndefinedError(ValueError):
@@ -156,57 +163,45 @@ class CovarianceContext:
 def covariance(i: int, j: int, ctx: CovarianceContext) -> float:
     """Covariance of the estimators of two orbit degrees (plug-in form).
 
-    Defined for distinct orbits out of {3} | {5,8,11} | {6,9} |
-    {10,12,13,14}; other pairs raise :class:`UnsupportedPairError`.
+    The sum ``-sum_r w_r(i) w_r(j) d_i d_j / K_r`` over the routes R41 and
+    R42 that both estimates draw on, where ``w_r(x)`` is the weight of route
+    r's tally in orbit x's estimate (1, or ``lam`` for a combined orbit) and
+    ``K_r`` its draw count; a term is 0 where ``K_r`` is 0.  Pairs sharing
+    no route give +0.0.  Defined for distinct orbits out of {3, 5, 6, 8, 9,
+    10, 11, 12, 13, 14}; other pairs raise :class:`UnsupportedPairError`.
     """
-    if i == j or i not in _COV_ORBITS or j not in _COV_ORBITS:
+    if i == j or i not in _COV_ROUTES or j not in _COV_ROUTES:
         raise UnsupportedPairError(f"no covariance formula for pair ({i}, {j})")
     di = ctx.values.get(i, 0.0)
     dj = ctx.values.get(j, 0.0)
-    if di == 0.0 or dj == 0.0:
+    shared = [r for r in _COV_ROUTES[i] if r in _COV_ROUTES[j]]
+    if di == 0.0 or dj == 0.0 or not shared:
         return 0.0
 
     def ratio(num: float, k: int) -> float:
         return num / k if k > 0 and num != 0.0 else 0.0
 
-    def role(x: int) -> str:
-        if x == 3:
-            return "3"
-        if x in _SET_A:
-            return "A"
-        return "B" if x in _SET_B else "C"
-
-    # Order the pair by role so each case is written once.
-    (a, da), (b, db) = sorted(
-        ((i, di), (j, dj)), key=lambda t: "3ABC".index(role(t[0]))
-    )
-    pair = role(a) + role(b)
-    prod = da * db
-    if pair == "AA":
-        return -ratio(prod, ctx.k41)
-    if pair == "3A":
-        return -ratio(ctx.lam[3][0] * prod, ctx.k41)
-    if pair == "BB":
-        return -ratio(prod, ctx.k42)
-    if pair == "CC":
-        la, lb = ctx.lam[a], ctx.lam[b]
-        return -(
-            ratio(la[0] * lb[0] * prod, ctx.k41)
-            + ratio(la[1] * lb[1] * prod, ctx.k42)
-        )
-    if pair in ("3B", "AB"):
-        return 0.0
-    if pair == "AC":
-        return -ratio(ctx.lam[b][0] * prod, ctx.k41)
-    if pair == "BC":
-        return -ratio(ctx.lam[b][1] * prod, ctx.k42)
-    # remaining case: pair "3C"
-    return -ratio(ctx.lam[3][0] * ctx.lam[b][0] * prod, ctx.k41)
+    wi = dict(zip(_COV_ROUTES[i], ctx.lam.get(i, (1.0,))))
+    wj = dict(zip(_COV_ROUTES[j], ctx.lam.get(j, (1.0,))))
+    ks = {"R41": ctx.k41, "R42": ctx.k42}
+    prod = di * dj
+    return -sum(ratio((wi[r] * wj[r]) * prod, ks[r]) for r in shared)
 
 
-def _method_streams(seed: int | None, methods: tuple[str, ...]):
-    ss = np.random.SeedSequence(seed)
-    return {m: np.random.default_rng(c) for m, c in zip(methods, ss.spawn(len(methods)))}
+def _tally_routes(g: Graph, v: int, mode: str, budget: BudgetConfig, seed: int | None):
+    """Per-route draw counts of the mode's routes, plus tallies and bias
+    vectors of those defined at ``v``; each route has its own spawned stream."""
+    st = g.stats(v)
+    methods = MODE_ROUTES[mode]
+    ks = budget.resolve(methods)
+    streams = np.random.SeedSequence(seed).spawn(len(methods))
+    tallies, bias = {}, {}
+    for m, stream in zip(methods, streams):
+        if route_defined(m, st):
+            rng = np.random.default_rng(stream)
+            tallies[m] = tally_orbits(g, v, m, ks[m], rng, mode == "directed3")
+            bias[m] = bias_vector(m, st)
+    return ks, tallies, bias
 
 
 _EXACT_ZERO = Estimate(0.0, 0.0, "exact")
@@ -223,83 +218,59 @@ def estimate_undirected(
     (noise-induced) negative raw value.
     """
     st = g.stats(v)
-    ks = budget.resolve(UNDIRECTED_ROUTES)
-    rngs = _method_streams(seed, UNDIRECTED_ROUTES)
-    avail = {
-        "R32": st.two_paths > 0,
-        "R41": st.forked_paths > 0,
-        "R42": st.tail_wedges > 0,
-    }
-    tallies = {
-        m: tally_orbits(g, v, m, ks[m], rngs[m]) if avail[m] else None
-        for m in UNDIRECTED_ROUTES
-    }
-    bias = {m: bias_vector(m, st) for m in UNDIRECTED_ROUTES if avail[m]}
+    ks, tallies, bias = _tally_routes(g, v, "undirected", budget, seed)
 
     def single(method: str, orbit: int) -> Estimate | None:
-        if not avail[method]:
+        if method not in tallies:
             return None
         return estimate_single(
             int(tallies[method][orbit]), ks[method], bias[method][orbit], method
         )
 
     est: dict[int, Estimate] = {0: Estimate(float(st.degree), 0.0, "exact")}
-    lam: dict[int, tuple[float, float]] = {}
-
     est[1] = single("R32", 1) or _EXACT_ZERO
-    for orbit in (5, 8, 11):
-        est[orbit] = single("R41", orbit) or _EXACT_ZERO
-    for orbit in (6, 9):
-        est[orbit] = single("R42", orbit) or _EXACT_ZERO
-
-    def combined(orbit: int, other_method: str) -> Estimate:
-        check = single("R41", orbit)
-        tilde = single(other_method, orbit)
+    lam: dict[int, tuple[float, float]] = {}
+    for orbit, routes in _COV_ROUTES.items():
+        if len(routes) == 1:
+            est[orbit] = single(routes[0], orbit) or _EXACT_ZERO
+            continue
+        check, tilde = (single(m, orbit) for m in routes)
         if check is None and tilde is None:
-            lam[orbit] = (0.0, 0.0)
-            return _EXACT_ZERO
-        if tilde is None:
-            lam[orbit] = (1.0, 0.0)
-            return check
-        if check is None:
-            lam[orbit] = (0.0, 1.0)
-            return tilde
-        out, lam[orbit] = combine(check, tilde)
-        return out
-
-    est[3] = combined(3, "R32")
-    for orbit in (10, 12, 13, 14):
-        est[orbit] = combined(orbit, "R42")
-
-    # Identity-derived orbits.
-    est[2] = Estimate(st.wedges - est[3].value, est[3].variance, "identity")
+            lam[orbit], est[orbit] = (0.0, 0.0), _EXACT_ZERO
+        elif tilde is None:
+            lam[orbit], est[orbit] = (1.0, 0.0), check
+        elif check is None:
+            lam[orbit], est[orbit] = (0.0, 1.0), tilde
+        else:
+            est[orbit], lam[orbit] = combine(check, tilde)
 
     ctx = CovarianceContext(
-        values={i: est[i].value for i in _COV_ORBITS},
+        values={i: est[i].value for i in _COV_ROUTES},
         lam=lam,
-        k41=ks["R41"] if avail["R41"] else 0,
-        k42=ks["R42"] if avail["R42"] else 0,
+        k41=ks["R41"] if "R41" in tallies else 0,
+        k42=ks["R42"] if "R42" in tallies else 0,
     )
+    covs = {
+        (i, j): covariance(i, j, ctx) for i, j in combinations(sorted(_COV_ROUTES), 2)
+    }
 
-    value4 = st.three_walks - sum(c * est[i].value for i, c in _WALK_TERMS.items())
-    var4 = sum(c * c * est[i].variance for i, c in _WALK_TERMS.items())
-    walk_ids = sorted(_WALK_TERMS)
-    for x, i in enumerate(walk_ids):
-        for j in walk_ids[x + 1 :]:
-            var4 += 2.0 * _WALK_TERMS[i] * _WALK_TERMS[j] * covariance(i, j, ctx)
-    est[4] = Estimate(value4, max(var4, 0.0), "identity")
+    def identity_variance(identity: dict[int, int], solved: int) -> float:
+        """Variance of the identity's other terms, sum(c * d_i)."""
+        terms = {i: c for i, c in identity.items() if i != solved}
+        var = sum(c * c * est[i].variance for i, c in terms.items())
+        for i, j in combinations(sorted(terms), 2):
+            var += 2.0 * terms[i] * terms[j] * covs[(i, j)]
+        return max(var, 0.0)
 
+    # Identity-derived orbits.
+    value2 = st.wedges - est[3].value
+    est[2] = Estimate(value2, identity_variance(WEDGE_IDENTITY, 2), "identity")
+    value4 = st.three_walks - sum(
+        c * est[i].value for i, c in WALK_IDENTITY.items() if i != 4
+    )
+    est[4] = Estimate(value4, identity_variance(WALK_IDENTITY, 4), "identity")
     value7 = st.triples - est[11].value - est[13].value - est[14].value
-    var7 = est[11].variance + est[13].variance + est[14].variance
-    for i, j in ((11, 13), (11, 14), (13, 14)):
-        var7 += 2.0 * covariance(i, j, ctx)
-    est[7] = Estimate(value7, max(var7, 0.0), "identity")
-
-    covs = {}
-    orbits = sorted(_COV_ORBITS)
-    for x, i in enumerate(orbits):
-        for j in orbits[x + 1 :]:
-            covs[(i, j)] = covariance(i, j, ctx)
+    est[7] = Estimate(value7, identity_variance(TRIPLE_IDENTITY, 7), "identity")
 
     return OrbitReport(
         node=v,
@@ -323,27 +294,21 @@ def estimate_directed3(
     """
     if not g.directed:
         raise ValueError("directed estimation needs a directed graph")
-    st = g.stats(v)
-    ks = budget.resolve(DIRECTED_ROUTES)
-    rngs = _method_streams(seed, DIRECTED_ROUTES)
-    avail = {"R31": st.wedges > 0, "R32": st.two_paths > 0}
-    tallies = {
-        m: tally_orbits(g, v, m, ks[m], rngs[m], directed=True) if avail[m] else None
-        for m in DIRECTED_ROUTES
-    }
-    bias = {m: bias_vector(m, st) for m in DIRECTED_ROUTES if avail[m]}
+    ks, tallies, bias = _tally_routes(g, v, "directed3", budget, seed)
 
     def single(method: str, orbit: int) -> Estimate:
+        if method not in tallies:
+            return _EXACT_ZERO
         p = bias[method][UNORBIT[orbit]]
         return estimate_single(int(tallies[method][orbit]), ks[method], p, method)
 
     est: dict[int, Estimate] = {}
     for orbit in CENTER_IDS:
-        est[orbit] = single("R31", orbit) if avail["R31"] else _EXACT_ZERO
+        est[orbit] = single("R31", orbit)
     for orbit in END_IDS:
-        est[orbit] = single("R32", orbit) if avail["R32"] else _EXACT_ZERO
+        est[orbit] = single("R32", orbit)
     for orbit in TRIANGLE_IDS:
-        if avail["R31"] and avail["R32"]:
+        if "R31" in tallies and "R32" in tallies:
             est[orbit], _ = combine(single("R31", orbit), single("R32", orbit))
         else:
             # A triangle at v needs both a neighbour pair and a two-edge

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (
-    DIRECTED_ROUTES,
-    UNDIRECTED_ROUTES,
-    BudgetConfig,
-    estimate_orbit_degrees,
-)
+from .estimators import MODE_ROUTES, BudgetConfig, estimate_orbit_degrees
 from .graph import Graph
 from .metrics import l1_l2, nrmse, topk_detection
 from .oracle import DEFAULT_GUARD, GuardExceededError, exact_orbit_degrees
@@ -166,9 +161,7 @@ def run_experiment(
         node=v,
         mode=mode,
         runs=runs,
-        budgets=budget.resolve(
-            UNDIRECTED_ROUTES if mode == "undirected" else DIRECTED_ROUTES
-        ),
+        budgets=budget.resolve(MODE_ROUTES[mode]),
         seed=seed,
         mean_estimates={i: float(m) for i, m in zip(ids, means)},
         wall_clock_per_run=times if with_timings else None,

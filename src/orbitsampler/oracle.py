@@ -24,8 +24,10 @@ from .orbits import (
     CENTER_RANK,
     END_RANK,
     TRIANGLE_RANK,
+    TRIPLE_IDENTITY,
     UNORBIT,
     WALK_IDENTITY,
+    WEDGE_IDENTITY,
     _triangle_canonical,
 )
 
@@ -127,23 +129,19 @@ def exact_orbit_degrees(
     g: Graph,
     v: int,
     guard: int | None = DEFAULT_GUARD,
-    directed: bool | None = None,
     sizes: tuple[int, ...] = (3, 4),
 ) -> OrbitCounts:
     """Exact orbit-degree vector of ``v`` (orbit 0 is the plain degree).
 
-    For directed graphs the 30-orbit directed vector is computed alongside
-    unless ``directed=False`` is passed.  ``sizes`` restricts which subgraph
-    sizes are enumerated (directed orbits only need size 3).
+    For directed graphs the 30-orbit directed vector is computed alongside.
+    ``sizes`` restricts which subgraph sizes are enumerated (directed orbits
+    only need size 3).
 
     Classification here works on plain adjacency sets rather than going
     through :func:`classify_undirected`, purely for speed; the two paths are
     cross-checked in the test suite.
     """
     check_guard(g, v, guard)
-    want_directed = g.directed if directed is None else directed
-    if want_directed and not g.directed:
-        raise ValueError("directed counts need a directed graph")
     nbrs = _NeighbourSets(g)
     succ: dict[int, set[int]] = {}
 
@@ -163,7 +161,7 @@ def exact_orbit_degrees(
 
     und = {i: 0 for i in range(15)}
     und[0] = g.degree(v)
-    dir3 = {i: 0 for i in range(1, 31)} if want_directed else None
+    dir3 = {i: 0 for i in range(1, 31)} if g.directed else None
 
     if 3 in sizes:
         for members in _cises(nbrs, v, 3):
@@ -217,9 +215,9 @@ def exact_orbit_degrees(
 def verify_identities(counts: OrbitCounts, stats: NodeStats) -> IdentityReport:
     """Residuals of the three exact identities; all must be zero."""
     c = counts.undirected
-    wedge = c[2] + c[3] - stats.wedges
+    wedge = sum(w * c[i] for i, w in WEDGE_IDENTITY.items()) - stats.wedges
     walk = sum(w * c[i] for i, w in WALK_IDENTITY.items()) - stats.three_walks
-    triple = c[7] + c[11] + c[13] + c[14] - stats.triples
+    triple = sum(w * c[i] for i, w in TRIPLE_IDENTITY.items()) - stats.triples
     return IdentityReport(
         wedge_residual=wedge,
         walk_residual=walk,

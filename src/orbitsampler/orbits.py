@@ -44,10 +44,12 @@ UNORBIT = {i: 1 for i in END_IDS}
 UNORBIT.update({i: 2 for i in CENTER_IDS})
 UNORBIT.update({i: 3 for i in TRIANGLE_IDS})
 
-# Walk identity: three_walks = sum(c * d_i) over these (orbit, c) pairs.
-# The oracle checks it on exact counts; the undirected estimator solves it
-# for orbit 4.
-WALK_IDENTITY = {3: 2, 4: 1, 8: 2, 9: 2, 10: 1, 12: 4, 13: 2, 14: 6}
+# Count identities: a normalizer equals sum(c * d_i) over (orbit, c) pairs.
+# The oracle checks them on exact counts; the undirected estimator solves
+# them for orbits 2, 4 and 7, which its routes R32, R41 and R42 never reach.
+WEDGE_IDENTITY = {2: 1, 3: 1}  # wedges
+WALK_IDENTITY = {3: 2, 4: 1, 8: 2, 9: 2, 10: 1, 12: 4, 13: 2, 14: 6}  # three_walks
+TRIPLE_IDENTITY = {7: 1, 11: 1, 13: 1, 14: 1}  # triples
 
 
 class NotACisError(ValueError):

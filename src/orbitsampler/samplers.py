@@ -20,6 +20,10 @@ R41 and R43 may produce a coincidence (w == r, resp. r == v); the draw then
 degenerates to a 3-node triangle and is kept as such --- resampling would
 bias the estimates.
 
+A route can draw at a node exactly where its bias denominator is positive
+(:func:`route_defined`): ``wedges > 0`` means degree >= 2 and ``triples > 0``
+degree >= 3.
+
 :func:`draw_batch` draws ``k`` subgraphs of one route at once with vectorized
 arithmetic and consumes a ``numpy.random.Generator``, so identical seeds give
 identical draw sequences.
@@ -31,6 +35,9 @@ import numpy as np
 
 from .graph import Graph, NodeStats
 from .orbits import (
+    TRIPLE_IDENTITY,
+    WALK_IDENTITY,
+    WEDGE_IDENTITY,
     classify_chain_batch,
     classify_quad_batch,
     classify_wedge_batch,
@@ -49,14 +56,21 @@ class BiasUndefinedError(ValueError):
 
 # -- bias probabilities ------------------------------------------------------
 
+# R31, R43 and R44 draw uniformly from what their denominator counts, so
+# their numerators are that count identity's coefficients.
 _BIAS_NUMERATORS = {
-    "R31": ({2: 1, 3: 1}, "wedges", 3),
+    "R31": (WEDGE_IDENTITY, "wedges", 3),
     "R32": ({1: 1, 3: 2}, "two_paths", 3),
     "R41": ({3: 2, 5: 1, 8: 2, 10: 1, 11: 2, 12: 2, 13: 4, 14: 6}, "forked_paths", 14),
     "R42": ({6: 1, 9: 1, 10: 1, 12: 2, 13: 1, 14: 3}, "tail_wedges", 14),
-    "R43": ({3: 2, 4: 1, 8: 2, 9: 2, 10: 1, 12: 4, 13: 2, 14: 6}, "three_walks", 14),
-    "R44": ({7: 1, 11: 1, 13: 1, 14: 1}, "triples", 14),
+    "R43": (WALK_IDENTITY, "three_walks", 14),
+    "R44": (TRIPLE_IDENTITY, "triples", 14),
 }
+
+
+def route_defined(method: str, stats: NodeStats) -> bool:
+    """Whether the route can draw at the node: its bias denominator is > 0."""
+    return getattr(stats, _BIAS_NUMERATORS[method][1]) > 0
 
 
 def bias_vector(method: str, stats: NodeStats) -> dict[int, float]:
@@ -66,11 +80,11 @@ def bias_vector(method: str, stats: NodeStats) -> dict[int, float]:
     :class:`BiasUndefinedError` when the route's denominator vanishes.
     """
     numerators, denom_field, max_orbit = _BIAS_NUMERATORS[method]
-    denom = getattr(stats, denom_field)
-    if denom <= 0:
+    if not route_defined(method, stats):
         raise BiasUndefinedError(
             f"{method} is undefined at node {stats.node} ({denom_field} = 0)"
         )
+    denom = getattr(stats, denom_field)
     return {i: numerators.get(i, 0) / denom for i in range(1, max_orbit + 1)}
 
 
@@ -97,7 +111,7 @@ def _weighted_pick(acc: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 
 
 def _second_step(
-    g: Graph, v: int, u: np.ndarray, rng: np.random.Generator
+    g: Graph, v: np.ndarray | int, u: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform element of N(u) - {v} per draw; every d_u is >= 2 here."""
     du = g.degrees[u]
@@ -106,26 +120,24 @@ def _second_step(
     return g.indices[g.indptr[u] + j]
 
 
+def _distinct_pair(d: int, k: int, rng: np.random.Generator):
+    """Two distinct uniform positions out of ``d`` per draw."""
+    iu = rng.integers(0, d, size=k)
+    return iu, _skip_one(rng.integers(0, d - 1, size=k), iu)
+
+
 def _batch_r31(g: Graph, v: int, k: int, rng: np.random.Generator):
     nb = g.neighbors(v)
-    d = len(nb)
-    if d < 2:
-        raise CannotSampleError(f"node {v} has degree {d} < 2")
-    iu = rng.integers(0, d, size=k)
-    iw = _skip_one(rng.integers(0, d - 1, size=k), iu)
+    iu, iw = _distinct_pair(len(nb), k, rng)
     return nb[iu], nb[iw]
 
 
 def _batch_r32(g: Graph, v: int, k: int, rng: np.random.Generator):
-    if g.stats(v).two_paths <= 0:
-        raise CannotSampleError(f"node {v} has no two-edge walks")
     u = g.neighbors(v)[_weighted_pick(g.acc_degree(v), k, rng)]
     return u, _second_step(g, v, u, rng)
 
 
 def _batch_r41(g: Graph, v: int, k: int, rng: np.random.Generator):
-    if g.stats(v).forked_paths <= 0:
-        raise CannotSampleError(f"node {v} has no forked two-edge walks")
     nb = g.neighbors(v)
     iu = _weighted_pick(g.acc_degree(v), k, rng)
     u = nb[iu]
@@ -135,8 +147,6 @@ def _batch_r41(g: Graph, v: int, k: int, rng: np.random.Generator):
 
 
 def _batch_r42(g: Graph, v: int, k: int, rng: np.random.Generator):
-    if g.stats(v).tail_wedges <= 0:
-        raise CannotSampleError(f"node {v} has no neighbour with spare pairs")
     u = g.neighbors(v)[_weighted_pick(g.acc_wedge(v), k, rng)]
     du = g.degrees[u]
     pos_v = g.pos_of_many(u, v)
@@ -147,8 +157,6 @@ def _batch_r42(g: Graph, v: int, k: int, rng: np.random.Generator):
 
 
 def _batch_r43(g: Graph, v: int, k: int, rng: np.random.Generator):
-    if g.stats(v).three_walks <= 0:
-        raise CannotSampleError(f"node {v} has no three-edge walks")
     u = g.neighbors(v)[_weighted_pick(g.acc_walk(v), k, rng)]
     w = np.empty(k, dtype=np.int64)
     # The degree-weighted step around u excludes v's block; draws are grouped
@@ -162,20 +170,13 @@ def _batch_r43(g: Graph, v: int, k: int, rng: np.random.Generator):
         rnd = rng.integers(1, int(acc[-1]) - block + 1, size=len(sel))
         rnd = np.where(rnd > lo, rnd + block, rnd)
         w[sel] = g.neighbors(int(x))[np.searchsorted(acc, rnd, side="left")]
-    dw = g.degrees[w]
-    pos_u = np.searchsorted(g._edge_keys, w * g.node_count + u) - g.indptr[w]
-    j = _skip_one(rng.integers(0, dw - 1), pos_u)
-    r = g.indices[g.indptr[w] + j]
-    return u, w, r
+    return u, w, _second_step(g, u, w, rng)
 
 
 def _batch_r44(g: Graph, v: int, k: int, rng: np.random.Generator):
     nb = g.neighbors(v)
     d = len(nb)
-    if d < 3:
-        raise CannotSampleError(f"node {v} has degree {d} < 3")
-    iu = rng.integers(0, d, size=k)
-    iw = _skip_one(rng.integers(0, d - 1, size=k), iu)
+    iu, iw = _distinct_pair(d, k, rng)
     ir = _skip_two(rng.integers(0, d - 2, size=k), iu, iw)
     return nb[iu], nb[iw], nb[ir]
 
@@ -192,6 +193,9 @@ _BATCHERS = {
 
 def draw_batch(g: Graph, v: int, method: str, k: int, rng: np.random.Generator):
     """Draw ``k`` subgraphs at once; returns the member columns after v."""
+    if not route_defined(method, g.stats(v)):
+        field = _BIAS_NUMERATORS[method][1]
+        raise CannotSampleError(f"{method} cannot draw at node {v} ({field} = 0)")
     return _BATCHERS[method](g, v, k, rng)
 
 

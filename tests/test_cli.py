@@ -130,6 +130,13 @@ def test_usage_errors(graph_file, capsys):
         )
         == 1
     )
+    # values the mode's routes cannot take are usage errors, not data errors
+    est = ["estimate", "--graph", str(graph_file), "--node", "0"]
+    assert main(est + ["--budget", "2"]) == 1  # below one draw per route
+    assert main(est + ["--budget-split", "5,0,5"]) == 1
+    assert main(est + ["--budget-split", "5,5"]) == 1  # three routes
+    assert main(est + ["--mode", "directed3", "--budget-split", "5,5,5"]) == 1
+    assert main(["evaluate", *est[1:], "--budget", "300", "--runs", "1"]) == 1
 
 
 def test_evaluate_deterministic_across_workers(graph_file, tmp_path):
@@ -211,6 +218,35 @@ def test_bench_on_small_graph(graph_file, capsys):
     assert {r["method"] for r in payload["rates"]} == {
         "R31", "R32", "R41", "R42", "R43", "R44"
     }
+
+
+def test_bench_rejects_draw_counts_below_one(graph_file, capsys):
+    for draws in ("0", "-5"):
+        assert main(["bench", "--graph", str(graph_file), "--draws", draws]) == 1
+        assert "--draws must be at least 1" in capsys.readouterr().err
+
+
+def test_bench_reports_only_undefined_routes(tmp_path, capsys, monkeypatch):
+    # triangle plus a pendant: no neighbour of the hub has two spare
+    # neighbours, so R42 cannot draw there and is reported as such
+    path = tmp_path / "paw.txt"
+    path.write_text("0 1\n0 2\n1 2\n2 3\n")
+    assert main(["bench", "--graph", str(path), "--draws", "10"]) == 0
+    rows = {r["method"]: r for r in json.loads(capsys.readouterr().out)["rates"]}
+    assert rows["R42"] == {
+        "method": "R42", "error": "R42 cannot draw at node 2 (tail_wedges = 0)"
+    }
+    assert all("error" not in r for m, r in rows.items() if m != "R42")
+
+    # any other failure is an error of the command, not a row
+    from orbitsampler import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken measurement")
+
+    monkeypatch.setattr(cli, "measure_sample_time", broken)
+    assert main(["bench", "--graph", str(path), "--draws", "10"]) == 2
+    assert "broken measurement" in capsys.readouterr().err
 
 
 def test_id_map_flag(graph_file, tmp_path):

@@ -259,3 +259,73 @@ def test_unbiasedness_smoke():
         col = mat[:, i]
         se = col.std(ddof=1) / math.sqrt(len(col))
         assert abs(col.mean() - counts[i]) < 6 * se + 1e-9, i
+
+
+def _identity_variance(rep, terms):
+    """sum c^2 var + 2 sum c_i c_j cov over the report's own covariances."""
+    est, covs = rep.estimates, rep.covariances
+    var = sum(c * c * est[i].variance for i, c in terms.items())
+    ids = sorted(terms)
+    for x, i in enumerate(ids):
+        for j in ids[x + 1:]:
+            var += 2.0 * terms[i] * terms[j] * covs[(i, j)]
+    return max(var, 0.0)
+
+
+def test_identity_orbit_variances_from_reported_covariances():
+    walk = {3: 2, 8: 2, 9: 2, 10: 1, 12: 4, 13: 2, 14: 6}
+    triple = {11: 1, 13: 1, 14: 1}
+    checked = 0
+    for gseed in (8, 12, 21):
+        g = gnp(40, 0.2, seed=gseed)
+        v = int(np.argmax(g.degrees))
+        for seed in range(4):
+            rep = estimate_undirected(g, v, BudgetConfig(total=900), seed=seed)
+            for orbit, terms in ((4, walk), (7, triple)):
+                expected = _identity_variance(rep, terms)
+                assert rep.estimates[orbit].variance == pytest.approx(
+                    expected, rel=1e-9, abs=1e-12
+                )
+                checked += expected > 0.0
+    assert checked >= 12  # the covariance terms are exercised, not all zero
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_pipelines_call_layers_through_module_attributes(monkeypatch):
+    # Per-layer tracing wraps these module attributes; a pipeline that
+    # captured the functions themselves would bypass the wrappers.
+    from orbitsampler import estimators, samplers
+    from orbitsampler.generators import gnp_directed
+
+    counts: dict[str, int] = {}
+    for name in (
+        "draw_batch", "classify_wedge_batch", "classify_chain_batch",
+        "classify_quad_batch",
+    ):
+        _count_calls(monkeypatch, samplers, name, counts)
+    for name in ("tally_orbits", "covariance"):
+        _count_calls(monkeypatch, estimators, name, counts)
+
+    g = gnp(40, 0.2, seed=8)
+    estimate_undirected(g, int(np.argmax(g.degrees)), BudgetConfig(total=300), 1)
+    assert counts == {
+        "draw_batch": 3, "classify_chain_batch": 1, "classify_quad_batch": 2,
+        "tally_orbits": 3, "covariance": 45,
+    }
+
+    counts.clear()
+    dg = gnp_directed(30, 0.2, seed=9)
+    estimate_directed3(dg, int(np.argmax(dg.degrees)), BudgetConfig(total=300), 1)
+    assert counts == {
+        "draw_batch": 2, "classify_wedge_batch": 1, "classify_chain_batch": 1,
+        "tally_orbits": 2,
+    }

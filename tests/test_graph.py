@@ -277,3 +277,34 @@ def test_vectorized_edge_queries(eight):
         eight.pos_of(0, 3),
         eight.pos_of(0, 3),
     ]
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, labels, message",
+    [
+        ([0, 1, 2], [1, 5], None, "out of range"),
+        ([0, 1, 2], [1, -1], None, "out of range"),
+        ([0, 2, 3, 4], [2, 1, 0, 0], None, "not strictly increasing"),
+        ([0, 2, 4], [1, 1, 0, 0], None, "not strictly increasing"),
+        ([0, 2, 3], [0, 1, 0], None, "self loop"),
+        ([0, 1, 2, 3], [1, 0, 0], None, "degree sum"),
+        ([0, 1, 2, 4], [1, 2, 0, 1], None, "asymmetric edge"),
+        ([0, 1, 2], [1, 0], [OUT, OUT], "label mismatch"),
+        ([0, 1, 2], [1, 0], [MUTUAL, IN], "label mismatch"),
+    ],
+    ids=[
+        "id-too-large", "id-negative", "unsorted", "repeated", "self-loop",
+        "odd-degree-sum", "asymmetric", "same-direction", "mutual-one-side",
+    ],
+)
+def test_validate_rejects_broken_invariant(indptr, indices, labels, message):
+    directed = labels is not None
+    g = Graph(np.array(indptr), np.array(indices), labels, directed=directed)
+    with pytest.raises(GraphError, match=message):
+        g.validate()
+
+
+def test_validate_accepts_hand_built_graph():
+    Graph(np.array([0, 1, 2]), np.array([1, 0])).validate()
+    Graph(np.array([0, 1, 2]), np.array([1, 0]), [OUT, IN], directed=True).validate()
+    Graph(np.array([0, 1, 2]), np.array([1, 0]), [MUTUAL, MUTUAL], directed=True).validate()
