@@ -51,7 +51,6 @@ from .orbits import (
     unorbit,
 )
 from .samplers import (
-    BiasUndefinedError,
     CannotSampleError,
     METHOD_ORDER,
     bias_vector,
@@ -62,7 +61,6 @@ from .samplers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiasUndefinedError",
     "BudgetConfig",
     "CannotSampleError",
     "CovarianceContext",

@@ -198,7 +198,15 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _require_guard(args) -> None:
+    if args.oracle_guard < 0:
+        raise _UsageError(
+            f"--oracle-guard must be at least 0, got {args.oracle_guard}"
+        )
+
+
 def _cmd_exact(args) -> int:
+    _require_guard(args)
     g = _load_graph(args)
     _check_mode(g, args.mode)
     v = _pick_node(g, args)
@@ -230,6 +238,9 @@ def _cmd_evaluate(args) -> int:
     budget = _budget_from_args(args)
     if args.runs < 2:
         raise _UsageError(f"--runs must be at least 2, got {args.runs}")
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be at least 1, got {args.workers}")
+    _require_guard(args)
     g = _load_graph(args)
     _check_mode(g, args.mode)
     v = _pick_node(g, args)

@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import AnchorContext, Graph
 from .orbits import CENTER_IDS, END_IDS, TRIANGLE_IDS, UNORBIT
 from .orbits import TRIPLE_IDENTITY, WALK_IDENTITY, WEDGE_IDENTITY
 from .samplers import bias_vector, route_defined, tally_orbits
@@ -190,16 +190,19 @@ def covariance(i: int, j: int, ctx: CovarianceContext) -> float:
 
 def _tally_routes(g: Graph, v: int, mode: str, budget: BudgetConfig, seed: int | None):
     """Per-route draw counts of the mode's routes, plus tallies and bias
-    vectors of those defined at ``v``; each route has its own spawned stream."""
+    vectors of those defined at ``v``; each route has its own spawned stream
+    and all share one anchor context."""
     st = g.stats(v)
     methods = MODE_ROUTES[mode]
     ks = budget.resolve(methods)
     streams = np.random.SeedSequence(seed).spawn(len(methods))
+    ctx = AnchorContext(g, v)
+    directed = mode == "directed3"
     tallies, bias = {}, {}
     for m, stream in zip(methods, streams):
         if route_defined(m, st):
             rng = np.random.default_rng(stream)
-            tallies[m] = tally_orbits(g, v, m, ks[m], rng, mode == "directed3")
+            tallies[m] = tally_orbits(g, v, m, ks[m], rng, directed, ctx)
             bias[m] = bias_vector(m, st)
     return ks, tallies, bias
 

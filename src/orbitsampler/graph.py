@@ -12,6 +12,14 @@ the cumulative weight arrays that drive weighted neighbour selection by
 binary search.  Statistics and cumulative arrays are computed lazily per node
 and cached; the graph itself is immutable after construction, so instances
 are safe to share across threads.
+
+Pair lookups come in two kinds.  Pairs that contain the anchor of an
+estimate are answered by an :class:`AnchorContext`, built once per estimate
+and never cached on the graph: a gather from a per-node code array and from
+the anchor's back positions.  All other pairs go through the vectorized
+``has_edges`` / ``pos_of_many`` / ``direction_codes``, which search the
+sorted edge keys with the queries in sorted order (neighbouring queries then
+touch neighbouring memory) and scatter the results back to query order.
 """
 
 from __future__ import annotations
@@ -125,8 +133,9 @@ class Graph:
         self.original_ids = _freeze(np.asarray(original_ids, dtype=np.int64))
         self.summary = summary
         self.degrees = _freeze(np.diff(self.indptr))
-        # Sorted (row, neighbour) keys; power has_edge / pos_of lookups, both
-        # scalar and vectorized.
+        # Sorted (row, neighbour) keys, one per adjacency entry, so a key's
+        # index is the entry's index.  Scalar lookups search them directly;
+        # vectorized ones sort their queries first (see _find).
         rows = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
         self._edge_keys = _freeze(rows * self.node_count + self.indices)
         self._lock = threading.Lock()
@@ -238,13 +247,25 @@ class Graph:
             return i
         return -1
 
+    def _find(self, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keys of pairs (us, vs) and their insertion points in the edge keys.
+
+        The queries are searched in sorted order, so consecutive binary
+        searches share their path through the key array, and the results
+        are scattered back to query order.
+        """
+        keys = np.asarray(us, dtype=np.int64) * self.node_count + vs
+        order = np.argsort(keys)
+        idx = np.empty(len(keys), dtype=np.intp)
+        idx[order] = np.searchsorted(self._edge_keys, keys[order])
+        return keys, idx
+
     def has_edge(self, u: int, v: int) -> bool:
         return self._key_index(u, v) >= 0
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized edge test for aligned node arrays."""
-        keys = us.astype(np.int64) * self.node_count + vs
-        idx = np.searchsorted(self._edge_keys, keys)
+        keys, idx = self._find(us, vs)
         idx_c = np.minimum(idx, len(self._edge_keys) - 1)
         return (idx < len(self._edge_keys)) & (self._edge_keys[idx_c] == keys)
 
@@ -257,9 +278,7 @@ class Graph:
 
     def pos_of_many(self, vs: np.ndarray, u: int) -> np.ndarray:
         """Positions of node ``u`` in the neighbour lists of each ``v``."""
-        keys = vs.astype(np.int64) * self.node_count + u
-        idx = np.searchsorted(self._edge_keys, keys)
-        return idx - self.indptr[vs]
+        return self._find(vs, u)[1] - self.indptr[vs]
 
     def direction_code(self, u: int, v: int) -> int:
         """Direction of edge (u, v) as seen from ``u``: OUT, IN or MUTUAL."""
@@ -274,9 +293,7 @@ class Graph:
         """Vectorized :meth:`direction_code`; pairs must be edges."""
         if not self.directed:
             raise GraphError("graph carries no direction labels")
-        keys = us.astype(np.int64) * self.node_count + vs
-        idx = np.searchsorted(self._edge_keys, keys)
-        return self.labels[idx]
+        return self.labels[self._find(us, vs)[1]]
 
     # -- statistics ---------------------------------------------------------
 
@@ -396,6 +413,32 @@ class Graph:
     def __repr__(self) -> str:  # pragma: no cover
         kind = "directed" if self.directed else "undirected"
         return f"Graph({kind}, n={self.node_count}, m={self.edge_count})"
+
+
+class AnchorContext:
+    """Lookups of every pair that contains one anchor ``v``.
+
+    Built once per estimate and passed down to the routes and classifiers;
+    it is not cached on the graph (which is shared across threads, and a
+    sweep over many anchors would keep one node-sized array per anchor).
+
+    ==========  ==========================================================
+    nb          the anchor's sorted neighbour list
+    code        int8 per node: 0 for a non-neighbour of v, else the
+                direction code of (v, x), or ``MUTUAL`` when undirected
+    back        ``back[i]`` is the position of v in the list of ``nb[i]``
+    ==========  ==========================================================
+    """
+
+    def __init__(self, g: Graph, v: int):
+        self.v = v
+        self.nb = g.neighbors(v)
+        self.code = np.zeros(g.node_count, dtype=np.int8)
+        if g.directed:
+            self.code[self.nb] = g.labels[g.indptr[v] : g.indptr[v + 1]]
+        else:
+            self.code[self.nb] = MUTUAL
+        self.back = g.pos_of_many(self.nb, v)
 
 
 def _open_lines(src) -> Iterable[str]:

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import MUTUAL, Graph, GraphError
+from .graph import MUTUAL, AnchorContext, Graph, GraphError
 
 UNDIRECTED_ORBITS = tuple(range(15))
 DIRECTED_ORBITS = tuple(range(1, 31))
@@ -178,18 +178,25 @@ def classify_directed3(g: Graph, anchor: int, members: Iterable[int]) -> int:
 
 
 # -- vectorized classification for sampler batches ---------------------------
+#
+# Pairs (v, x) with the anchor v are gathered from the anchor context's code
+# array (nonzero = edge, and the direction code of (v, x) when directed);
+# only pairs without v search the graph's edge keys.
 
 
 def classify_wedge_batch(
-    g: Graph, v: int, u: np.ndarray, w: np.ndarray, directed: bool
+    g: Graph, v: int, u: np.ndarray, w: np.ndarray, directed: bool,
+    ctx: AnchorContext | None = None,
 ) -> np.ndarray:
     """Orbits for draws of the form (v; u, w) with u, w both neighbours of v."""
     tri = g.has_edges(u, w)
     if not directed:
         return np.where(tri, 3, 2)
-    vv = np.full(len(u), v, dtype=np.int64)
-    a = g.direction_codes(vv, u).astype(np.int64)
-    b = g.direction_codes(vv, w).astype(np.int64)
+    if not g.directed:
+        raise GraphError("directed classification requires direction labels")
+    code = (ctx or AnchorContext(g, v)).code
+    a = code[u].astype(np.int64)
+    b = code[w].astype(np.int64)
     out = _CENTER_LUT[a, b]
     if tri.any():
         c = g.direction_codes(u[tri], w[tri]).astype(np.int64)
@@ -198,19 +205,20 @@ def classify_wedge_batch(
 
 
 def classify_chain_batch(
-    g: Graph, v: int, u: np.ndarray, w: np.ndarray, directed: bool
+    g: Graph, v: int, u: np.ndarray, w: np.ndarray, directed: bool,
+    ctx: AnchorContext | None = None,
 ) -> np.ndarray:
     """Orbits for draws of the form v - u - w with w drawn around u."""
-    tri = g.has_edges(np.full(len(u), v, dtype=np.int64), w)
+    code = (ctx or AnchorContext(g, v)).code
+    tri = code[w] != 0
     if not directed:
         return np.where(tri, 3, 1)
-    vv = np.full(len(u), v, dtype=np.int64)
-    a = g.direction_codes(vv, u).astype(np.int64)
-    out = _END_LUT[a, g.direction_codes(u, w).astype(np.int64)]
+    a = code[u].astype(np.int64)
+    c = g.direction_codes(u, w).astype(np.int64)
+    out = _END_LUT[a, c]
     if tri.any():
-        b = g.direction_codes(vv[tri], w[tri]).astype(np.int64)
-        c = g.direction_codes(u[tri], w[tri]).astype(np.int64)
-        out[tri] = _TRI_LUT[a[tri], b, c]
+        b = code[w[tri]].astype(np.int64)
+        out[tri] = _TRI_LUT[a[tri], b, c[tri]]
     return out
 
 
@@ -247,7 +255,8 @@ def _quad_lut(method: str) -> np.ndarray:
 
 
 def classify_quad_batch(
-    g: Graph, method: str, v: int, u: np.ndarray, w: np.ndarray, r: np.ndarray
+    g: Graph, method: str, v: int, u: np.ndarray, w: np.ndarray, r: np.ndarray,
+    ctx: AnchorContext | None = None,
 ) -> np.ndarray:
     """Undirected orbits for 4-node draws of one sampling route.
 
@@ -255,10 +264,15 @@ def classify_quad_batch(
     is what the coincidence w == r (route R41) or r == v (route R43) always
     induces.
     """
-    cols = {"v": np.full(len(u), v, dtype=np.int64), "u": u, "w": w, "r": r}
+    code = (ctx or AnchorContext(g, v)).code
+    cols = {"u": u, "w": w, "r": r}
     bits = np.zeros(len(u), dtype=np.int64)
     for a, b in _QUAD_UNKNOWN[method]:
-        bits = (bits << 1) | g.has_edges(cols[a], cols[b])
+        if a == "v":
+            edge = code[cols[b]] != 0
+        else:
+            edge = g.has_edges(cols[a], cols[b])
+        bits = (bits << 1) | edge
     out = _quad_lut(method)[bits]
     if method == "R41":
         out[w == r] = 3

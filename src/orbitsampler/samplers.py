@@ -27,13 +27,23 @@ degree >= 3.
 :func:`draw_batch` draws ``k`` subgraphs of one route at once with vectorized
 arithmetic and consumes a ``numpy.random.Generator``, so identical seeds give
 identical draw sequences.
+
+Every step around the anchor reads the estimate's
+:class:`~orbitsampler.graph.AnchorContext`: the routes keep the index ``iu``
+of the neighbour they drew, so the position of v in the list of u is the
+gather ``back[iu]``, and the classifiers test pairs (v, x) by gathering the
+context's code array.  Only pairs without the anchor (R43's step from w back
+past u, and the (u, w), (u, r), (w, r) classification tests) search the
+graph's edge keys.  :func:`tally_orbits` builds one context and hands it to
+both the draws and the classification; the batch functions build their own
+when called without one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, NodeStats
+from .graph import AnchorContext, Graph, NodeStats
 from .orbits import (
     TRIPLE_IDENTITY,
     WALK_IDENTITY,
@@ -47,11 +57,7 @@ METHOD_ORDER = ("R31", "R32", "R41", "R42", "R43", "R44")
 
 
 class CannotSampleError(ValueError):
-    """The route's selection set is empty at this node."""
-
-
-class BiasUndefinedError(ValueError):
-    """The route's bias denominator is zero at this node."""
+    """The route's selection set is empty (its bias denominator is zero)."""
 
 
 # -- bias probabilities ------------------------------------------------------
@@ -73,17 +79,22 @@ def route_defined(method: str, stats: NodeStats) -> bool:
     return getattr(stats, _BIAS_NUMERATORS[method][1]) > 0
 
 
+def _require_route(method: str, stats: NodeStats) -> None:
+    if not route_defined(method, stats):
+        field = _BIAS_NUMERATORS[method][1]
+        raise CannotSampleError(
+            f"{method} cannot draw at node {stats.node} ({field} = 0)"
+        )
+
+
 def bias_vector(method: str, stats: NodeStats) -> dict[int, float]:
     """Per-orbit probability of one draw hitting any fixed subgraph there.
 
     Orbits the route cannot reach carry an exact 0.  Raises
-    :class:`BiasUndefinedError` when the route's denominator vanishes.
+    :class:`CannotSampleError` when the route's denominator vanishes.
     """
+    _require_route(method, stats)
     numerators, denom_field, max_orbit = _BIAS_NUMERATORS[method]
-    if not route_defined(method, stats):
-        raise BiasUndefinedError(
-            f"{method} is undefined at node {stats.node} ({denom_field} = 0)"
-        )
     denom = getattr(stats, denom_field)
     return {i: numerators.get(i, 0) / denom for i in range(1, max_orbit + 1)}
 
@@ -111,12 +122,11 @@ def _weighted_pick(acc: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 
 
 def _second_step(
-    g: Graph, v: np.ndarray | int, u: np.ndarray, rng: np.random.Generator
+    g: Graph, u: np.ndarray, pos_v: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform element of N(u) - {v} per draw; every d_u is >= 2 here."""
-    du = g.degrees[u]
-    pos_v = g.pos_of_many(u, v)
-    j = _skip_one(rng.integers(0, du - 1), pos_v)
+    """Uniform element of N(u) but the entry at ``pos_v`` per draw; every d_u
+    is >= 2 here."""
+    j = _skip_one(rng.integers(0, g.degrees[u] - 1), pos_v)
     return g.indices[g.indptr[u] + j]
 
 
@@ -126,59 +136,61 @@ def _distinct_pair(d: int, k: int, rng: np.random.Generator):
     return iu, _skip_one(rng.integers(0, d - 1, size=k), iu)
 
 
-def _batch_r31(g: Graph, v: int, k: int, rng: np.random.Generator):
-    nb = g.neighbors(v)
-    iu, iw = _distinct_pair(len(nb), k, rng)
-    return nb[iu], nb[iw]
+def _batch_r31(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
+    iu, iw = _distinct_pair(len(ctx.nb), k, rng)
+    return ctx.nb[iu], ctx.nb[iw]
 
 
-def _batch_r32(g: Graph, v: int, k: int, rng: np.random.Generator):
-    u = g.neighbors(v)[_weighted_pick(g.acc_degree(v), k, rng)]
-    return u, _second_step(g, v, u, rng)
+def _batch_r32(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
+    iu = _weighted_pick(g.acc_degree(ctx.v), k, rng)
+    u = ctx.nb[iu]
+    return u, _second_step(g, u, ctx.back[iu], rng)
 
 
-def _batch_r41(g: Graph, v: int, k: int, rng: np.random.Generator):
-    nb = g.neighbors(v)
-    iu = _weighted_pick(g.acc_degree(v), k, rng)
-    u = nb[iu]
-    iw = _skip_one(rng.integers(0, len(nb) - 1, size=k), iu)
-    r = _second_step(g, v, u, rng)
-    return u, nb[iw], r
+def _batch_r41(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
+    iu = _weighted_pick(g.acc_degree(ctx.v), k, rng)
+    u = ctx.nb[iu]
+    iw = _skip_one(rng.integers(0, len(ctx.nb) - 1, size=k), iu)
+    r = _second_step(g, u, ctx.back[iu], rng)
+    return u, ctx.nb[iw], r
 
 
-def _batch_r42(g: Graph, v: int, k: int, rng: np.random.Generator):
-    u = g.neighbors(v)[_weighted_pick(g.acc_wedge(v), k, rng)]
+def _batch_r42(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
+    iu = _weighted_pick(g.acc_wedge(ctx.v), k, rng)
+    u = ctx.nb[iu]
+    pos_v = ctx.back[iu]
     du = g.degrees[u]
-    pos_v = g.pos_of_many(u, v)
     jw = _skip_one(rng.integers(0, du - 1), pos_v)
     jr = _skip_two(rng.integers(0, du - 2), pos_v, jw)
     start = g.indptr[u]
     return u, g.indices[start + jw], g.indices[start + jr]
 
 
-def _batch_r43(g: Graph, v: int, k: int, rng: np.random.Generator):
-    u = g.neighbors(v)[_weighted_pick(g.acc_walk(v), k, rng)]
+def _batch_r43(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
+    iu = _weighted_pick(g.acc_walk(ctx.v), k, rng)
+    u = ctx.nb[iu]
     w = np.empty(k, dtype=np.int64)
     # The degree-weighted step around u excludes v's block; draws are grouped
-    # by distinct u so each group shares one cumulative array.
-    for x in np.unique(u):
-        sel = np.nonzero(u == x)[0]
-        acc = g.acc_degree(int(x))
-        pos = g.pos_of(int(x), v)
+    # by distinct u (in increasing order, as nb is sorted) so each group
+    # shares one cumulative array.
+    for i in np.unique(iu):
+        sel = np.nonzero(iu == i)[0]
+        x = int(ctx.nb[i])
+        acc = g.acc_degree(x)
+        pos = int(ctx.back[i])
         lo = int(acc[pos - 1]) if pos > 0 else 0
         block = int(acc[pos]) - lo
         rnd = rng.integers(1, int(acc[-1]) - block + 1, size=len(sel))
         rnd = np.where(rnd > lo, rnd + block, rnd)
-        w[sel] = g.neighbors(int(x))[np.searchsorted(acc, rnd, side="left")]
-    return u, w, _second_step(g, u, w, rng)
+        w[sel] = g.neighbors(x)[np.searchsorted(acc, rnd, side="left")]
+    return u, w, _second_step(g, w, g.pos_of_many(w, u), rng)
 
 
-def _batch_r44(g: Graph, v: int, k: int, rng: np.random.Generator):
-    nb = g.neighbors(v)
-    d = len(nb)
+def _batch_r44(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
+    d = len(ctx.nb)
     iu, iw = _distinct_pair(d, k, rng)
     ir = _skip_two(rng.integers(0, d - 2, size=k), iu, iw)
-    return nb[iu], nb[iw], nb[ir]
+    return ctx.nb[iu], ctx.nb[iw], ctx.nb[ir]
 
 
 _BATCHERS = {
@@ -191,12 +203,16 @@ _BATCHERS = {
 }
 
 
-def draw_batch(g: Graph, v: int, method: str, k: int, rng: np.random.Generator):
-    """Draw ``k`` subgraphs at once; returns the member columns after v."""
-    if not route_defined(method, g.stats(v)):
-        field = _BIAS_NUMERATORS[method][1]
-        raise CannotSampleError(f"{method} cannot draw at node {v} ({field} = 0)")
-    return _BATCHERS[method](g, v, k, rng)
+def draw_batch(
+    g: Graph, v: int, method: str, k: int, rng: np.random.Generator,
+    ctx: AnchorContext | None = None,
+):
+    """Draw ``k`` subgraphs at once; returns the member columns after v.
+
+    ``ctx`` is the anchor context of ``v``; one is built when it is absent.
+    """
+    _require_route(method, g.stats(v))
+    return _BATCHERS[method](g, ctx or AnchorContext(g, v), k, rng)
 
 
 def sample_members(
@@ -217,20 +233,22 @@ def sample_members(
 
 def tally_orbits(
     g: Graph, v: int, method: str, k: int, rng: np.random.Generator,
-    directed: bool = False,
+    directed: bool = False, ctx: AnchorContext | None = None,
 ) -> np.ndarray:
     """Histogram of anchor orbits over ``k`` draws of one route.
 
     Undirected tallies have length 15 (index = orbit id); directed tallies
-    have length 31 and are only defined for the 3-node routes.
+    have length 31 and are only defined for the 3-node routes.  Draws and
+    classification share the anchor context ``ctx`` (built when absent).
     """
-    cols = draw_batch(g, v, method, k, rng)
+    ctx = ctx or AnchorContext(g, v)
+    cols = draw_batch(g, v, method, k, rng, ctx)
     if method == "R31":
-        orbits = classify_wedge_batch(g, v, cols[0], cols[1], directed)
+        orbits = classify_wedge_batch(g, v, cols[0], cols[1], directed, ctx)
     elif method == "R32":
-        orbits = classify_chain_batch(g, v, cols[0], cols[1], directed)
+        orbits = classify_chain_batch(g, v, cols[0], cols[1], directed, ctx)
     else:
         if directed:
             raise ValueError(f"{method} tallies are undirected only")
-        orbits = classify_quad_batch(g, method, v, *cols)
+        orbits = classify_quad_batch(g, method, v, *cols, ctx)
     return np.bincount(orbits, minlength=31 if directed else 15)

@@ -35,8 +35,8 @@ import pytest
 from scipy import stats as sps
 
 from orbitsampler import (
-    BiasUndefinedError,
     BudgetConfig,
+    CannotSampleError,
     CovarianceContext,
     METHOD_ORDER,
     bias_vector,
@@ -115,7 +115,7 @@ def test_criterion_1_sampler_distributions():
         for v in range(g.node_count):
             try:
                 p = bias_vector(method, g.stats(v))
-            except BiasUndefinedError:
+            except CannotSampleError:
                 continue
             expected = {}
             for k in sizes:

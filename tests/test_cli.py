@@ -137,6 +137,11 @@ def test_usage_errors(graph_file, capsys):
     assert main(est + ["--budget-split", "5,5"]) == 1  # three routes
     assert main(est + ["--mode", "directed3", "--budget-split", "5,5,5"]) == 1
     assert main(["evaluate", *est[1:], "--budget", "300", "--runs", "1"]) == 1
+    ev = ["evaluate", *est[1:], "--budget", "300", "--runs", "2"]
+    assert main(ev + ["--workers", "0"]) == 1
+    assert main(ev + ["--workers", "-2"]) == 1
+    assert main(ev + ["--oracle-guard", "-1"]) == 1
+    assert main(["exact", *est[1:], "--oracle-guard", "-1"]) == 1
 
 
 def test_evaluate_deterministic_across_workers(graph_file, tmp_path):

@@ -16,7 +16,7 @@ from orbitsampler import (
     load_edge_list,
 )
 from orbitsampler.generators import gnp, preferential_attachment
-from orbitsampler.graph import IN, MUTUAL, OUT
+from orbitsampler.graph import IN, MUTUAL, OUT, AnchorContext
 
 from conftest import naive_node_stats
 
@@ -277,6 +277,87 @@ def test_vectorized_edge_queries(eight):
         eight.pos_of(0, 3),
         eight.pos_of(0, 3),
     ]
+
+
+@st.composite
+def small_graphs(draw):
+    # up to 10 nodes on few edges, so isolated nodes, leaves and degree-2
+    # nodes are common; node_count may exceed every id in the edge list
+    n = draw(st.integers(2, 10))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=25))
+    pairs = [(a, b) for a, b in pairs if a != b] or [(0, 1)]
+    return Graph.from_edges(pairs, directed=draw(st.booleans()), node_count=n)
+
+
+def _check_anchor_context(g: Graph, v: int) -> None:
+    ctx = AnchorContext(g, v)
+    assert ctx.nb.tolist() == g.neighbors(v).tolist()
+    assert ctx.back.tolist() == [g.pos_of(int(u), v) for u in ctx.nb]
+    assert ctx.code.dtype == np.int8 and len(ctx.code) == g.node_count
+    for x in range(g.node_count):
+        assert bool(ctx.code[x]) == g.has_edge(v, x), (v, x)
+        if ctx.code[x]:
+            expect = g.direction_code(v, x) if g.directed else MUTUAL
+            assert ctx.code[x] == expect, (v, x)
+
+
+@given(small_graphs())
+def test_anchor_context_matches_scalar_lookups(g):
+    for v in range(g.node_count):
+        _check_anchor_context(g, v)
+
+
+def test_anchor_context_at_low_degree_anchors():
+    # node 0: isolated; 1: leaf; 2: degree 2; 3: degree 3
+    edges = [(1, 3), (2, 3), (2, 4), (3, 4)]
+    for directed in (False, True):
+        g = Graph.from_edges(edges, directed=directed, node_count=5)
+        assert g.degrees.tolist() == [0, 1, 2, 3, 2]
+        for v in range(5):
+            _check_anchor_context(g, v)
+
+
+def _check_batch_lookups(g: Graph, us: np.ndarray, vs: np.ndarray) -> None:
+    pairs = list(zip(us.tolist(), vs.tolist()))
+    assert g.has_edges(us, vs).tolist() == [g.has_edge(a, b) for a, b in pairs]
+    edge = np.array([g.has_edge(a, b) for a, b in pairs], dtype=bool)
+    eu, ev = us[edge], vs[edge]
+    assert g.pos_of_many(eu, ev).tolist() == [
+        g.pos_of(a, b) for a, b in zip(eu.tolist(), ev.tolist())
+    ]
+    for b in set(ev.tolist()):  # one node looked up in many lists
+        rows = eu[ev == b]
+        assert g.pos_of_many(rows, b).tolist() == [g.pos_of(a, b) for a in rows]
+    if g.directed:
+        assert g.direction_codes(eu, ev).tolist() == [
+            g.direction_code(a, b) for a, b in zip(eu.tolist(), ev.tolist())
+        ]
+
+
+@given(small_graphs(), st.data())
+def test_batch_lookups_match_scalar_calls(g, data):
+    # unsorted queries with repeats; the last node's pairs lie past the
+    # last edge key whenever that node has no neighbour above it
+    node = st.integers(0, g.node_count - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node), max_size=30))
+    last = g.node_count - 1
+    pairs += [(last, last), (last, 0)] + pairs[::-1]
+    us = np.array([a for a, _ in pairs], dtype=np.int64)
+    vs = np.array([b for _, b in pairs], dtype=np.int64)
+    _check_batch_lookups(g, us, vs)
+
+
+def test_batch_lookups_past_the_last_edge_key(eight):
+    # (7, 7) sorts after every edge key, so its search lands past the end
+    assert eight._edge_keys[-1] < 7 * eight.node_count + 7
+    us = np.array([7, 0, 7, 6, 7, 0], dtype=np.int64)
+    vs = np.array([7, 1, 6, 7, 7, 1], dtype=np.int64)
+    assert eight.has_edges(us, vs).tolist() == [False, True, True, True, False, True]
+    _check_batch_lookups(eight, us, vs)
+    empty = np.array([], dtype=np.int64)
+    assert eight.has_edges(empty, empty).tolist() == []
+    assert eight.pos_of_many(empty, 0).tolist() == []
 
 
 @pytest.mark.parametrize(
