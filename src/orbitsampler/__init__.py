@@ -11,17 +11,14 @@ verification at small scale.
 
 from .estimators import (
     BudgetConfig,
-    CovarianceContext,
     Estimate,
-    EstimatorUndefinedError,
     OrbitReport,
-    UnsupportedPairError,
-    combine,
+    PooledHits,
     covariance,
     estimate_directed3,
     estimate_orbit_degrees,
-    estimate_single,
     estimate_undirected,
+    pool_hits,
 )
 from .experiment import EvalReport, measure_sample_time, run_experiment
 from .graph import (
@@ -63,10 +60,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetConfig",
     "CannotSampleError",
-    "CovarianceContext",
     "EmptyGraphError",
     "Estimate",
-    "EstimatorUndefinedError",
     "EvalReport",
     "Graph",
     "GraphError",
@@ -80,16 +75,14 @@ __all__ = [
     "OrbitCounts",
     "OrbitReport",
     "ParseError",
-    "UnsupportedPairError",
+    "PooledHits",
     "bias_vector",
     "classify_directed3",
     "classify_undirected",
-    "combine",
     "covariance",
     "enumerate_cises",
     "estimate_directed3",
     "estimate_orbit_degrees",
-    "estimate_single",
     "estimate_undirected",
     "exact_orbit_degrees",
     "l1_l2",
@@ -97,6 +90,7 @@ __all__ = [
     "measure_sample_time",
     "nrmse",
     "orbit_table",
+    "pool_hits",
     "run_experiment",
     "sample_members",
     "tally_orbits",

@@ -1,28 +1,35 @@
 """Unbiased orbit-degree estimation from sampling tallies.
 
-A tally of ``m`` hits out of ``K`` draws at per-subgraph probability ``p``
-inverts to the unbiased estimate ``m / (K p)`` with variance
-``d/K (1/p - d)``.  Orbits reachable by two routes combine their estimates
-with :func:`combine`; orbits reachable by none are recovered from exact
-identities against the node's normalizers.
+Every sampled orbit is estimated by one rule, pooled hits.  Route r draws
+``K_r`` subgraphs and hits any fixed subgraph at orbit i with probability
+``p_r(i)``, so its hit count ``m_r(i)`` has mean ``K_r p_r(i) d_i``.  Over
+the routes that reach the orbit (``p_r(i) > 0``)::
 
-The undirected pipeline runs routes R32, R41 and R42 and assembles all
-fourteen orbit degrees; the directed pipeline runs R31 and R32 and assembles
-the thirty 3-node directed orbit degrees.  Reported variances and
-covariances follow the exact formulas for these estimators with plug-in
-values, with variances clamped at zero.
+    D_i = sum_r K_r p_r(i)
+    d_i = sum_r m_r(i) / D_i
+    Var = sum_r K_r q_r (1 - q_r) / D_i^2,    q_r = d_i p_r(i)
 
-The combination rule weights each side by the other's plug-in variance.  A
-route that drew no hit for an orbit has plug-in variance 0 and so wins
-outright; with both variances 0 the two sides get equal weights.  At small
-budgets this collapses a combined orbit to 0 whenever one route missed it,
-although the other route saw hits, biasing the estimate towards 0.
+The estimate is exactly unbiased at every budget, and with one route it is
+the plain inversion ``m / (K p)``.  Route r's weight in it,
+``w_r(i) = K_r p_r(i) / D_i``, is fixed by the budget and the node's
+statistics, not by the tallies, so a route without hits cannot override
+another route's hits.  Route tallies are multinomial, so two estimates
+covary only through the routes they share:
+``cov(i, j) = -sum_r w_r(i) w_r(j) d_i d_j / K_r`` (see :func:`covariance`).
+Reported variances and covariances are plug-in values; variances are
+floored at zero.
 
-Route tallies are multinomial, so two orbit estimates covary only through
-the routes whose draws they share (see :func:`covariance`).
+An orbit that no route defined at the node reaches (``D_i = 0``) is
+structurally zero and tagged ``exact``.  Otherwise its tag names its route,
+or is ``combined`` when several routes reach it.
 
-Identity-derived orbit estimates (2, 4 and 7) keep their raw, possibly
-negative value; ``Estimate.clamped`` gives the floored convenience value.
+The undirected pipeline runs routes R32, R41 and R42 and recovers orbits 2,
+4 and 7, which none of them reaches, from exact identities against the
+node's normalizers.  Those keep their raw, possibly negative value;
+``Estimate.clamped`` gives the floored convenience value.  The directed
+pipeline runs R31 and R32 for the thirty 3-node directed orbits; a route's
+probability for a directed orbit is its probability for the orbit's
+undirected shape.
 """
 
 from __future__ import annotations
@@ -33,30 +40,21 @@ from itertools import combinations
 import numpy as np
 
 from .graph import AnchorContext, Graph
-from .orbits import CENTER_IDS, END_IDS, TRIANGLE_IDS, UNORBIT
-from .orbits import TRIPLE_IDENTITY, WALK_IDENTITY, WEDGE_IDENTITY
+from .orbits import UNORBIT, TRIPLE_IDENTITY, WALK_IDENTITY, WEDGE_IDENTITY
 from .samplers import bias_vector, route_defined, tally_orbits
 
 # Each mode's routes, in pipeline (and budget split) order.
 MODE_ROUTES = {"undirected": ("R32", "R41", "R42"), "directed3": ("R31", "R32")}
 
-# Routes each undirected orbit with a covariance is estimated from; a
-# combined orbit's ``lam`` weights follow this order.  Orbit 3's R32 tally is
-# shared with no other orbit here, so it never enters a covariance.
-_COV_ROUTES = {
-    3: ("R41", "R32"),
-    5: ("R41",), 8: ("R41",), 11: ("R41",),
-    6: ("R42",), 9: ("R42",),
-    10: ("R41", "R42"), 12: ("R41", "R42"), 13: ("R41", "R42"), 14: ("R41", "R42"),
+# For each orbit id of a mode's tallies, the orbit whose bias entry applies.
+_SHAPE = {
+    "undirected": tuple(range(15)),
+    "directed3": (0,) + tuple(UNORBIT[i] for i in range(1, 31)),
 }
 
-
-class EstimatorUndefinedError(ValueError):
-    """Estimation attempted with zero probability or zero draws."""
-
-
-class UnsupportedPairError(ValueError):
-    """Covariance requested for a pair outside the derived cases."""
+# The orbits R41 and R42 reach, whose pairwise covariances the undirected
+# report carries; they cover every term of the identities for 2, 4 and 7.
+_COV_ORBITS = (3, 5, 6, 8, 9, 10, 11, 12, 13, 14)
 
 
 @dataclass(frozen=True)
@@ -113,101 +111,79 @@ class OrbitReport:
         return np.array([self.estimates[i].value for i in orbit_ids], dtype=float)
 
 
-def estimate_single(m: int, k: int, p: float, source: str = "single") -> Estimate:
-    """Invert a tally of ``m`` hits over ``k`` draws at probability ``p``.
-
-    The variance is the plug-in evaluation of ``d/K (1/p - d)``, floored at
-    zero (sampling noise can push the plug-in negative).
-    """
-    if k <= 0:
-        raise EstimatorUndefinedError("draw count must be positive")
-    if p <= 0.0:
-        raise EstimatorUndefinedError("sampling probability must be positive")
-    value = m / (k * p)
-    variance = (value / k) * (1.0 / p - value)
-    return Estimate(value, max(variance, 0.0), source)
-
-
-def combine(a: Estimate, b: Estimate) -> tuple[Estimate, tuple[float, float]]:
-    """Inverse-variance combination of two independent estimates.
-
-    Returns the combined estimate and the weights ``(la, lb)`` it gave to
-    ``a`` and ``b``.  A side whose plug-in variance is 0 wins outright; when
-    both are 0 the sides get equal weights.  A route with no hit for the
-    orbit has plug-in variance 0, so at small budgets one route's miss
-    overrides the other's hits and the result is 0 (see the module notes).
-    """
-    va, vb = a.variance, b.variance
-    if va == 0.0 and vb == 0.0:
-        return Estimate(0.5 * (a.value + b.value), 0.0, "combined"), (0.5, 0.5)
-    if va == 0.0:
-        return Estimate(a.value, 0.0, "combined"), (1.0, 0.0)
-    if vb == 0.0:
-        return Estimate(b.value, 0.0, "combined"), (0.0, 1.0)
-    total = va + vb
-    lam = (vb / total, va / total)
-    est = Estimate(lam[0] * a.value + lam[1] * b.value, va * vb / total, "combined")
-    return est, lam
-
-
 @dataclass(frozen=True)
-class CovarianceContext:
-    """Plug-in values needed by the pairwise covariance formulas."""
+class PooledHits:
+    """Pooled-hit estimates indexed by orbit id, with the route weights and
+    draw counts their covariances need."""
 
-    values: dict[int, float]
-    lam: dict[int, tuple[float, float]]  # combined orbits -> (R41 weight, other)
-    k41: int
-    k42: int
+    values: np.ndarray
+    variances: np.ndarray
+    sources: list[str]
+    weights: np.ndarray  # w_r(i): one row per route
+    draws: np.ndarray  # K_r, per route
+
+    def estimates(self, orbit_ids) -> dict[int, Estimate]:
+        values, variances = self.values.tolist(), self.variances.tolist()
+        return {i: Estimate(values[i], variances[i], self.sources[i]) for i in orbit_ids}
 
 
-def covariance(i: int, j: int, ctx: CovarianceContext) -> float:
-    """Covariance of the estimators of two orbit degrees (plug-in form).
+def pool_hits(
+    routes: list[str], draws: np.ndarray, hits: np.ndarray, probs: np.ndarray
+) -> PooledHits:
+    """Pool the routes' tallies into one estimate per orbit id.
 
-    The sum ``-sum_r w_r(i) w_r(j) d_i d_j / K_r`` over the routes R41 and
-    R42 that both estimates draw on, where ``w_r(x)`` is the weight of route
-    r's tally in orbit x's estimate (1, or ``lam`` for a combined orbit) and
-    ``K_r`` its draw count; a term is 0 where ``K_r`` is 0.  Pairs sharing
-    no route give +0.0.  Defined for distinct orbits out of {3, 5, 6, 8, 9,
-    10, 11, 12, 13, 14}; other pairs raise :class:`UnsupportedPairError`.
+    ``hits`` and ``probs`` have one row per route (named by ``routes`` and
+    drawn ``draws`` times) and one column per orbit id: the route's hit
+    count there, and its probability of hitting a fixed subgraph there in
+    one draw.
     """
-    if i == j or i not in _COV_ROUTES or j not in _COV_ROUTES:
-        raise UnsupportedPairError(f"no covariance formula for pair ({i}, {j})")
-    di = ctx.values.get(i, 0.0)
-    dj = ctx.values.get(j, 0.0)
-    shared = [r for r in _COV_ROUTES[i] if r in _COV_ROUTES[j]]
-    if di == 0.0 or dj == 0.0 or not shared:
-        return 0.0
+    k = np.asarray(draws, dtype=float)[:, None]
+    expected = k * probs
+    denom = expected.sum(axis=0)
+    safe = np.where(denom > 0.0, denom, 1.0)
+    values = hits.sum(axis=0) / safe
+    q = values * probs
+    variances = np.maximum((k * q * (1.0 - q)).sum(axis=0) / safe**2, 0.0)
+    reach = [[r for r, x in zip(routes, col) if x > 0.0] for col in expected.T.tolist()]
+    sources = [rs[0] if len(rs) == 1 else "combined" if rs else "exact" for rs in reach]
+    return PooledHits(values, variances, sources, expected / safe, k[:, 0])
 
-    def ratio(num: float, k: int) -> float:
-        return num / k if k > 0 and num != 0.0 else 0.0
 
-    wi = dict(zip(_COV_ROUTES[i], ctx.lam.get(i, (1.0,))))
-    wj = dict(zip(_COV_ROUTES[j], ctx.lam.get(j, (1.0,))))
-    ks = {"R41": ctx.k41, "R42": ctx.k42}
-    prod = di * dj
-    return -sum(ratio((wi[r] * wj[r]) * prod, ks[r]) for r in shared)
+def covariance(pooled: PooledHits) -> np.ndarray:
+    """Covariance matrix of pooled estimates, indexed by orbit id (plug-in).
+
+    Off the diagonal it is ``-sum_r w_r(i) w_r(j) d_i d_j / K_r``, which is
+    +0.0 for estimates that share no route; the diagonal holds the
+    variances.
+    """
+    x = pooled.weights * pooled.values / np.sqrt(pooled.draws)[:, None]
+    cov = 0.0 - x.T @ x  # 0.0 - turns -0.0 into +0.0
+    np.fill_diagonal(cov, pooled.variances)
+    return cov
 
 
 def _tally_routes(g: Graph, v: int, mode: str, budget: BudgetConfig, seed: int | None):
-    """Per-route draw counts of the mode's routes, plus tallies and bias
-    vectors of those defined at ``v``; each route has its own spawned stream
-    and all share one anchor context."""
+    """Per-route draw counts of the mode's routes, and the pooled estimates
+    from those defined at ``v``; each route has its own spawned stream and
+    all share one anchor context."""
     st = g.stats(v)
     methods = MODE_ROUTES[mode]
     ks = budget.resolve(methods)
     streams = np.random.SeedSequence(seed).spawn(len(methods))
     ctx = AnchorContext(g, v)
     directed = mode == "directed3"
-    tallies, bias = {}, {}
+    shape = _SHAPE[mode]
+    routes, hits, probs = [], [], []
     for m, stream in zip(methods, streams):
         if route_defined(m, st):
             rng = np.random.default_rng(stream)
-            tallies[m] = tally_orbits(g, v, m, ks[m], rng, directed, ctx)
-            bias[m] = bias_vector(m, st)
-    return ks, tallies, bias
-
-
-_EXACT_ZERO = Estimate(0.0, 0.0, "exact")
+            hits.append(tally_orbits(g, v, m, ks[m], rng, directed, ctx))
+            bias = bias_vector(m, st)
+            probs.append([bias.get(s, 0.0) for s in shape])
+            routes.append(m)
+    size = (len(routes), len(shape))
+    draws = np.array([ks[m] for m in routes])
+    return ks, pool_hits(routes, draws, np.reshape(hits, size), np.reshape(probs, size))
 
 
 def estimate_undirected(
@@ -215,73 +191,37 @@ def estimate_undirected(
 ) -> OrbitReport:
     """Estimate all fourteen undirected orbit degrees of ``v``.
 
-    Routes whose selection set is empty at ``v`` are skipped: every orbit
-    only they could reach is then structurally zero and reported exactly.
     Orbits 2, 4 and 7 come from the identity relations and may carry a
     (noise-induced) negative raw value.
     """
     st = g.stats(v)
-    ks, tallies, bias = _tally_routes(g, v, "undirected", budget, seed)
+    ks, pooled = _tally_routes(g, v, "undirected", budget, seed)
+    cov = covariance(pooled)
+    est = pooled.estimates(range(15))
+    est[0] = Estimate(float(st.degree), 0.0, "exact")
 
-    def single(method: str, orbit: int) -> Estimate | None:
-        if method not in tallies:
-            return None
-        return estimate_single(
-            int(tallies[method][orbit]), ks[method], bias[method][orbit], method
-        )
+    def identity(terms: dict[int, int], solved: int, total: int) -> Estimate:
+        """The solved orbit's value from the identity's total and other
+        terms, with the variance of those terms."""
+        c = np.zeros(len(pooled.values))
+        for i, coef in terms.items():
+            if i != solved:
+                c[i] = coef
+        value = total - float(c @ pooled.values)
+        return Estimate(value, max(float(c @ cov @ c), 0.0), "identity")
 
-    est: dict[int, Estimate] = {0: Estimate(float(st.degree), 0.0, "exact")}
-    est[1] = single("R32", 1) or _EXACT_ZERO
-    lam: dict[int, tuple[float, float]] = {}
-    for orbit, routes in _COV_ROUTES.items():
-        if len(routes) == 1:
-            est[orbit] = single(routes[0], orbit) or _EXACT_ZERO
-            continue
-        check, tilde = (single(m, orbit) for m in routes)
-        if check is None and tilde is None:
-            lam[orbit], est[orbit] = (0.0, 0.0), _EXACT_ZERO
-        elif tilde is None:
-            lam[orbit], est[orbit] = (1.0, 0.0), check
-        elif check is None:
-            lam[orbit], est[orbit] = (0.0, 1.0), tilde
-        else:
-            est[orbit], lam[orbit] = combine(check, tilde)
+    est[2] = identity(WEDGE_IDENTITY, 2, st.wedges)
+    est[4] = identity(WALK_IDENTITY, 4, st.three_walks)
+    est[7] = identity(TRIPLE_IDENTITY, 7, st.triples)
 
-    ctx = CovarianceContext(
-        values={i: est[i].value for i in _COV_ROUTES},
-        lam=lam,
-        k41=ks["R41"] if "R41" in tallies else 0,
-        k42=ks["R42"] if "R42" in tallies else 0,
-    )
-    covs = {
-        (i, j): covariance(i, j, ctx) for i, j in combinations(sorted(_COV_ROUTES), 2)
-    }
-
-    def identity_variance(identity: dict[int, int], solved: int) -> float:
-        """Variance of the identity's other terms, sum(c * d_i)."""
-        terms = {i: c for i, c in identity.items() if i != solved}
-        var = sum(c * c * est[i].variance for i, c in terms.items())
-        for i, j in combinations(sorted(terms), 2):
-            var += 2.0 * terms[i] * terms[j] * covs[(i, j)]
-        return max(var, 0.0)
-
-    # Identity-derived orbits.
-    value2 = st.wedges - est[3].value
-    est[2] = Estimate(value2, identity_variance(WEDGE_IDENTITY, 2), "identity")
-    value4 = st.three_walks - sum(
-        c * est[i].value for i, c in WALK_IDENTITY.items() if i != 4
-    )
-    est[4] = Estimate(value4, identity_variance(WALK_IDENTITY, 4), "identity")
-    value7 = st.triples - est[11].value - est[13].value - est[14].value
-    est[7] = Estimate(value7, identity_variance(TRIPLE_IDENTITY, 7), "identity")
-
+    rows = cov.tolist()
     return OrbitReport(
         node=v,
         mode="undirected",
         budgets=ks,
         seed=seed,
         estimates=est,
-        covariances=covs,
+        covariances={(i, j): rows[i][j] for i, j in combinations(_COV_ORBITS, 2)},
     )
 
 
@@ -291,39 +231,17 @@ def estimate_directed3(
     """Estimate the thirty 3-node directed orbit degrees of ``v``.
 
     Path-centre orbits come from R31, path-end orbits from R32 and triangle
-    orbits from their inverse-variance combination.  A route's probability
-    for a directed orbit equals its probability for the orbit's underlying
-    undirected shape.
+    orbits from both.
     """
     if not g.directed:
         raise ValueError("directed estimation needs a directed graph")
-    ks, tallies, bias = _tally_routes(g, v, "directed3", budget, seed)
-
-    def single(method: str, orbit: int) -> Estimate:
-        if method not in tallies:
-            return _EXACT_ZERO
-        p = bias[method][UNORBIT[orbit]]
-        return estimate_single(int(tallies[method][orbit]), ks[method], p, method)
-
-    est: dict[int, Estimate] = {}
-    for orbit in CENTER_IDS:
-        est[orbit] = single("R31", orbit)
-    for orbit in END_IDS:
-        est[orbit] = single("R32", orbit)
-    for orbit in TRIANGLE_IDS:
-        if "R31" in tallies and "R32" in tallies:
-            est[orbit], _ = combine(single("R31", orbit), single("R32", orbit))
-        else:
-            # A triangle at v needs both a neighbour pair and a two-edge
-            # walk, so either denominator vanishing forces a zero count.
-            est[orbit] = _EXACT_ZERO
-
+    ks, pooled = _tally_routes(g, v, "directed3", budget, seed)
     return OrbitReport(
         node=v,
         mode="directed3",
         budgets=ks,
         seed=seed,
-        estimates=est,
+        estimates=pooled.estimates(range(1, 31)),
         covariances={},
     )
 

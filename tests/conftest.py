@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from orbitsampler import Graph
+from orbitsampler import Graph, bias_vector
 
 # Triangle 0-1-2 with pendant 3 hanging off node 2.
 PAW_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3)]
@@ -64,6 +64,33 @@ def star4() -> Graph:
 @pytest.fixture
 def eight() -> Graph:
     return Graph.from_edges(EIGHT_EDGES)
+
+
+@pytest.fixture
+def route_tallies(monkeypatch) -> list:
+    """Every tally the estimation pipelines draw, in order, as
+    ``(route, draws, tally)``."""
+    from orbitsampler import estimators
+
+    seen = []
+    tally = estimators.tally_orbits
+
+    def spy(g, v, method, k, *args):
+        out = tally(g, v, method, k, *args)
+        seen.append((method, k, out))
+        return out
+
+    monkeypatch.setattr(estimators, "tally_orbits", spy)
+    return seen
+
+
+def pooled_value(g: Graph, v: int, tallies, orbit: int) -> float:
+    """An undirected orbit's pooled estimate recomputed from one estimate's
+    route tallies: all hits over the expected hits per unit count."""
+    st = g.stats(v)
+    hits = sum(int(t[orbit]) for _, _, t in tallies)
+    denom = sum(k * bias_vector(m, st).get(orbit, 0.0) for m, k, _ in tallies)
+    return hits / denom
 
 
 def naive_cises(g: Graph, v: int, k: int) -> set[tuple[int, ...]]:

@@ -37,11 +37,9 @@ from scipy import stats as sps
 from orbitsampler import (
     BudgetConfig,
     CannotSampleError,
-    CovarianceContext,
     METHOD_ORDER,
     bias_vector,
     classify_undirected,
-    covariance,
     enumerate_cises,
     exact_orbit_degrees,
     sample_members,
@@ -62,11 +60,10 @@ from orbitsampler.orbits import UNORBIT
 
 from conftest import EIGHT_EDGES
 
-# Pinned statistical fixtures.  The graph seeds were chosen so that the
-# max-degree node's nonzero orbit counts are large enough for the pinned
-# budgets (plug-in combination weights carry a small-sample bias, so
-# criterion 3 needs counts that are either zero or well sampled); the run
-# seeds make the Monte Carlo outcome reproducible.
+# Pinned statistical fixtures.  The graph seeds give the max-degree node
+# nonzero orbit counts that are well sampled at the pinned budgets, so the
+# normal approximation behind criteria 3 and 4 holds; the run seeds make the
+# Monte Carlo outcome reproducible.
 UND_GRAPH_SEED = 103
 UND_RUN_SEED = 1000
 DIR_GRAPH_SEED = 45
@@ -231,56 +228,37 @@ def test_criterion_3_unbiasedness(und_fixture, dir_fixture):
 
 
 def _model_variances(counts: dict[int, int], stats) -> tuple[dict, dict]:
-    """Closed-form estimator variances evaluated with the true counts."""
+    """Closed-form variances of the pooled-hit estimators evaluated with the
+    true counts, and each orbit's per-draw hit probability.
+
+    Route r's tally of orbit i has mean K q_r(i), with q_r(i) = p_r(i) d_i,
+    and multinomial covariances K (q_r(i) [i = j] - q_r(i) q_r(j)); the
+    estimate of orbit i divides the routes' summed tallies by
+    D_i = sum_r K p_r(i).
+    """
     K = K_PER_METHOD
     fp, tp, tw = stats.forked_paths, stats.two_paths, stats.tail_wedges
-    num41 = {3: 2, 5: 1, 8: 2, 10: 1, 11: 2, 12: 2, 13: 4, 14: 6}
-    num42 = {6: 1, 9: 1, 10: 1, 12: 2, 13: 1, 14: 3}
-    var = {1: (counts[1] / K) * (tp - counts[1])}
-    lam = {}
-    for i in (5, 8, 11):
-        var[i] = (counts[i] / K) * (fp / num41[i] - counts[i])
-    for i in (6, 9):
-        var[i] = (counts[i] / K) * (tw / num42[i] - counts[i])
-    for i in (3, 10, 12, 13, 14):
-        ip1 = fp / num41[i]
-        ip2 = tp / 2 if i == 3 else tw / num42[i]
-        v1 = (counts[i] / K) * (ip1 - counts[i])
-        v2 = (counts[i] / K) * (ip2 - counts[i])
-        if counts[i] == 0 or v1 + v2 <= 0:
-            var[i], lam[i] = 0.0, (0.0, 0.0)
-        else:
-            var[i] = v1 * v2 / (v1 + v2)
-            lam[i] = (v2 / (v1 + v2), v1 / (v1 + v2))
-    var[2] = var[3]
-    ctx = CovarianceContext(
-        values={i: float(counts[i]) for i in (3, 5, 6, 8, 9, 10, 11, 12, 13, 14)},
-        lam=lam, k41=K, k42=K,
+    numerators = (
+        ({1: 1, 3: 2}, tp),  # R32
+        ({3: 2, 5: 1, 8: 2, 10: 1, 11: 2, 12: 2, 13: 4, 14: 6}, fp),  # R41
+        ({6: 1, 9: 1, 10: 1, 12: 2, 13: 1, 14: 3}, tw),  # R42
     )
+    probs = np.array(
+        [[num.get(i, 0) / den if den else 0.0 for i in range(15)] for num, den in numerators]
+    )
+    q = probs * np.array([counts[i] for i in range(15)], dtype=float)
+    tallies = sum(K * (np.diag(qr) - np.outer(qr, qr)) for qr in q)
+    denom = K * probs.sum(axis=0)
+    denom[denom == 0.0] = np.inf  # unreached orbits: no tally, no variance
+    cov = tallies / np.outer(denom, denom)
+
+    var = {i: float(cov[i, i]) for i in range(1, 15)}
+    hit = {i: float(q[:, i].max()) for i in range(1, 15)}
     coeff = {3: 2, 8: 2, 9: 2, 10: 1, 12: 4, 13: 2, 14: 6}
-    ids = sorted(coeff)
-    var4 = sum(coeff[i] ** 2 * var[i] for i in ids)
-    for x, i in enumerate(ids):
-        for j in ids[x + 1 :]:
-            var4 += 2 * coeff[i] * coeff[j] * covariance(i, j, ctx)
-    var[4] = var4
-    var[7] = (
-        var[11] + var[13] + var[14]
-        + 2 * (covariance(11, 13, ctx) + covariance(11, 14, ctx)
-               + covariance(13, 14, ctx))
-    )
-    hit = {1: counts[1] / tp if tp else 0.0}
-    for i in (5, 8, 11):
-        hit[i] = num41[i] * counts[i] / fp if fp else 0.0
-    for i in (6, 9):
-        hit[i] = num42[i] * counts[i] / tw if tw else 0.0
-    for i in (3, 10, 12, 13, 14):
-        h1 = num41[i] * counts[i] / fp if fp else 0.0
-        h2 = (2 * counts[i] / tp) if i == 3 else (num42[i] * counts[i] / tw if tw else 0.0)
-        hit[i] = max(h1, h2)
-    hit[2] = hit[3]
-    hit[4] = min((hit[i] for i in ids if counts[i] > 0), default=0.0)
-    hit[7] = min((hit[i] for i in (11, 13, 14) if counts[i] > 0), default=0.0)
+    for solved, terms in ((2, {3: 1}), (4, coeff), (7, {11: 1, 13: 1, 14: 1})):
+        c = np.array([terms.get(i, 0) for i in range(15)], dtype=float)
+        var[solved] = float(c @ cov @ c)
+        hit[solved] = min((hit[i] for i in terms if counts[i] > 0), default=0.0)
     return var, hit
 
 

@@ -10,10 +10,11 @@ import pytest
 from orbitsampler import BudgetConfig, run_experiment
 from orbitsampler.cli import main
 from orbitsampler.generators import gnp
+from orbitsampler.metrics import nrmse
 from orbitsampler.report import dumps, loads, report_from_dict, report_to_dict
 from orbitsampler.estimators import estimate_undirected
 
-from conftest import complete_graph
+from conftest import complete_graph, pooled_value
 
 
 @pytest.fixture
@@ -288,15 +289,21 @@ def test_eval_report_roundtrip():
     assert dumps(back.to_dict()) == dumps(rep.to_dict())
 
 
-def test_run_experiment_forced_graph():
+def test_run_experiment_forced_graph(route_tallies):
     k4 = complete_graph(4)
     rep = run_experiment(
         k4, 0, "undirected", BudgetConfig(total=300), runs=20, seed=0
     )
-    assert rep.nrmse[14] == 0.0
-    assert rep.nrmse[3] == pytest.approx(0.0, abs=1e-12)
+    # each run draws R32, R41 and R42 in turn; orbits 3 and 14 pool their hits
+    runs = [route_tallies[x : x + 3] for x in range(0, len(route_tallies), 3)]
+    assert len(runs) == 20
+    for i in (3, 14):
+        pooled = [pooled_value(k4, 0, tallies, i) for tallies in runs]
+        assert rep.mean_estimates[i] == pytest.approx(np.mean(pooled))
+        assert rep.nrmse[i] == pytest.approx(nrmse(np.array(pooled), rep.exact[i]))
+        assert rep.nrmse[i] > 0.0
     assert rep.nrmse[4] is None  # zero exact count has no relative error
-    assert rep.exact[14] == 1
+    assert (rep.exact[3], rep.exact[14]) == (3, 1)
 
 
 def test_run_experiment_oracle_sizes_by_mode(monkeypatch):

@@ -1,4 +1,4 @@
-"""Estimation pipeline tests: inversion, combination, identities, covariance."""
+"""Estimation pipeline tests: pooled inversion, identities, covariance."""
 
 import math
 
@@ -8,70 +8,94 @@ from hypothesis import given, strategies as st
 
 from orbitsampler import (
     BudgetConfig,
-    CovarianceContext,
     Estimate,
-    EstimatorUndefinedError,
-    UnsupportedPairError,
-    combine,
+    PooledHits,
     covariance,
     estimate_directed3,
     estimate_orbit_degrees,
-    estimate_single,
     estimate_undirected,
     exact_orbit_degrees,
+    pool_hits,
 )
+from orbitsampler.experiment import run_pipeline_matrix
 from orbitsampler.generators import gnp
 from orbitsampler.graph import Graph
 
+from conftest import pooled_value
 
+
+def _pool(draws, hits, probs, routes=None):
+    """Pool one column per orbit; ``routes`` defaults to R1, R2, ..."""
+    routes = routes or [f"R{r + 1}" for r in range(len(draws))]
+    return pool_hits(
+        routes, np.array(draws), np.array(hits, ndmin=2), np.array(probs, ndmin=2)
+    )
 
 
 def test_estimate_single_arithmetic():
-    e = estimate_single(30, 100, 1 / 3)
+    # one route: the pooled rule is the plain inversion m / (K p) with
+    # variance d/K (1/p - d)
+    e = _pool([100], [[30]], [[1 / 3]], ["R32"]).estimates([0])[0]
     assert e.value == pytest.approx(0.9)
     assert e.variance == pytest.approx((0.9 / 100) * (3 - 0.9))
+    assert e.source == "R32"
 
 
 def test_estimate_single_boundaries():
-    e = estimate_single(100, 100, 1 / 5)
+    e = _pool([100], [[100]], [[1 / 5]]).estimates([0])[0]
     assert e.value == pytest.approx(5.0) and e.variance == 0.0
-    e = estimate_single(0, 50, 0.2)
-    assert e.value == 0.0 and e.variance == 0.0
-    with pytest.raises(EstimatorUndefinedError):
-        estimate_single(1, 10, 0.0)
-    with pytest.raises(EstimatorUndefinedError):
-        estimate_single(1, 0, 0.5)
+    e = _pool([50], [[0]], [[0.2]]).estimates([0])[0]
+    assert e.value == 0.0 and e.variance == 0.0 and e.source == "R1"
+    # a zero probability or a zero draw count leaves D = 0: an exact zero
+    e = _pool([10], [[0]], [[0.0]]).estimates([0])[0]
+    assert (e.value, e.variance, e.source) == (0.0, 0.0, "exact")
+    e = _pool([0], [[0]], [[0.5]]).estimates([0])[0]
+    assert (e.value, e.variance, e.source) == (0.0, 0.0, "exact")
+    # no route at all: every orbit is an exact zero
+    pooled = pool_hits([], np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))
+    assert list(pooled.estimates(range(3)).values()) == [Estimate(0.0, 0.0, "exact")] * 3
 
 
 def test_combine_examples():
-    c, lam = combine(Estimate(10, 4, "a"), Estimate(14, 4, "b"))
-    assert c.value == pytest.approx(12) and c.variance == pytest.approx(2)
-    assert lam == (0.5, 0.5)
-    c, lam = combine(Estimate(10, 2, "a"), Estimate(10, 6, "b"))
-    assert c.value == pytest.approx(10) and c.variance == pytest.approx(1.5)
-    assert lam == (0.75, 0.25)
-    # a zero-variance side wins outright, whichever side it is
-    c, lam = combine(Estimate(10, 0, "a"), Estimate(99, 5, "b"))
-    assert (c.value, c.variance, lam) == (10, 0, (1.0, 0.0))
-    c, lam = combine(Estimate(99, 5, "a"), Estimate(0, 0, "b"))
-    assert (c.value, c.variance, lam) == (0, 0, (0.0, 1.0))
-    # both variances zero: equal weights, even when the values disagree
-    c, lam = combine(Estimate(3, 0, "a"), Estimate(4, 0, "b"))
-    assert (c.value, c.variance, lam) == (3.5, 0, (0.5, 0.5))
-    assert c.source == "combined"
+    # D = 100 * 0.1 + 300 * 0.05 = 25; hits 20 + 45 over D
+    pooled = _pool([100, 300], [[20], [45]], [[0.1], [0.05]])
+    e = pooled.estimates([0])[0]
+    assert e.value == pytest.approx(2.6) and e.source == "combined"
+    # q = 0.26 and 0.13: (100 .26 .74 + 300 .13 .87) / 25^2
+    assert e.variance == pytest.approx((19.24 + 33.93) / 625)
+    assert pooled.weights[:, 0] == pytest.approx([0.4, 0.6])
+    # a route without hits no longer forces the orbit to 0
+    e = _pool([100, 300], [[0], [45]], [[0.1], [0.05]]).estimates([0])[0]
+    assert e.value == pytest.approx(1.8)
+    assert e.variance == pytest.approx((100 * 0.18 * 0.82 + 300 * 0.09 * 0.91) / 625)
+    # columns are independent orbits: one reached by both routes, one by
+    # the second only, one by neither
+    pooled = _pool(
+        [100, 300], [[20, 0, 0], [45, 9, 0]], [[0.1, 0.0, 0.0], [0.05, 0.1, 0.0]],
+        ["R41", "R42"],
+    )
+    assert pooled.sources == ["combined", "R42", "exact"]
+    assert pooled.values == pytest.approx([2.6, 0.3, 0.0])
 
 
 @given(
-    st.floats(0.01, 1e6),
-    st.floats(0.01, 1e6),
-    st.floats(0, 1e5),
-    st.floats(0, 1e5),
+    st.integers(1, 10_000),
+    st.integers(1, 10_000),
+    st.floats(1e-6, 1.0),
+    st.floats(1e-6, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
 )
-def test_combine_is_optimal_and_convex(va, vb, xa, xb):
-    c, (la, lb) = combine(Estimate(xa, va, "a"), Estimate(xb, vb, "b"))
-    assert la + lb == pytest.approx(1.0) and la >= 0 and lb >= 0
-    assert c.variance <= min(va, vb) + 1e-9
-    assert min(xa, xb) - 1e-9 <= c.value <= max(xa, xb) + 1e-9
+def test_combine_is_convex(ka, kb, pa, pb, fa, fb):
+    ma, mb = int(fa * ka), int(fb * kb)
+    pooled = _pool([ka, kb], [[ma], [mb]], [[pa], [pb]])
+    wa, wb = pooled.weights[:, 0]
+    assert wa + wb == pytest.approx(1.0) and wa >= 0 and wb >= 0
+    xa, xb = ma / (ka * pa), mb / (kb * pb)
+    value = pooled.values[0]
+    assert value == pytest.approx(wa * xa + wb * xb, rel=1e-9, abs=1e-12)
+    assert min(xa, xb) * (1 - 1e-9) <= value <= max(xa, xb) * (1 + 1e-9)
+    assert pooled.variances[0] >= 0.0
 
 
 def test_budget_even_split_with_remainder():
@@ -89,46 +113,71 @@ def test_budget_even_split_with_remainder():
         BudgetConfig().resolve(("R31",))
 
 
-def _ctx(values, lam=None, k41=1000, k42=1000):
-    return CovarianceContext(values=values, lam=lam or {}, k41=k41, k42=k42)
+def _pooled(values, weights, variances=None, draws=(1000, 1000, 1000)):
+    """Pooled estimates over orbit ids 0..14 of the routes R32, R41 and
+    R42, with the given weights per route (default 0) and values."""
+    w = np.zeros((3, 15))
+    for r, row in enumerate(weights):
+        for i, x in row.items():
+            w[r, i] = x
+    d = np.zeros(15)
+    for i, x in values.items():
+        d[i] = x
+    var = np.zeros(15) if variances is None else np.asarray(variances, float)
+    return PooledHits(d, var, ["exact"] * 15, w, np.asarray(draws, float))
+
+
+# Route weights of the undirected orbits: R32, R41 and R42 rows.
+_WEIGHTS = (
+    {1: 1.0, 3: 0.75},
+    {3: 0.25, 5: 1.0, 8: 1.0, 10: 0.5, 11: 1.0, 13: 0.4},
+    {6: 1.0, 9: 1.0, 10: 0.5, 13: 0.6},
+)
 
 
 def test_covariance_cases():
-    ctx = _ctx({5: 2.0, 8: 3.0, 6: 4.0, 9: 5.0, 3: 6.0, 10: 2.0, 13: 7.0},
-               lam={3: (0.25, 0.75), 10: (0.5, 0.5), 13: (0.4, 0.6)})
-    assert covariance(5, 8, ctx) == pytest.approx(-6.0 / 1000)
-    assert covariance(8, 5, ctx) == pytest.approx(-6.0 / 1000)
-    assert covariance(3, 5, ctx) == pytest.approx(-0.25 * 12.0 / 1000)
-    assert covariance(6, 9, ctx) == pytest.approx(-20.0 / 1000)
-    assert covariance(10, 13, ctx) == pytest.approx(
+    values = {5: 2.0, 8: 3.0, 6: 4.0, 9: 5.0, 3: 6.0, 10: 2.0, 13: 7.0}
+    cov = covariance(_pooled(values, _WEIGHTS, variances=np.arange(15.0)))
+    assert cov[5, 8] == pytest.approx(-6.0 / 1000)
+    assert cov[8, 5] == pytest.approx(-6.0 / 1000)
+    assert cov[3, 5] == pytest.approx(-0.25 * 12.0 / 1000)
+    assert cov[6, 9] == pytest.approx(-20.0 / 1000)
+    assert cov[10, 13] == pytest.approx(
         -(0.5 * 0.4 * 14.0 / 1000 + 0.5 * 0.6 * 14.0 / 1000)
     )
-    assert covariance(3, 6, ctx) == 0.0  # independent routes
-    assert covariance(6, 8, ctx) == 0.0
-    assert covariance(5, 13, ctx) == pytest.approx(-0.4 * 14.0 / 1000)
-    assert covariance(6, 13, ctx) == pytest.approx(-0.6 * 28.0 / 1000)
-    assert covariance(3, 13, ctx) == pytest.approx(-0.25 * 0.4 * 42.0 / 1000)
+    assert cov[3, 6] == 0.0  # independent routes
+    assert cov[6, 8] == 0.0
+    assert cov[5, 13] == pytest.approx(-0.4 * 14.0 / 1000)
+    assert cov[6, 13] == pytest.approx(-0.6 * 28.0 / 1000)
+    assert cov[3, 13] == pytest.approx(-0.25 * 0.4 * 42.0 / 1000)
+    assert np.diag(cov) == pytest.approx(np.arange(15.0))
+    assert (cov == cov.T).all()
 
 
 def test_covariance_zero_estimate_and_unsupported():
-    ctx = _ctx({5: 0.0, 8: 3.0})
-    assert covariance(5, 8, ctx) == 0.0
-    with pytest.raises(UnsupportedPairError):
-        covariance(1, 5, _ctx({1: 1.0, 5: 1.0}))
-    with pytest.raises(UnsupportedPairError):
-        covariance(4, 7, _ctx({4: 1.0, 7: 1.0}))
-    with pytest.raises(UnsupportedPairError):
-        covariance(5, 5, _ctx({5: 1.0}))
+    cov = covariance(_pooled({5: 0.0, 8: 3.0}, _WEIGHTS))
+    assert cov[5, 8] == 0.0 and math.copysign(1.0, cov[5, 8]) == 1.0
+    # pairs the pipeline never reports: orbits no route reaches (4, 7) and
+    # orbits without a shared route (1, 5) covary by exactly +0.0
+    cov = covariance(_pooled({i: 1.0 for i in range(15)}, _WEIGHTS))
+    for i, j in ((1, 5), (4, 7), (4, 13), (7, 14)):
+        assert cov[i, j] == 0.0 and math.copysign(1.0, cov[i, j]) == 1.0
+    assert cov[1, 3] == pytest.approx(-0.75 / 1000)
 
 
-def test_pipeline_k4_deterministic(k4):
+def test_pipeline_k4_deterministic(k4, route_tallies):
     rep = estimate_undirected(k4, 0, BudgetConfig(total=300), seed=11)
     vals = {i: e.value for i, e in rep.estimates.items()}
-    assert vals[3] == pytest.approx(3.0) and rep.estimates[3].variance == 0.0
-    assert vals[2] == pytest.approx(0.0)
-    assert vals[14] == pytest.approx(1.0)
-    assert vals[7] == pytest.approx(0.0)
-    for i in (1, 4, 5, 6, 8, 9, 10, 11, 12, 13):
+    st_v = k4.stats(0)
+    # orbits 3 and 14 pool R32/R41 and R41/R42 hits respectively
+    for i in (3, 14):
+        assert vals[i] == pytest.approx(pooled_value(k4, 0, route_tallies, i)), i
+        assert rep.estimates[i].source == "combined"
+    assert vals[3] > 0.0 and vals[14] > 0.0
+    assert vals[2] == pytest.approx(st_v.wedges - vals[3])
+    assert vals[4] == pytest.approx(st_v.three_walks - 2 * vals[3] - 6 * vals[14])
+    assert vals[7] == pytest.approx(st_v.triples - vals[14])
+    for i in (1, 5, 6, 8, 9, 10, 11, 12, 13):
         assert vals[i] == pytest.approx(0.0), i
 
 
@@ -220,8 +269,10 @@ def test_directed_pipeline_no_two_paths():
     for i, e in rep.estimates.items():
         from orbitsampler import unorbit
 
-        if unorbit(i) in (1, 3):
-            assert e.value == 0.0 and e.source == "exact"
+        if unorbit(i) == 1:  # no defined route reaches a path end
+            assert e.value == 0.0 and e.variance == 0.0 and e.source == "exact"
+        if unorbit(i) == 3:  # only R31 reaches triangles here, without hits
+            assert e.value == 0.0 and e.variance == 0.0 and e.source == "R31"
     center_total = sum(
         e.value for i, e in rep.estimates.items() if e.source == "R31"
     )
@@ -259,6 +310,22 @@ def test_unbiasedness_smoke():
         col = mat[:, i]
         se = col.std(ddof=1) / math.sqrt(len(col))
         assert abs(col.mean() - counts[i]) < 6 * se + 1e-9, i
+
+
+def test_small_budget_unbiasedness():
+    # At 100 draws per route the combined orbits 3 and 12 see few hits; a
+    # rule that lets a hitless route decide the estimate biases them to 0.
+    g = gnp(80, 0.12, seed=3)
+    v = int(np.argmax(g.degrees))
+    counts = exact_orbit_degrees(g, v).undirected
+    assert (counts[3], counts[12]) == (12, 11)
+    matrix, _ = run_pipeline_matrix(
+        g, v, "undirected", BudgetConfig(total=300), runs=1000, seed=0
+    )
+    for i in (3, 12):
+        col = matrix[:, i]
+        se = col.std(ddof=1) / math.sqrt(len(col))
+        assert abs(col.mean() - counts[i]) < 4 * se, (i, col.mean(), se)
 
 
 def _identity_variance(rep, terms):
@@ -319,7 +386,7 @@ def test_pipelines_call_layers_through_module_attributes(monkeypatch):
     estimate_undirected(g, int(np.argmax(g.degrees)), BudgetConfig(total=300), 1)
     assert counts == {
         "draw_batch": 3, "classify_chain_batch": 1, "classify_quad_batch": 2,
-        "tally_orbits": 3, "covariance": 45,
+        "tally_orbits": 3, "covariance": 1,
     }
 
     counts.clear()
