@@ -33,7 +33,7 @@ from .estimators import (
 from .experiment import measure_sample_time, run_experiment
 from .generators import sparse_random_graph
 from .graph import Graph, GraphError, load_edge_list
-from .oracle import DEFAULT_GUARD, GuardExceededError, exact_orbit_degrees
+from .oracle import DEFAULT_GUARD, MODE_SIZES, GuardExceededError, exact_orbit_degrees
 from .orbits import orbit_table
 from .report import dumps, report_to_dict, write_report_csv
 from .samplers import METHOD_ORDER, CannotSampleError
@@ -210,7 +210,9 @@ def _cmd_exact(args) -> int:
     g = _load_graph(args)
     _check_mode(g, args.mode)
     v = _pick_node(g, args)
-    counts = exact_orbit_degrees(g, v, guard=args.oracle_guard)
+    counts = exact_orbit_degrees(
+        g, v, guard=args.oracle_guard, sizes=MODE_SIZES[args.mode]
+    )
     mapping = counts.undirected if args.mode == "undirected" else counts.directed3
     report = OrbitReport(
         node=v,

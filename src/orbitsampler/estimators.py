@@ -162,15 +162,16 @@ def covariance(pooled: PooledHits) -> np.ndarray:
     return cov
 
 
-def _tally_routes(g: Graph, v: int, mode: str, budget: BudgetConfig, seed: int | None):
+def _tally_routes(
+    g: Graph, ctx: AnchorContext, mode: str, budget: BudgetConfig, seed: int | None
+):
     """Per-route draw counts of the mode's routes, and the pooled estimates
-    from those defined at ``v``; each route has its own spawned stream and
-    all share one anchor context."""
-    st = g.stats(v)
+    from those defined at the context's anchor; each route has its own
+    spawned stream and all share the context."""
+    st, v = ctx.stats, ctx.v
     methods = MODE_ROUTES[mode]
     ks = budget.resolve(methods)
     streams = np.random.SeedSequence(seed).spawn(len(methods))
-    ctx = AnchorContext(g, v)
     directed = mode == "directed3"
     shape = _SHAPE[mode]
     routes, hits, probs = [], [], []
@@ -194,8 +195,9 @@ def estimate_undirected(
     Orbits 2, 4 and 7 come from the identity relations and may carry a
     (noise-induced) negative raw value.
     """
-    st = g.stats(v)
-    ks, pooled = _tally_routes(g, v, "undirected", budget, seed)
+    ctx = AnchorContext(g, v)
+    st = ctx.stats
+    ks, pooled = _tally_routes(g, ctx, "undirected", budget, seed)
     cov = covariance(pooled)
     est = pooled.estimates(range(15))
     est[0] = Estimate(float(st.degree), 0.0, "exact")
@@ -235,7 +237,7 @@ def estimate_directed3(
     """
     if not g.directed:
         raise ValueError("directed estimation needs a directed graph")
-    ks, pooled = _tally_routes(g, v, "directed3", budget, seed)
+    ks, pooled = _tally_routes(g, AnchorContext(g, v), "directed3", budget, seed)
     return OrbitReport(
         node=v,
         mode="directed3",

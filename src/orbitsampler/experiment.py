@@ -19,7 +19,7 @@ import numpy as np
 from .estimators import MODE_ROUTES, BudgetConfig, estimate_orbit_degrees
 from .graph import Graph
 from .metrics import l1_l2, nrmse, topk_detection
-from .oracle import DEFAULT_GUARD, GuardExceededError, exact_orbit_degrees
+from .oracle import DEFAULT_GUARD, MODE_SIZES, GuardExceededError, exact_orbit_degrees
 from .samplers import draw_batch
 
 TOPK_LEVELS = (5, 10, 15)
@@ -168,10 +168,7 @@ def run_experiment(
     )
 
     try:
-        # Directed orbits only need the 3-node subgraphs; the guard still
-        # bounds both sizes.
-        sizes = (3,) if mode == "directed3" else (3, 4)
-        counts = exact_orbit_degrees(g, v, guard=oracle_guard, sizes=sizes)
+        counts = exact_orbit_degrees(g, v, guard=oracle_guard, sizes=MODE_SIZES[mode])
     except GuardExceededError:
         return report
 
@@ -211,7 +208,7 @@ def measure_sample_time(
 ) -> float:
     """Seconds per draw of one route, from a warmed batch measurement."""
     rng = np.random.default_rng(seed)
-    draw_batch(g, v, method, min(draws, 1000), rng)  # warm caches
+    draw_batch(g, v, method, min(draws, 1000), rng)  # builds two_paths_all untimed
     start = time.perf_counter()
     draw_batch(g, v, method, draws, rng)
     return (time.perf_counter() - start) / draws

@@ -7,11 +7,14 @@ node to the neighbour), ``IN`` (arc towards the row node) or ``MUTUAL``
 (both arcs present).
 
 Per-node statistics (:class:`NodeStats`) are the exact combinatorial
-normalizers used by the sampling procedures, and the ``acc_*`` methods expose
+normalizers used by the sampling procedures, and the ``acc_*`` methods build
 the cumulative weight arrays that drive weighted neighbour selection by
-binary search.  Statistics and cumulative arrays are computed lazily per node
-and cached; the graph itself is immutable after construction, so instances
-are safe to share across threads.
+binary search.  Both are recomputed on every call, never kept on the graph,
+so memory stays flat however many anchors are estimated; an estimate
+computes its anchor's statistics once, in its :class:`AnchorContext`.  The
+graph is immutable after construction (its one lazily built array,
+``two_paths_all``, is set under a lock), so instances are safe to share
+across threads.
 
 Pair lookups come in two kinds.  Pairs that contain the anchor of an
 estimate are answered by an :class:`AnchorContext`, built once per estimate
@@ -139,8 +142,6 @@ class Graph:
         rows = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
         self._edge_keys = _freeze(rows * self.node_count + self.indices)
         self._lock = threading.Lock()
-        self._stats_cache: dict[int, NodeStats] = {}
-        self._acc_cache: dict[tuple[str, int], np.ndarray] = {}
         self._two_paths_all: np.ndarray | None = None
 
     # -- construction -----------------------------------------------------
@@ -310,62 +311,47 @@ class Graph:
         return self._two_paths_all
 
     def stats(self, v: int) -> NodeStats:
-        """Exact normalizers of node ``v`` (cached)."""
-        cached = self._stats_cache.get(v)
-        if cached is not None:
-            return cached
+        """Exact normalizers of node ``v``."""
         if not 0 <= v < self.node_count:
             raise GraphError(f"node {v} out of range")
         d = self.degree(v)
-        nbr_deg = [int(x) for x in self.degrees[self.neighbors(v)]]
-        tp_all = self.two_paths_all()
-        nbr_tp = [int(x) for x in tp_all[self.neighbors(v)]]
-        wedges = d * (d - 1) // 2
-        two_paths = sum(du - 1 for du in nbr_deg)
-        stats = NodeStats(
+        nb = self.neighbors(v)
+        nbr_deg = self.degrees[nb].tolist()
+        two_paths = sum(nbr_deg) - d
+        return NodeStats(
             node=v,
             degree=d,
-            wedges=wedges,
+            wedges=d * (d - 1) // 2,
             two_paths=two_paths,
             forked_paths=(d - 1) * two_paths,
             tail_wedges=sum((du - 1) * (du - 2) // 2 for du in nbr_deg),
-            three_walks=sum(t - d + 1 for t in nbr_tp),
+            three_walks=sum(self.two_paths_all()[nb].tolist()) - d * (d - 1),
             triples=d * (d - 1) * (d - 2) // 6,
         )
-        with self._lock:
-            return self._stats_cache.setdefault(v, stats)
 
-    def _acc(self, kind: str, v: int, weights: np.ndarray, expect: int) -> np.ndarray:
-        key = (kind, v)
-        cached = self._acc_cache.get(key)
-        if cached is not None:
-            return cached
+    @staticmethod
+    def _acc(kind: str, st: NodeStats, weights: np.ndarray, total: int) -> np.ndarray:
         acc = np.cumsum(weights, dtype=np.int64)
-        if len(acc) and int(acc[-1]) != expect:
+        if len(acc) and int(acc[-1]) != total:
             raise OverflowError(
-                f"cumulative {kind} weights of node {v} overflowed 64 bits"
+                f"cumulative {kind} weights of node {st.node} overflowed 64 bits"
             )
-        acc = _freeze(acc)
-        with self._lock:
-            return self._acc_cache.setdefault(key, acc)
+        return acc
 
-    def acc_degree(self, v: int) -> np.ndarray:
-        """Cumulative (d_u - 1) over the neighbours of ``v``."""
-        st = self.stats(v)
-        w = self.degrees[self.neighbors(v)] - 1
-        return self._acc("degree", v, w, st.two_paths)
+    def acc_degree(self, st: NodeStats) -> np.ndarray:
+        """Cumulative (d_u - 1) over the neighbours of node ``st.node``."""
+        w = self.degrees[self.neighbors(st.node)] - 1
+        return self._acc("degree", st, w, st.two_paths)
 
-    def acc_wedge(self, v: int) -> np.ndarray:
-        """Cumulative (d_u - 1)(d_u - 2)/2 over the neighbours of ``v``."""
-        st = self.stats(v)
-        du = self.degrees[self.neighbors(v)]
-        return self._acc("wedge", v, (du - 1) * (du - 2) // 2, st.tail_wedges)
+    def acc_wedge(self, st: NodeStats) -> np.ndarray:
+        """Cumulative (d_u - 1)(d_u - 2)/2 over the neighbours of ``st.node``."""
+        du = self.degrees[self.neighbors(st.node)]
+        return self._acc("wedge", st, (du - 1) * (du - 2) // 2, st.tail_wedges)
 
-    def acc_walk(self, v: int) -> np.ndarray:
-        """Cumulative (two_paths_u - d_v + 1) over the neighbours of ``v``."""
-        st = self.stats(v)
-        w = self.two_paths_all()[self.neighbors(v)] - st.degree + 1
-        return self._acc("walk", v, w, st.three_walks)
+    def acc_walk(self, st: NodeStats) -> np.ndarray:
+        """Cumulative (two_paths_u - d + 1) over the neighbours of ``st.node``."""
+        w = self.two_paths_all()[self.neighbors(st.node)] - st.degree + 1
+        return self._acc("walk", st, w, st.three_walks)
 
     # -- id mapping -----------------------------------------------------------
 
@@ -391,24 +377,27 @@ class Graph:
         n = self.node_count
         if np.any(self.indices < 0) or np.any(self.indices >= n):
             raise GraphError("neighbour id out of range")
-        for v in range(n):
-            nb = self.neighbors(v)
-            if len(nb) and (np.any(np.diff(nb) <= 0)):
-                raise GraphError(f"neighbour list of {v} not strictly increasing")
-            if np.any(nb == v):
-                raise GraphError(f"self loop at {v}")
+        rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+
+        def require(ok: np.ndarray, message: str) -> None:
+            """Raise for the first adjacency entry (v, u) where ``ok`` fails."""
+            bad = np.flatnonzero(~ok)
+            if len(bad):
+                v, u = rows[bad[0]], self.indices[bad[0]]
+                raise GraphError(message.format(v=v, u=u))
+
+        # With ids in range, the keys increase strictly exactly when every
+        # neighbour list does.
+        keys_up = np.diff(self._edge_keys, prepend=-1) > 0
+        require(keys_up, "neighbour list of {v} not strictly increasing")
+        require(self.indices != rows, "self loop at {v}")
         if int(self.degrees.sum()) != 2 * self.edge_count:
             raise GraphError("degree sum does not equal twice the edge count")
-        for v in range(n):
-            for u in self.neighbors(v):
-                if not self.has_edge(int(u), v):
-                    raise GraphError(f"asymmetric edge ({v}, {u})")
-                if self.directed:
-                    a = self.direction_code(v, int(u))
-                    b = self.direction_code(int(u), v)
-                    ok = (a == MUTUAL and b == MUTUAL) or a + b == OUT + IN
-                    if not ok:
-                        raise GraphError(f"label mismatch on ({v}, {u})")
+        require(self.has_edges(self.indices, rows), "asymmetric edge ({v}, {u})")
+        if self.directed:
+            a, b = self.labels, self.direction_codes(self.indices, rows)
+            ok = ((a == MUTUAL) & (b == MUTUAL)) | (a + b == OUT + IN)
+            require(ok, "label mismatch on ({v}, {u})")
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "directed" if self.directed else "undirected"
@@ -423,6 +412,7 @@ class AnchorContext:
     sweep over many anchors would keep one node-sized array per anchor).
 
     ==========  ==========================================================
+    stats       the anchor's :class:`NodeStats`, computed once per estimate
     nb          the anchor's sorted neighbour list
     code        int8 per node: 0 for a non-neighbour of v, else the
                 direction code of (v, x), or ``MUTUAL`` when undirected
@@ -432,6 +422,7 @@ class AnchorContext:
 
     def __init__(self, g: Graph, v: int):
         self.v = v
+        self.stats = g.stats(v)
         self.nb = g.neighbors(v)
         self.code = np.zeros(g.node_count, dtype=np.int8)
         if g.directed:

@@ -33,6 +33,9 @@ from .orbits import (
 
 DEFAULT_GUARD = 10**6
 
+# The subgraph sizes each mode's orbits need: directed orbits are 3-node.
+MODE_SIZES = {"undirected": (3, 4), "directed3": (3,)}
+
 
 class GuardExceededError(RuntimeError):
     """Anchor's neighbourhood implies more candidate subgraphs than allowed."""
@@ -57,27 +60,27 @@ class IdentityReport:
     ok: bool
 
 
-def candidate_bound(stats: NodeStats) -> int:
-    """Upper bound on the number of 3- and 4-node subgraphs at a node.
+def candidate_bound(stats: NodeStats, sizes: tuple[int, ...] = (3, 4)) -> int:
+    """Upper bound on the number of subgraphs of the given sizes at a node.
 
     Every subgraph containing the node is reachable by at least one sampling
-    route, so the sum of route selection counts bounds the total.
+    route of its size, so the sum of those routes' selection counts bounds
+    the total.
     """
-    return (
-        stats.wedges
-        + stats.two_paths
-        + stats.forked_paths
-        + 2 * stats.tail_wedges
-        + stats.three_walks
-        + 6 * stats.triples
-    )
+    bound = stats.wedges + stats.two_paths if 3 in sizes else 0
+    if 4 in sizes:
+        bound += stats.forked_paths + 2 * stats.tail_wedges
+        bound += stats.three_walks + 6 * stats.triples
+    return bound
 
 
-def check_guard(g: Graph, v: int, limit: int | None = DEFAULT_GUARD) -> None:
-    """Raise :class:`GuardExceededError` when enumeration looks infeasible."""
+def check_guard(
+    g: Graph, v: int, limit: int | None = DEFAULT_GUARD, sizes: tuple[int, ...] = (3, 4)
+) -> None:
+    """Raise :class:`GuardExceededError` when ``sizes`` look infeasible to enumerate."""
     if limit is None:
         return
-    bound = candidate_bound(g.stats(v))
+    bound = candidate_bound(g.stats(v), sizes)
     if bound > limit:
         raise GuardExceededError(
             f"node {v} implies up to {bound} candidate subgraphs (limit {limit})"
@@ -134,14 +137,15 @@ def exact_orbit_degrees(
     """Exact orbit-degree vector of ``v`` (orbit 0 is the plain degree).
 
     For directed graphs the 30-orbit directed vector is computed alongside.
-    ``sizes`` restricts which subgraph sizes are enumerated (directed orbits
-    only need size 3).
+    ``sizes`` restricts which subgraph sizes are enumerated, and the guard
+    bounds only those (directed orbits only need size 3, see
+    :data:`MODE_SIZES`).
 
     Classification here works on plain adjacency sets rather than going
     through :func:`classify_undirected`, purely for speed; the two paths are
     cross-checked in the test suite.
     """
-    check_guard(g, v, guard)
+    check_guard(g, v, guard, sizes)
     nbrs = _NeighbourSets(g)
     succ: dict[int, set[int]] = {}
 

@@ -29,14 +29,16 @@ arithmetic and consumes a ``numpy.random.Generator``, so identical seeds give
 identical draw sequences.
 
 Every step around the anchor reads the estimate's
-:class:`~orbitsampler.graph.AnchorContext`: the routes keep the index ``iu``
-of the neighbour they drew, so the position of v in the list of u is the
-gather ``back[iu]``, and the classifiers test pairs (v, x) by gathering the
-context's code array.  Only pairs without the anchor (R43's step from w back
-past u, and the (u, w), (u, r), (w, r) classification tests) search the
-graph's edge keys.  :func:`tally_orbits` builds one context and hands it to
-both the draws and the classification; the batch functions build their own
-when called without one.
+:class:`~orbitsampler.graph.AnchorContext`.  The route check reads its
+``stats``, from which the weighted first steps build their cumulative
+arrays (R43's second step computes the statistics of each drawn u).  The
+routes keep the index ``iu`` of the neighbour they drew, so the position of
+v in the list of u is the gather ``back[iu]``, and the classifiers test
+pairs (v, x) by gathering the context's code array.  Only pairs without the
+anchor (R43's step from w back past u, and the (u, w), (u, r), (w, r)
+classification tests) search the graph's edge keys.  :func:`tally_orbits`
+builds one context and hands it to both the draws and the classification;
+the batch functions build their own when called without one.
 """
 
 from __future__ import annotations
@@ -142,13 +144,13 @@ def _batch_r31(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
 
 
 def _batch_r32(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
-    iu = _weighted_pick(g.acc_degree(ctx.v), k, rng)
+    iu = _weighted_pick(g.acc_degree(ctx.stats), k, rng)
     u = ctx.nb[iu]
     return u, _second_step(g, u, ctx.back[iu], rng)
 
 
 def _batch_r41(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
-    iu = _weighted_pick(g.acc_degree(ctx.v), k, rng)
+    iu = _weighted_pick(g.acc_degree(ctx.stats), k, rng)
     u = ctx.nb[iu]
     iw = _skip_one(rng.integers(0, len(ctx.nb) - 1, size=k), iu)
     r = _second_step(g, u, ctx.back[iu], rng)
@@ -156,7 +158,7 @@ def _batch_r41(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
 
 
 def _batch_r42(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
-    iu = _weighted_pick(g.acc_wedge(ctx.v), k, rng)
+    iu = _weighted_pick(g.acc_wedge(ctx.stats), k, rng)
     u = ctx.nb[iu]
     pos_v = ctx.back[iu]
     du = g.degrees[u]
@@ -167,7 +169,7 @@ def _batch_r42(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
 
 
 def _batch_r43(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
-    iu = _weighted_pick(g.acc_walk(ctx.v), k, rng)
+    iu = _weighted_pick(g.acc_walk(ctx.stats), k, rng)
     u = ctx.nb[iu]
     w = np.empty(k, dtype=np.int64)
     # The degree-weighted step around u excludes v's block; draws are grouped
@@ -176,7 +178,7 @@ def _batch_r43(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
     for i in np.unique(iu):
         sel = np.nonzero(iu == i)[0]
         x = int(ctx.nb[i])
-        acc = g.acc_degree(x)
+        acc = g.acc_degree(g.stats(x))
         pos = int(ctx.back[i])
         lo = int(acc[pos - 1]) if pos > 0 else 0
         block = int(acc[pos]) - lo
@@ -211,8 +213,9 @@ def draw_batch(
 
     ``ctx`` is the anchor context of ``v``; one is built when it is absent.
     """
-    _require_route(method, g.stats(v))
-    return _BATCHERS[method](g, ctx or AnchorContext(g, v), k, rng)
+    ctx = ctx or AnchorContext(g, v)
+    _require_route(method, ctx.stats)
+    return _BATCHERS[method](g, ctx, k, rng)
 
 
 def sample_members(

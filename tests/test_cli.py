@@ -306,10 +306,11 @@ def test_run_experiment_forced_graph(route_tallies):
     assert (rep.exact[3], rep.exact[14]) == (3, 1)
 
 
-def test_run_experiment_oracle_sizes_by_mode(monkeypatch):
+def test_run_experiment_oracle_sizes_by_mode(monkeypatch, digraph_file, capsys):
     # directed orbits are all 3-node ones, so directed3 mode must not ask
-    # the oracle for 4-node subgraphs; undirected mode needs both sizes
-    from orbitsampler import experiment
+    # the oracle for 4-node subgraphs; undirected mode needs both sizes.
+    # run_experiment and the exact command read the same table.
+    from orbitsampler import cli, experiment
     from orbitsampler.generators import gnp_directed
 
     requested = []
@@ -320,6 +321,7 @@ def test_run_experiment_oracle_sizes_by_mode(monkeypatch):
         return exact(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "exact_orbit_degrees", spy)
+    monkeypatch.setattr(cli, "exact_orbit_degrees", spy)
     g = gnp_directed(20, 0.25, seed=6)
     v = int(np.argmax(g.degrees))
     rep = run_experiment(g, v, "directed3", BudgetConfig(total=400), runs=3, seed=0)
@@ -327,6 +329,32 @@ def test_run_experiment_oracle_sizes_by_mode(monkeypatch):
     assert rep.exact == {i: c for i, c in exact(g, v).directed3.items()}
     run_experiment(g, v, "undirected", BudgetConfig(total=300), runs=2, seed=0)
     assert requested == [(3,), (3, 4)]
+
+    requested.clear()
+    args = ["exact", "--graph", str(digraph_file), "--directed", "--max-degree-node"]
+    for mode in ("directed3", "undirected"):
+        assert main([*args, "--mode", mode]) == 0
+    assert requested == [(3,), (3, 4)]
+
+
+def test_exact_guard_bounds_only_enumerated_sizes(digraph_file, capsys):
+    # a guard between the 3-node bound and the 3- plus 4-node bound admits
+    # the 3-node directed oracle and refuses the undirected one
+    from orbitsampler.graph import load_edge_list
+    from orbitsampler.oracle import candidate_bound, exact_orbit_degrees
+
+    g = load_edge_list(digraph_file, directed=True)
+    v = int(np.argmax(g.degrees))
+    st = g.stats(v)
+    guard = candidate_bound(st, (3,))
+    assert guard < candidate_bound(st)
+    args = ["exact", "--graph", str(digraph_file), "--directed", "--max-degree-node"]
+    args += ["--oracle-guard", str(guard)]
+    assert main([*args, "--mode", "directed3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    counts = exact_orbit_degrees(g, v, guard=None).directed3
+    assert {row["id"]: row["estimate"] for row in payload["orbits"]} == counts
+    assert main([*args, "--mode", "undirected"]) == 3
 
 
 def test_nrmse_tracks_variance_model():

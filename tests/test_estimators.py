@@ -1,6 +1,8 @@
 """Estimation pipeline tests: pooled inversion, identities, covariance."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from orbitsampler import (
     pool_hits,
 )
 from orbitsampler.experiment import run_pipeline_matrix
-from orbitsampler.generators import gnp
+from orbitsampler.generators import gnp, sparse_random_graph
 from orbitsampler.graph import Graph
 
 from conftest import pooled_value
@@ -381,12 +383,17 @@ def test_pipelines_call_layers_through_module_attributes(monkeypatch):
         _count_calls(monkeypatch, samplers, name, counts)
     for name in ("tally_orbits", "covariance"):
         _count_calls(monkeypatch, estimators, name, counts)
+    # the anchor's statistics are computed once per estimate, in its
+    # AnchorContext, and each route builds its cumulative array from them
+    for name in ("stats", "acc_degree", "acc_wedge"):
+        _count_calls(monkeypatch, Graph, name, counts)
 
     g = gnp(40, 0.2, seed=8)
     estimate_undirected(g, int(np.argmax(g.degrees)), BudgetConfig(total=300), 1)
     assert counts == {
         "draw_batch": 3, "classify_chain_batch": 1, "classify_quad_batch": 2,
         "tally_orbits": 3, "covariance": 1,
+        "stats": 1, "acc_degree": 2, "acc_wedge": 1,
     }
 
     counts.clear()
@@ -394,5 +401,24 @@ def test_pipelines_call_layers_through_module_attributes(monkeypatch):
     estimate_directed3(dg, int(np.argmax(dg.degrees)), BudgetConfig(total=300), 1)
     assert counts == {
         "draw_batch": 2, "classify_wedge_batch": 1, "classify_chain_batch": 1,
-        "tally_orbits": 2,
+        "tally_orbits": 2, "stats": 1, "acc_degree": 1,
     }
+
+
+def test_anchor_sweep_retains_no_per_anchor_state():
+    # estimating many anchors of one graph is the normal traffic; nothing
+    # computed for one anchor may stay behind on the shared graph
+    g = sparse_random_graph(3000, 6.0, seed=4)
+    budget = BudgetConfig(total=30)
+    estimate_undirected(g, 2999, budget, 0)  # builds two_paths_all
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for v in range(2000):
+            estimate_undirected(g, v, budget, v)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024, retained

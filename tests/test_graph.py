@@ -1,5 +1,6 @@
 """Graph loading, statistics, and invariant tests."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -207,7 +208,7 @@ def test_degree_zero_node_stats():
     g = Graph.from_edges([(0, 1)], node_count=3)
     st = g.stats(2)
     assert st.degree == 0 and st.wedges == 0 and st.two_paths == 0
-    assert len(g.acc_degree(2)) == 0
+    assert len(g.acc_degree(st)) == 0
 
 
 def test_pos_of():
@@ -237,12 +238,26 @@ def test_acc_arrays_end_at_scalars():
             st = g.stats(v)
             if st.degree == 0:
                 continue
-            assert int(g.acc_degree(v)[-1]) == st.two_paths
-            assert int(g.acc_wedge(v)[-1]) == st.tail_wedges
-            assert int(g.acc_walk(v)[-1]) == st.three_walks
-            assert np.all(np.diff(g.acc_degree(v)) >= 0)
-            assert np.all(np.diff(g.acc_wedge(v)) >= 0)
-            assert np.all(np.diff(g.acc_walk(v)) >= 0)
+            assert int(g.acc_degree(st)[-1]) == st.two_paths
+            assert int(g.acc_wedge(st)[-1]) == st.tail_wedges
+            assert int(g.acc_walk(st)[-1]) == st.three_walks
+            assert np.all(np.diff(g.acc_degree(st)) >= 0)
+            assert np.all(np.diff(g.acc_wedge(st)) >= 0)
+            assert np.all(np.diff(g.acc_walk(st)) >= 0)
+
+
+def test_acc_arrays_check_their_total_against_the_stats():
+    # a wrapped 64-bit cumulative sum would differ from the exact Python-int
+    # total in NodeStats; a total 2**64 away stands in for the wrap
+    g = gnp(30, 0.2, seed=1)
+    st = g.stats(int(np.argmax(g.degrees)))
+    for acc, total in (
+        ("acc_degree", "two_paths"), ("acc_wedge", "tail_wedges"),
+        ("acc_walk", "three_walks"),
+    ):
+        wrapped = dataclasses.replace(st, **{total: getattr(st, total) + 2**64})
+        with pytest.raises(OverflowError, match="overflowed 64 bits"):
+            getattr(g, acc)(wrapped)
 
 
 def test_structural_invariants():
@@ -266,7 +281,7 @@ def test_directed_label_reversal():
 def test_graph_arrays_immutable(k4):
     with pytest.raises(ValueError):
         k4.indices[0] = 99
-    assert k4.stats(0) is k4.stats(0)  # cached
+    assert k4.stats(0) == k4.stats(0)  # recomputed, same values
 
 
 def test_vectorized_edge_queries(eight):

@@ -218,8 +218,8 @@ def test_weighted_random_vertex_excluding_mapping():
     g = Graph.from_edges(
         [(1, 0), (1, 2), (1, 3), (2, 4), (0, 5), (0, 6), (0, 7), (3, 8)]
     )
-    assert g.acc_degree(1).tolist() == [3, 4, 5]
-    assert g.acc_walk(2).tolist() == [4, 4]
+    assert g.acc_degree(g.stats(1)).tolist() == [3, 4, 5]
+    assert g.acc_walk(g.stats(2)).tolist() == [4, 4]
     picks = []
     for r in range(1, 5):  # residual weight 3 + 1
         u, w, _ = draw_batch(g, 2, "R43", 1, _Probe([1, r, 0]))
