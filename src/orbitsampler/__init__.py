@@ -15,13 +15,12 @@ from .estimators import (
     OrbitReport,
     PooledHits,
     covariance,
-    estimate_directed3,
     estimate_orbit_degrees,
-    estimate_undirected,
     pool_hits,
 )
 from .experiment import EvalReport, measure_sample_time, run_experiment
 from .graph import (
+    AnchorContext,
     EmptyGraphError,
     Graph,
     GraphError,
@@ -58,6 +57,7 @@ from .samplers import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AnchorContext",
     "BudgetConfig",
     "CannotSampleError",
     "EmptyGraphError",
@@ -81,9 +81,7 @@ __all__ = [
     "classify_undirected",
     "covariance",
     "enumerate_cises",
-    "estimate_directed3",
     "estimate_orbit_degrees",
-    "estimate_undirected",
     "exact_orbit_degrees",
     "l1_l2",
     "load_edge_list",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import (
-    MODE_ROUTES,
+    MODES,
     BudgetConfig,
     Estimate,
     OrbitReport,
@@ -33,7 +33,7 @@ from .estimators import (
 from .experiment import measure_sample_time, run_experiment
 from .generators import sparse_random_graph
 from .graph import Graph, GraphError, load_edge_list
-from .oracle import DEFAULT_GUARD, MODE_SIZES, GuardExceededError, exact_orbit_degrees
+from .oracle import DEFAULT_GUARD, GuardExceededError, exact_orbit_degrees
 from .orbits import orbit_table
 from .report import dumps, report_to_dict, write_report_csv
 from .samplers import METHOD_ORDER, CannotSampleError
@@ -122,7 +122,6 @@ def _build_parser() -> _Parser:
         "bench", parents=[out_opts], help="sampling throughput micro-benchmark"
     )
     p_bench.add_argument("--graph", default=None, help="edge-list file (else generated)")
-    p_bench.add_argument("--directed", action="store_true")
     p_bench.add_argument("--nodes", type=int, default=100_000)
     p_bench.add_argument("--avg-degree", type=float, default=10.0)
     p_bench.add_argument("--seed", type=int, default=0)
@@ -154,7 +153,7 @@ def _budget_from_args(args) -> BudgetConfig:
     else:
         raise _UsageError("need --budget or --budget-split")
     try:
-        budget.resolve(MODE_ROUTES[args.mode])
+        budget.resolve(MODES[args.mode].routes)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     return budget
@@ -211,7 +210,7 @@ def _cmd_exact(args) -> int:
     _check_mode(g, args.mode)
     v = _pick_node(g, args)
     counts = exact_orbit_degrees(
-        g, v, guard=args.oracle_guard, sizes=MODE_SIZES[args.mode]
+        g, v, guard=args.oracle_guard, sizes=MODES[args.mode].sizes
     )
     mapping = counts.undirected if args.mode == "undirected" else counts.directed3
     report = OrbitReport(
@@ -307,8 +306,15 @@ def _cmd_orbit_table(args) -> int:
 def _cmd_bench(args) -> int:
     if args.draws < 1:
         raise _UsageError(f"--draws must be at least 1, got {args.draws}")
+    if args.nodes < 2:
+        raise _UsageError(f"--nodes must be at least 2, got {args.nodes}")
+    if not 0 < args.avg_degree <= args.nodes - 1:
+        raise _UsageError(
+            f"--avg-degree must be positive and at most --nodes - 1, "
+            f"got {args.avg_degree}"
+        )
     if args.graph is not None:
-        g = load_edge_list(args.graph, directed=args.directed)
+        g = load_edge_list(args.graph)
     else:
         g = sparse_random_graph(args.nodes, args.avg_degree, args.seed)
     v = int(np.argmax(g.degrees))

@@ -23,13 +23,14 @@ An orbit that no route defined at the node reaches (``D_i = 0``) is
 structurally zero and tagged ``exact``.  Otherwise its tag names its route,
 or is ``combined`` when several routes reach it.
 
-The undirected pipeline runs routes R32, R41 and R42 and recovers orbits 2,
-4 and 7, which none of them reaches, from exact identities against the
-node's normalizers.  Those keep their raw, possibly negative value;
-``Estimate.clamped`` gives the floored convenience value.  The directed
-pipeline runs R31 and R32 for the thirty 3-node directed orbits; a route's
+The undirected mode runs routes R32, R41 and R42 and recovers orbits 2, 4
+and 7, which none of them reaches, from exact identities against the node's
+normalizers.  Those keep their raw, possibly negative value;
+``Estimate.clamped`` gives the floored convenience value.  The directed3
+mode runs R31 and R32 for the thirty 3-node directed orbits; a route's
 probability for a directed orbit is its probability for the orbit's
-undirected shape.
+undirected shape.  :data:`MODES` holds what the rest of the package needs
+to know of each mode.
 """
 
 from __future__ import annotations
@@ -43,13 +44,27 @@ from .graph import AnchorContext, Graph
 from .orbits import UNORBIT, TRIPLE_IDENTITY, WALK_IDENTITY, WEDGE_IDENTITY
 from .samplers import bias_vector, route_defined, tally_orbits
 
-# Each mode's routes, in pipeline (and budget split) order.
-MODE_ROUTES = {"undirected": ("R32", "R41", "R42"), "directed3": ("R31", "R32")}
 
-# For each orbit id of a mode's tallies, the orbit whose bias entry applies.
-_SHAPE = {
-    "undirected": tuple(range(15)),
-    "directed3": (0,) + tuple(UNORBIT[i] for i in range(1, 31)),
+@dataclass(frozen=True)
+class Mode:
+    """What one estimation mode draws, reports and enumerates."""
+
+    routes: tuple[str, ...]  # in pipeline (and budget split) order
+    orbits: tuple[int, ...]  # the orbit ids a report carries
+    shape: tuple[int, ...]  # per tally index, the orbit whose bias applies
+    sizes: tuple[int, ...]  # the subgraph sizes the oracle enumerates
+
+
+MODES = {
+    "undirected": Mode(
+        ("R32", "R41", "R42"), tuple(range(15)), tuple(range(15)), (3, 4)
+    ),
+    "directed3": Mode(
+        ("R31", "R32"),
+        tuple(range(1, 31)),
+        (0,) + tuple(UNORBIT[i] for i in range(1, 31)),
+        (3,),
+    ),
 }
 
 # The orbits R41 and R42 reach, whose pairwise covariances the undirected
@@ -162,98 +177,64 @@ def covariance(pooled: PooledHits) -> np.ndarray:
     return cov
 
 
-def _tally_routes(
-    g: Graph, ctx: AnchorContext, mode: str, budget: BudgetConfig, seed: int | None
-):
-    """Per-route draw counts of the mode's routes, and the pooled estimates
-    from those defined at the context's anchor; each route has its own
-    spawned stream and all share the context."""
-    st, v = ctx.stats, ctx.v
-    methods = MODE_ROUTES[mode]
-    ks = budget.resolve(methods)
-    streams = np.random.SeedSequence(seed).spawn(len(methods))
-    directed = mode == "directed3"
-    shape = _SHAPE[mode]
-    routes, hits, probs = [], [], []
-    for m, stream in zip(methods, streams):
-        if route_defined(m, st):
-            rng = np.random.default_rng(stream)
-            hits.append(tally_orbits(g, v, m, ks[m], rng, directed, ctx))
-            bias = bias_vector(m, st)
-            probs.append([bias.get(s, 0.0) for s in shape])
-            routes.append(m)
-    size = (len(routes), len(shape))
-    draws = np.array([ks[m] for m in routes])
-    return ks, pool_hits(routes, draws, np.reshape(hits, size), np.reshape(probs, size))
-
-
-def estimate_undirected(
-    g: Graph, v: int, budget: BudgetConfig, seed: int | None = None
-) -> OrbitReport:
-    """Estimate all fourteen undirected orbit degrees of ``v``.
-
-    Orbits 2, 4 and 7 come from the identity relations and may carry a
-    (noise-induced) negative raw value.
-    """
-    ctx = AnchorContext(g, v)
-    st = ctx.stats
-    ks, pooled = _tally_routes(g, ctx, "undirected", budget, seed)
-    cov = covariance(pooled)
-    est = pooled.estimates(range(15))
-    est[0] = Estimate(float(st.degree), 0.0, "exact")
-
-    def identity(terms: dict[int, int], solved: int, total: int) -> Estimate:
-        """The solved orbit's value from the identity's total and other
-        terms, with the variance of those terms."""
-        c = np.zeros(len(pooled.values))
-        for i, coef in terms.items():
-            if i != solved:
-                c[i] = coef
-        value = total - float(c @ pooled.values)
-        return Estimate(value, max(float(c @ cov @ c), 0.0), "identity")
-
-    est[2] = identity(WEDGE_IDENTITY, 2, st.wedges)
-    est[4] = identity(WALK_IDENTITY, 4, st.three_walks)
-    est[7] = identity(TRIPLE_IDENTITY, 7, st.triples)
-
-    rows = cov.tolist()
-    return OrbitReport(
-        node=v,
-        mode="undirected",
-        budgets=ks,
-        seed=seed,
-        estimates=est,
-        covariances={(i, j): rows[i][j] for i, j in combinations(_COV_ORBITS, 2)},
-    )
-
-
-def estimate_directed3(
-    g: Graph, v: int, budget: BudgetConfig, seed: int | None = None
-) -> OrbitReport:
-    """Estimate the thirty 3-node directed orbit degrees of ``v``.
-
-    Path-centre orbits come from R31, path-end orbits from R32 and triangle
-    orbits from both.
-    """
-    if not g.directed:
-        raise ValueError("directed estimation needs a directed graph")
-    ks, pooled = _tally_routes(g, AnchorContext(g, v), "directed3", budget, seed)
-    return OrbitReport(
-        node=v,
-        mode="directed3",
-        budgets=ks,
-        seed=seed,
-        estimates=pooled.estimates(range(1, 31)),
-        covariances={},
-    )
-
-
 def estimate_orbit_degrees(
     g: Graph, v: int, mode: str, budget: BudgetConfig, seed: int | None = None
 ) -> OrbitReport:
-    """Dispatch to the undirected or directed pipeline by ``mode``."""
-    if mode == "undirected":
-        return estimate_undirected(g, v, budget, seed)
-    if mode == "directed3":
-        return estimate_directed3(g, v, budget, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    """Estimate the orbit degrees of ``v`` that ``mode`` reports.
+
+    Each of the mode's routes defined at ``v`` draws from its own spawned
+    stream, and all share one anchor context.  Undirected mode reports all
+    fifteen orbits; 2, 4 and 7 come from the identity relations and may
+    carry a (noise-induced) negative raw value.  Directed3 mode reports the
+    thirty 3-node directed orbits: path centres from R31, path ends from
+    R32 and triangles from both.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    directed = mode == "directed3"
+    if directed and not g.directed:
+        raise ValueError("directed estimation needs a directed graph")
+    spec = MODES[mode]
+    ctx = AnchorContext(g, v)
+    st = ctx.stats
+    ks = budget.resolve(spec.routes)
+    streams = np.random.SeedSequence(seed).spawn(len(spec.routes))
+    routes, hits, probs = [], [], []
+    for m, stream in zip(spec.routes, streams):
+        if route_defined(m, st):
+            rng = np.random.default_rng(stream)
+            hits.append(tally_orbits(g, ctx, m, ks[m], rng, directed))
+            bias = bias_vector(m, st)
+            probs.append([bias.get(s, 0.0) for s in spec.shape])
+            routes.append(m)
+    size = (len(routes), len(spec.shape))
+    draws = np.array([ks[m] for m in routes])
+    pooled = pool_hits(routes, draws, np.reshape(hits, size), np.reshape(probs, size))
+    est = pooled.estimates(spec.orbits)
+    covariances = {}
+    if not directed:
+        cov = covariance(pooled)
+        est[0] = Estimate(float(st.degree), 0.0, "exact")
+        # Each identity solved for its orbit, from its total and other
+        # terms, with the variance of those terms.
+        for terms, solved, total in (
+            (WEDGE_IDENTITY, 2, st.wedges),
+            (WALK_IDENTITY, 4, st.three_walks),
+            (TRIPLE_IDENTITY, 7, st.triples),
+        ):
+            c = np.zeros(len(pooled.values))
+            for i, coef in terms.items():
+                if i != solved:
+                    c[i] = coef
+            value = total - float(c @ pooled.values)
+            est[solved] = Estimate(value, max(float(c @ cov @ c), 0.0), "identity")
+        rows = cov.tolist()
+        covariances = {(i, j): rows[i][j] for i, j in combinations(_COV_ORBITS, 2)}
+    return OrbitReport(
+        node=v,
+        mode=mode,
+        budgets=ks,
+        seed=seed,
+        estimates=est,
+        covariances=covariances,
+    )

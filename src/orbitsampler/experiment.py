@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import MODE_ROUTES, BudgetConfig, estimate_orbit_degrees
-from .graph import Graph
+from .estimators import MODES, BudgetConfig, estimate_orbit_degrees
+from .graph import AnchorContext, Graph
 from .metrics import l1_l2, nrmse, topk_detection
-from .oracle import DEFAULT_GUARD, MODE_SIZES, GuardExceededError, exact_orbit_degrees
+from .oracle import DEFAULT_GUARD, GuardExceededError, exact_orbit_degrees
 from .samplers import draw_batch
 
 TOPK_LEVELS = (5, 10, 15)
@@ -89,11 +89,16 @@ class EvalReport:
         )
 
 
-def _orbit_ids(mode: str) -> list[int]:
-    return list(range(15)) if mode == "undirected" else list(range(1, 31))
+def _one_run(
+    g: Graph, v: int, mode: str, budget: BudgetConfig, run_seed: int
+) -> tuple[list[float], float]:
+    start = time.perf_counter()
+    report = estimate_orbit_degrees(g, v, mode, budget, seed=run_seed)
+    elapsed = time.perf_counter() - start
+    return [report.estimates[i].value for i in MODES[mode].orbits], elapsed
 
 
-# Worker globals set once per process by the pool initializer; forked
+# Worker globals set once per pool process by its initializer; forked
 # processes inherit the graph without pickling it per task.
 _CTX: dict = {}
 
@@ -102,13 +107,8 @@ def _init_worker(g: Graph, v: int, mode: str, budget: BudgetConfig) -> None:
     _CTX["args"] = (g, v, mode, budget)
 
 
-def _one_run(run_seed: int) -> tuple[list[float], float]:
-    g, v, mode, budget = _CTX["args"]
-    start = time.perf_counter()
-    report = estimate_orbit_degrees(g, v, mode, budget, seed=run_seed)
-    elapsed = time.perf_counter() - start
-    ids = _orbit_ids(mode)
-    return [report.estimates[i].value for i in ids], elapsed
+def _pool_run(run_seed: int) -> tuple[list[float], float]:
+    return _one_run(*_CTX["args"], run_seed)
 
 
 def run_pipeline_matrix(
@@ -123,14 +123,13 @@ def run_pipeline_matrix(
     """Per-run estimate vectors, shape (runs, orbits), plus per-run seconds."""
     run_seeds = [seed + i for i in range(runs)]
     if workers <= 1:
-        _init_worker(g, v, mode, budget)
-        results = [_one_run(s) for s in run_seeds]
+        results = [_one_run(g, v, mode, budget, s) for s in run_seeds]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(
             processes=workers, initializer=_init_worker, initargs=(g, v, mode, budget)
         ) as pool:
-            results = pool.map(_one_run, run_seeds)
+            results = pool.map(_pool_run, run_seeds)
     matrix = np.array([vec for vec, _ in results], dtype=float)
     times = [t for _, t in results]
     return matrix, times
@@ -154,21 +153,22 @@ def run_experiment(
     """
     if runs < 2:
         raise ValueError("experiments need at least two runs")
-    ids = _orbit_ids(mode)
     matrix, times = run_pipeline_matrix(g, v, mode, budget, runs, seed, workers)
+    spec = MODES[mode]
+    ids = spec.orbits
     means = matrix.mean(axis=0)
     report = EvalReport(
         node=v,
         mode=mode,
         runs=runs,
-        budgets=budget.resolve(MODE_ROUTES[mode]),
+        budgets=budget.resolve(spec.routes),
         seed=seed,
         mean_estimates={i: float(m) for i, m in zip(ids, means)},
         wall_clock_per_run=times if with_timings else None,
     )
 
     try:
-        counts = exact_orbit_degrees(g, v, guard=oracle_guard, sizes=MODE_SIZES[mode])
+        counts = exact_orbit_degrees(g, v, guard=oracle_guard, sizes=spec.sizes)
     except GuardExceededError:
         return report
 
@@ -206,9 +206,13 @@ def run_experiment(
 def measure_sample_time(
     g: Graph, v: int, method: str, draws: int = 10_000, seed: int = 0
 ) -> float:
-    """Seconds per draw of one route, from a warmed batch measurement."""
+    """Seconds per draw of one route, from a warmed batch measurement.
+
+    The anchor context (and with it ``two_paths_all``) is built untimed.
+    """
+    ctx = AnchorContext(g, v)
     rng = np.random.default_rng(seed)
-    draw_batch(g, v, method, min(draws, 1000), rng)  # builds two_paths_all untimed
+    draw_batch(g, ctx, method, min(draws, 1000), rng)  # untimed warm-up
     start = time.perf_counter()
-    draw_batch(g, v, method, draws, rng)
+    draw_batch(g, ctx, method, draws, rng)
     return (time.perf_counter() - start) / draws

@@ -40,10 +40,17 @@ def sparse_random_graph(n: int, avg_degree: float, seed: int) -> Graph:
     """Uniform random graph with about ``n * avg_degree / 2`` distinct edges.
 
     Pair sampling with rejection; intended for large sparse benchmark
-    graphs where per-pair Bernoulli draws would not fit in memory.
+    graphs where per-pair Bernoulli draws would not fit in memory.  Raises
+    ``ValueError`` when ``n < 2`` or the edge count exceeds the number of
+    node pairs, where rejection would never finish.
     """
-    rng = np.random.default_rng(seed)
     m = int(round(n * avg_degree / 2))
+    if n < 2 or m > n * (n - 1) // 2:
+        raise ValueError(
+            f"need 2 or more nodes and at most n(n-1)/2 edges, got {n} nodes "
+            f"and {m} edges"
+        )
+    rng = np.random.default_rng(seed)
     keys = np.empty(0, dtype=np.int64)
     while len(keys) < m:
         k = 2 * (m - len(keys)) + 16

@@ -33,9 +33,6 @@ from .orbits import (
 
 DEFAULT_GUARD = 10**6
 
-# The subgraph sizes each mode's orbits need: directed orbits are 3-node.
-MODE_SIZES = {"undirected": (3, 4), "directed3": (3,)}
-
 
 class GuardExceededError(RuntimeError):
     """Anchor's neighbourhood implies more candidate subgraphs than allowed."""
@@ -139,7 +136,7 @@ def exact_orbit_degrees(
     For directed graphs the 30-orbit directed vector is computed alongside.
     ``sizes`` restricts which subgraph sizes are enumerated, and the guard
     bounds only those (directed orbits only need size 3, see
-    :data:`MODE_SIZES`).
+    :data:`orbitsampler.estimators.MODES`).
 
     Classification here works on plain adjacency sets rather than going
     through :func:`classify_undirected`, purely for speed; the two paths are

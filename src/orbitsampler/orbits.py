@@ -33,9 +33,6 @@ import numpy as np
 
 from .graph import MUTUAL, AnchorContext, Graph, GraphError
 
-UNDIRECTED_ORBITS = tuple(range(15))
-DIRECTED_ORBITS = tuple(range(1, 31))
-
 END_IDS = (2, 4, 5, 7, 9, 10, 12, 13, 15)
 CENTER_IDS = (1, 3, 6, 8, 11, 14)
 TRIANGLE_IDS = tuple(range(16, 31))
@@ -185,8 +182,7 @@ def classify_directed3(g: Graph, anchor: int, members: Iterable[int]) -> int:
 
 
 def classify_wedge_batch(
-    g: Graph, v: int, u: np.ndarray, w: np.ndarray, directed: bool,
-    ctx: AnchorContext | None = None,
+    g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray, directed: bool
 ) -> np.ndarray:
     """Orbits for draws of the form (v; u, w) with u, w both neighbours of v."""
     tri = g.has_edges(u, w)
@@ -194,9 +190,8 @@ def classify_wedge_batch(
         return np.where(tri, 3, 2)
     if not g.directed:
         raise GraphError("directed classification requires direction labels")
-    code = (ctx or AnchorContext(g, v)).code
-    a = code[u].astype(np.int64)
-    b = code[w].astype(np.int64)
+    a = ctx.code[u].astype(np.int64)
+    b = ctx.code[w].astype(np.int64)
     out = _CENTER_LUT[a, b]
     if tri.any():
         c = g.direction_codes(u[tri], w[tri]).astype(np.int64)
@@ -205,11 +200,10 @@ def classify_wedge_batch(
 
 
 def classify_chain_batch(
-    g: Graph, v: int, u: np.ndarray, w: np.ndarray, directed: bool,
-    ctx: AnchorContext | None = None,
+    g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray, directed: bool
 ) -> np.ndarray:
     """Orbits for draws of the form v - u - w with w drawn around u."""
-    code = (ctx or AnchorContext(g, v)).code
+    code = ctx.code
     tri = code[w] != 0
     if not directed:
         return np.where(tri, 3, 1)
@@ -255,8 +249,8 @@ def _quad_lut(method: str) -> np.ndarray:
 
 
 def classify_quad_batch(
-    g: Graph, method: str, v: int, u: np.ndarray, w: np.ndarray, r: np.ndarray,
-    ctx: AnchorContext | None = None,
+    g: Graph, method: str, ctx: AnchorContext, u: np.ndarray, w: np.ndarray,
+    r: np.ndarray,
 ) -> np.ndarray:
     """Undirected orbits for 4-node draws of one sampling route.
 
@@ -264,7 +258,7 @@ def classify_quad_batch(
     is what the coincidence w == r (route R41) or r == v (route R43) always
     induces.
     """
-    code = (ctx or AnchorContext(g, v)).code
+    code = ctx.code
     cols = {"u": u, "w": w, "r": r}
     bits = np.zeros(len(u), dtype=np.int64)
     for a, b in _QUAD_UNKNOWN[method]:
@@ -277,7 +271,7 @@ def classify_quad_batch(
     if method == "R41":
         out[w == r] = 3
     elif method == "R43":
-        out[r == v] = 3
+        out[r == ctx.v] = 3
     return out
 
 
@@ -291,7 +285,7 @@ def orbit_table() -> list[dict]:
         by_id[oid] = ("path-center", pair)
     for tri, oid in TRIANGLE_RANK.items():
         by_id[oid] = ("triangle", tri)
-    for oid in DIRECTED_ORBITS:
+    for oid in sorted(by_id):
         cls, codes = by_id[oid]
         rows.append(
             {

@@ -36,9 +36,10 @@ routes keep the index ``iu`` of the neighbour they drew, so the position of
 v in the list of u is the gather ``back[iu]``, and the classifiers test
 pairs (v, x) by gathering the context's code array.  Only pairs without the
 anchor (R43's step from w back past u, and the (u, w), (u, r), (w, r)
-classification tests) search the graph's edge keys.  :func:`tally_orbits`
-builds one context and hands it to both the draws and the classification;
-the batch functions build their own when called without one.
+classification tests) search the graph's edge keys.  The batch functions
+take the context in place of the anchor's id; :func:`sample_members` builds
+one from a node id, and :func:`tally_orbits` hands its caller's context to
+both the draws and the classification.
 """
 
 from __future__ import annotations
@@ -206,14 +207,10 @@ _BATCHERS = {
 
 
 def draw_batch(
-    g: Graph, v: int, method: str, k: int, rng: np.random.Generator,
-    ctx: AnchorContext | None = None,
+    g: Graph, ctx: AnchorContext, method: str, k: int, rng: np.random.Generator
 ):
-    """Draw ``k`` subgraphs at once; returns the member columns after v.
-
-    ``ctx`` is the anchor context of ``v``; one is built when it is absent.
-    """
-    ctx = ctx or AnchorContext(g, v)
+    """Draw ``k`` subgraphs at once around the context's anchor; returns the
+    member columns after the anchor."""
     _require_route(method, ctx.stats)
     return _BATCHERS[method](g, ctx, k, rng)
 
@@ -226,7 +223,7 @@ def sample_members(
     Degenerate draws repeat a member; callers that need sets should
     deduplicate per row.
     """
-    cols = draw_batch(g, v, method, k, rng)
+    cols = draw_batch(g, AnchorContext(g, v), method, k, rng)
     out = np.empty((k, 1 + len(cols)), dtype=np.int64)
     out[:, 0] = v
     for i, c in enumerate(cols):
@@ -235,23 +232,22 @@ def sample_members(
 
 
 def tally_orbits(
-    g: Graph, v: int, method: str, k: int, rng: np.random.Generator,
-    directed: bool = False, ctx: AnchorContext | None = None,
+    g: Graph, ctx: AnchorContext, method: str, k: int, rng: np.random.Generator,
+    directed: bool = False,
 ) -> np.ndarray:
     """Histogram of anchor orbits over ``k`` draws of one route.
 
     Undirected tallies have length 15 (index = orbit id); directed tallies
     have length 31 and are only defined for the 3-node routes.  Draws and
-    classification share the anchor context ``ctx`` (built when absent).
+    classification share the anchor context ``ctx``.
     """
-    ctx = ctx or AnchorContext(g, v)
-    cols = draw_batch(g, v, method, k, rng, ctx)
+    cols = draw_batch(g, ctx, method, k, rng)
     if method == "R31":
-        orbits = classify_wedge_batch(g, v, cols[0], cols[1], directed, ctx)
+        orbits = classify_wedge_batch(g, ctx, cols[0], cols[1], directed)
     elif method == "R32":
-        orbits = classify_chain_batch(g, v, cols[0], cols[1], directed, ctx)
+        orbits = classify_chain_batch(g, ctx, cols[0], cols[1], directed)
     else:
         if directed:
             raise ValueError(f"{method} tallies are undirected only")
-        orbits = classify_quad_batch(g, method, v, *cols, ctx)
+        orbits = classify_quad_batch(g, method, ctx, *cols)
     return np.bincount(orbits, minlength=31 if directed else 15)

@@ -75,8 +75,8 @@ def route_tallies(monkeypatch) -> list:
     seen = []
     tally = estimators.tally_orbits
 
-    def spy(g, v, method, k, *args):
-        out = tally(g, v, method, k, *args)
+    def spy(g, ctx, method, k, *args):
+        out = tally(g, ctx, method, k, *args)
         seen.append((method, k, out))
         return out
 

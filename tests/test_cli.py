@@ -1,8 +1,10 @@
 """CLI, experiment harness, and report serialization tests."""
 
 import csv
+import gc
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from orbitsampler.cli import main
 from orbitsampler.generators import gnp
 from orbitsampler.metrics import nrmse
 from orbitsampler.report import dumps, loads, report_from_dict, report_to_dict
-from orbitsampler.estimators import estimate_undirected
+from orbitsampler.estimators import estimate_orbit_degrees
 
 from conftest import complete_graph, pooled_value
 
@@ -143,6 +145,13 @@ def test_usage_errors(graph_file, capsys):
     assert main(ev + ["--workers", "-2"]) == 1
     assert main(ev + ["--oracle-guard", "-1"]) == 1
     assert main(["exact", *est[1:], "--oracle-guard", "-1"]) == 1
+    # graph sizes no generated graph can have, checked before generating
+    bench = ["bench", "--draws", "10"]
+    assert main(bench + ["--nodes", "4", "--avg-degree", "10"]) == 1
+    assert main(bench + ["--nodes", "1"]) == 1
+    assert main(bench + ["--avg-degree", "0"]) == 1
+    assert main(bench + ["--avg-degree", "-2"]) == 1
+    assert main(bench + ["--directed"]) == 1  # no such option
 
 
 def test_evaluate_deterministic_across_workers(graph_file, tmp_path):
@@ -271,11 +280,21 @@ def test_id_map_flag(graph_file, tmp_path):
 def test_report_roundtrip():
     g = gnp(30, 0.2, seed=4)
     v = int(np.argmax(g.degrees))
-    rep = estimate_undirected(g, v, BudgetConfig(total=600), seed=9)
+    rep = estimate_orbit_degrees(g, v, "undirected", BudgetConfig(total=600), seed=9)
     data = loads(dumps(report_to_dict(rep)))
     back = report_from_dict(data)
     assert back == rep
     assert dumps(report_to_dict(back)) == dumps(report_to_dict(rep))
+
+
+def test_serial_run_experiment_releases_graph():
+    g = gnp(30, 0.2, seed=4)
+    v = int(np.argmax(g.degrees))
+    run_experiment(g, v, "undirected", BudgetConfig(total=300), runs=2, seed=0)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_eval_report_roundtrip():

@@ -13,9 +13,7 @@ from orbitsampler import (
     Estimate,
     PooledHits,
     covariance,
-    estimate_directed3,
     estimate_orbit_degrees,
-    estimate_undirected,
     exact_orbit_degrees,
     pool_hits,
 )
@@ -168,7 +166,7 @@ def test_covariance_zero_estimate_and_unsupported():
 
 
 def test_pipeline_k4_deterministic(k4, route_tallies):
-    rep = estimate_undirected(k4, 0, BudgetConfig(total=300), seed=11)
+    rep = estimate_orbit_degrees(k4, 0, "undirected", BudgetConfig(total=300), seed=11)
     vals = {i: e.value for i, e in rep.estimates.items()}
     st_v = k4.stats(0)
     # orbits 3 and 14 pool R32/R41 and R41/R42 hits respectively
@@ -184,7 +182,7 @@ def test_pipeline_k4_deterministic(k4, route_tallies):
 
 
 def test_pipeline_star_center(star4):
-    rep = estimate_undirected(star4, 0, BudgetConfig(total=30), seed=1)
+    rep = estimate_orbit_degrees(star4, 0, "undirected", BudgetConfig(total=30), seed=1)
     est = rep.estimates
     assert est[1].value == 0.0 and est[1].source == "exact"
     assert est[3].value == 0.0 and est[3].source == "exact"
@@ -193,7 +191,7 @@ def test_pipeline_star_center(star4):
 
 
 def test_pipeline_path_end(path4):
-    rep = estimate_undirected(path4, 0, BudgetConfig(total=30), seed=1)
+    rep = estimate_orbit_degrees(path4, 0, "undirected", BudgetConfig(total=30), seed=1)
     assert rep.estimates[1].value == pytest.approx(1.0)
     assert rep.estimates[4].value == pytest.approx(1.0)
     assert rep.estimates[4].source == "identity"
@@ -204,7 +202,9 @@ def test_identity_closure_on_random_graph():
     v = int(np.argmax(g.degrees))
     st_v = g.stats(v)
     for seed in range(5):
-        rep = estimate_undirected(g, v, BudgetConfig(total=900), seed=seed)
+        rep = estimate_orbit_degrees(
+            g, v, "undirected", BudgetConfig(total=900), seed=seed
+        )
         est = rep.estimates
         # construction-level identities hold exactly
         assert est[2].value == st_v.wedges - est[3].value
@@ -227,7 +227,7 @@ def test_identity_closure_on_random_graph():
 def test_report_covariance_pairs_complete():
     g = gnp(40, 0.15, seed=8)
     v = int(np.argmax(g.degrees))
-    rep = estimate_undirected(g, v, BudgetConfig(total=900), seed=0)
+    rep = estimate_orbit_degrees(g, v, "undirected", BudgetConfig(total=900), seed=0)
     expected_pairs = {
         (i, j)
         for i in (3, 5, 6, 8, 9, 10, 11, 12, 13, 14)
@@ -240,10 +240,10 @@ def test_report_covariance_pairs_complete():
 def test_pipeline_seed_determinism():
     g = gnp(30, 0.2, seed=2)
     v = int(np.argmax(g.degrees))
-    r1 = estimate_undirected(g, v, BudgetConfig(total=600), seed=5)
-    r2 = estimate_undirected(g, v, BudgetConfig(total=600), seed=5)
+    r1 = estimate_orbit_degrees(g, v, "undirected", BudgetConfig(total=600), seed=5)
+    r2 = estimate_orbit_degrees(g, v, "undirected", BudgetConfig(total=600), seed=5)
     assert r1 == r2
-    r3 = estimate_undirected(g, v, BudgetConfig(total=600), seed=6)
+    r3 = estimate_orbit_degrees(g, v, "undirected", BudgetConfig(total=600), seed=6)
     assert any(
         r1.estimates[i].value != r3.estimates[i].value for i in range(1, 15)
     )
@@ -252,11 +252,13 @@ def test_pipeline_seed_determinism():
 def test_directed_pipeline_forced():
     arcs = [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]
     g = Graph.from_edges(arcs, directed=True)
-    rep = estimate_directed3(g, 0, BudgetConfig(total=100), seed=4)
+    rep = estimate_orbit_degrees(g, 0, "directed3", BudgetConfig(total=100), seed=4)
     vals = {i: e.value for i, e in rep.estimates.items() if e.value != 0}
     assert vals == {30: pytest.approx(1.0)}
     out_star = Graph.from_edges([(0, 1), (0, 2)], directed=True)
-    rep = estimate_directed3(out_star, 0, BudgetConfig(total=50), seed=4)
+    rep = estimate_orbit_degrees(
+        out_star, 0, "directed3", BudgetConfig(total=50), seed=4
+    )
     vals = {i: e.value for i, e in rep.estimates.items() if e.value != 0}
     assert vals == {1: pytest.approx(1.0)}
 
@@ -265,7 +267,7 @@ def test_directed_pipeline_no_two_paths():
     # anchor with neighbour pairs but no two-edge walks: triangles and path
     # ends are structurally impossible, centres still estimated
     g = Graph.from_edges([(0, 1), (0, 2), (2, 0)], directed=True)
-    rep = estimate_directed3(g, 0, BudgetConfig(total=60), seed=2)
+    rep = estimate_orbit_degrees(g, 0, "directed3", BudgetConfig(total=60), seed=2)
     st_v = g.stats(0)
     assert st_v.two_paths == 0 and st_v.wedges == 1
     for i, e in rep.estimates.items():
@@ -283,14 +285,14 @@ def test_directed_pipeline_no_two_paths():
 
 def test_directed_pipeline_requires_directed_graph(k4):
     with pytest.raises(ValueError):
-        estimate_directed3(k4, 0, BudgetConfig(total=10), seed=0)
+        estimate_orbit_degrees(k4, 0, "directed3", BudgetConfig(total=10), seed=0)
     with pytest.raises(ValueError):
         estimate_orbit_degrees(k4, 0, "bogus", BudgetConfig(total=10), seed=0)
 
 
 def test_pipeline_isolated_node():
     g = Graph.from_edges([(0, 1)], node_count=3)
-    rep = estimate_undirected(g, 2, BudgetConfig(total=30), seed=0)
+    rep = estimate_orbit_degrees(g, 2, "undirected", BudgetConfig(total=30), seed=0)
     assert all(e.value == 0.0 for i, e in rep.estimates.items())
     assert all(e.variance == 0.0 for e in rep.estimates.values())
 
@@ -303,7 +305,9 @@ def test_unbiasedness_smoke():
     counts = exact_orbit_degrees(g, v).undirected
     mats = []
     for seed in range(300):
-        rep = estimate_undirected(g, v, BudgetConfig(total=1500), seed=seed)
+        rep = estimate_orbit_degrees(
+            g, v, "undirected", BudgetConfig(total=1500), seed=seed
+        )
         mats.append([rep.estimates[i].value for i in range(15)])
     mat = np.asarray(mats)
     for i in (1, 5, 6):
@@ -349,7 +353,9 @@ def test_identity_orbit_variances_from_reported_covariances():
         g = gnp(40, 0.2, seed=gseed)
         v = int(np.argmax(g.degrees))
         for seed in range(4):
-            rep = estimate_undirected(g, v, BudgetConfig(total=900), seed=seed)
+            rep = estimate_orbit_degrees(
+                g, v, "undirected", BudgetConfig(total=900), seed=seed
+            )
             for orbit, terms in ((4, walk), (7, triple)):
                 expected = _identity_variance(rep, terms)
                 assert rep.estimates[orbit].variance == pytest.approx(
@@ -359,11 +365,13 @@ def test_identity_orbit_variances_from_reported_covariances():
     assert checked >= 12  # the covariance terms are exercised, not all zero
 
 
-def _count_calls(monkeypatch, module, name, counts):
+def _count_calls(monkeypatch, module, name, counts, calls=None):
     fn = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         counts[name] = counts.get(name, 0) + 1
+        if calls is not None:
+            calls.append((name, args))
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -371,16 +379,19 @@ def _count_calls(monkeypatch, module, name, counts):
 
 def test_pipelines_call_layers_through_module_attributes(monkeypatch):
     # Per-layer tracing wraps these module attributes; a pipeline that
-    # captured the functions themselves would bypass the wrappers.
+    # captured the functions themselves would bypass the wrappers.  The
+    # tracer also reads arguments by position: the route name and draw
+    # count of draw_batch (2 and 3), the route of classify_quad_batch (1).
     from orbitsampler import estimators, samplers
     from orbitsampler.generators import gnp_directed
 
     counts: dict[str, int] = {}
+    calls: list[tuple[str, tuple]] = []
     for name in (
         "draw_batch", "classify_wedge_batch", "classify_chain_batch",
         "classify_quad_batch",
     ):
-        _count_calls(monkeypatch, samplers, name, counts)
+        _count_calls(monkeypatch, samplers, name, counts, calls)
     for name in ("tally_orbits", "covariance"):
         _count_calls(monkeypatch, estimators, name, counts)
     # the anchor's statistics are computed once per estimate, in its
@@ -389,20 +400,37 @@ def test_pipelines_call_layers_through_module_attributes(monkeypatch):
         _count_calls(monkeypatch, Graph, name, counts)
 
     g = gnp(40, 0.2, seed=8)
-    estimate_undirected(g, int(np.argmax(g.degrees)), BudgetConfig(total=300), 1)
+    estimate_orbit_degrees(
+        g, int(np.argmax(g.degrees)), "undirected", BudgetConfig(total=300), 1
+    )
     assert counts == {
         "draw_batch": 3, "classify_chain_batch": 1, "classify_quad_batch": 2,
         "tally_orbits": 3, "covariance": 1,
         "stats": 1, "acc_degree": 2, "acc_wedge": 1,
     }
+    assert _traced_positions(calls) == (
+        [("R32", 100), ("R41", 100), ("R42", 100)], ["R41", "R42"]
+    )
 
     counts.clear()
+    calls.clear()
     dg = gnp_directed(30, 0.2, seed=9)
-    estimate_directed3(dg, int(np.argmax(dg.degrees)), BudgetConfig(total=300), 1)
+    estimate_orbit_degrees(
+        dg, int(np.argmax(dg.degrees)), "directed3", BudgetConfig(total=300), 1
+    )
     assert counts == {
         "draw_batch": 2, "classify_wedge_batch": 1, "classify_chain_batch": 1,
         "tally_orbits": 2, "stats": 1, "acc_degree": 1,
     }
+    assert _traced_positions(calls) == ([("R31", 150), ("R32", 150)], [])
+
+
+def _traced_positions(calls):
+    """(route, draws) of each draw_batch call and the route of each
+    classify_quad_batch call, read at the positions the tracer reads."""
+    draws = [(args[2], args[3]) for name, args in calls if name == "draw_batch"]
+    quads = [args[1] for name, args in calls if name == "classify_quad_batch"]
+    return draws, quads
 
 
 def test_anchor_sweep_retains_no_per_anchor_state():
@@ -410,13 +438,13 @@ def test_anchor_sweep_retains_no_per_anchor_state():
     # computed for one anchor may stay behind on the shared graph
     g = sparse_random_graph(3000, 6.0, seed=4)
     budget = BudgetConfig(total=30)
-    estimate_undirected(g, 2999, budget, 0)  # builds two_paths_all
+    estimate_orbit_degrees(g, 2999, "undirected", budget, 0)  # builds two_paths_all
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for v in range(2000):
-            estimate_undirected(g, v, budget, v)
+            estimate_orbit_degrees(g, v, "undirected", budget, v)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:

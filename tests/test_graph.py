@@ -16,7 +16,7 @@ from orbitsampler import (
     ParseError,
     load_edge_list,
 )
-from orbitsampler.generators import gnp, preferential_attachment
+from orbitsampler.generators import gnp, preferential_attachment, sparse_random_graph
 from orbitsampler.graph import IN, MUTUAL, OUT, AnchorContext
 
 from conftest import naive_node_stats
@@ -165,6 +165,14 @@ def test_from_edges_rejects_out_of_range_ids():
         Graph.from_edges([(0, 5)], node_count=3)
     with pytest.raises(GraphError):
         Graph.from_edges([(-2, 1)])
+
+
+def test_sparse_random_graph_rejects_impossible_edge_counts():
+    # more edges than node pairs, or no pair at all: rejection never ends
+    for n, avg_degree in ((4, 10.0), (1, 10.0), (1, 0.0)):
+        with pytest.raises(ValueError, match="need 2 or more nodes"):
+            sparse_random_graph(n, avg_degree, seed=0)
+    assert sparse_random_graph(4, 3.0, seed=0).degrees.tolist() == [3, 3, 3, 3]
 
 
 def test_id_compaction_and_map(tmp_path):

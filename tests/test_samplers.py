@@ -1,7 +1,7 @@
 """Sampler tests: exact outcome-lattice enumeration against stated biases.
 
 Rather than only testing statistically, ``enumerate_outcomes`` drives one
-draw of ``draw_batch(g, v, method, 1, probe)`` through every value its random
+draw of ``draw_batch(g, ctx, method, 1, probe)`` through every value its random
 draws could take, with exact probabilities.  The induced distribution over
 member sets must equal the per-subgraph bias of the route at the anchor's
 orbit, subgraph by subgraph.
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from orbitsampler import (
+    AnchorContext,
     CannotSampleError,
     METHOD_ORDER,
     bias_vector,
@@ -75,10 +76,9 @@ def enumerate_outcomes(fn):
 
 def draw_outcomes(g: Graph, v: int, method: str):
     """(probability, sorted member tuple) of every outcome of one draw."""
-    return [
-        (p, tuple(sorted({v, *(int(c[0]) for c in cols)})))
-        for p, cols in enumerate_outcomes(lambda rng: draw_batch(g, v, method, 1, rng))
-    ]
+    ctx = AnchorContext(g, v)
+    outcomes = enumerate_outcomes(lambda rng: draw_batch(g, ctx, method, 1, rng))
+    return [(p, tuple(sorted({v, *(int(c[0]) for c in cols)}))) for p, cols in outcomes]
 
 
 def assert_exact_bias(g: Graph, v: int, method: str):
@@ -98,7 +98,7 @@ def assert_exact_bias(g: Graph, v: int, method: str):
 def _cannot_sample(g: Graph, v: int, method: str) -> None:
     # an empty probe: the route must refuse before drawing anything
     with pytest.raises(CannotSampleError):
-        draw_batch(g, v, method, 1, _Probe([]))
+        draw_batch(g, AnchorContext(g, v), method, 1, _Probe([]))
 
 
 EIGHT = Graph.from_edges(EIGHT_EDGES)
@@ -220,9 +220,10 @@ def test_weighted_random_vertex_excluding_mapping():
     )
     assert g.acc_degree(g.stats(1)).tolist() == [3, 4, 5]
     assert g.acc_walk(g.stats(2)).tolist() == [4, 4]
+    ctx = AnchorContext(g, 2)
     picks = []
     for r in range(1, 5):  # residual weight 3 + 1
-        u, w, _ = draw_batch(g, 2, "R43", 1, _Probe([1, r, 0]))
+        u, w, _ = draw_batch(g, ctx, "R43", 1, _Probe([1, r, 0]))
         assert u[0] == 1
         picks.append(int(w[0]))
     assert picks == [0, 0, 0, 3]
@@ -244,9 +245,10 @@ def test_bias_vector_values(paw, k4):
 
 
 def test_batch_determinism_and_members(eight):
+    ctx = AnchorContext(eight, 0)
     for method in METHOD_ORDER:
-        t1 = tally_orbits(eight, 0, method, 5000, np.random.default_rng(9))
-        t2 = tally_orbits(eight, 0, method, 5000, np.random.default_rng(9))
+        t1 = tally_orbits(eight, ctx, method, 5000, np.random.default_rng(9))
+        t2 = tally_orbits(eight, ctx, method, 5000, np.random.default_rng(9))
         assert (t1 == t2).all()
         assert t1.sum() == 5000
         mem = sample_members(eight, 0, method, 200, np.random.default_rng(9))
@@ -260,7 +262,8 @@ def test_batch_never_hits_zero_probability_orbits(eight):
                 p = bias_vector(method, eight.stats(v))
             except CannotSampleError:
                 continue
-            tally = tally_orbits(eight, v, method, 20_000, np.random.default_rng(v))
+            ctx = AnchorContext(eight, v)
+            tally = tally_orbits(eight, ctx, method, 20_000, np.random.default_rng(v))
             for orbit, prob in p.items():
                 if prob == 0.0:
                     assert tally[orbit] == 0, (method, v, orbit)
@@ -277,17 +280,18 @@ def test_batch_labels_match_scalar_classifier(eight):
     from orbitsampler.samplers import draw_batch
 
     for v in (0, 1, 4):
+        ctx = AnchorContext(eight, v)
         for method in METHOD_ORDER:
             try:
-                cols = draw_batch(eight, v, method, 500, np.random.default_rng(v))
+                cols = draw_batch(eight, ctx, method, 500, np.random.default_rng(v))
             except CannotSampleError:
                 continue
             if method == "R31":
-                labels = classify_wedge_batch(eight, v, cols[0], cols[1], False)
+                labels = classify_wedge_batch(eight, ctx, cols[0], cols[1], False)
             elif method == "R32":
-                labels = classify_chain_batch(eight, v, cols[0], cols[1], False)
+                labels = classify_chain_batch(eight, ctx, cols[0], cols[1], False)
             else:
-                labels = classify_quad_batch(eight, method, v, *cols)
+                labels = classify_quad_batch(eight, method, ctx, *cols)
             for row in range(500):
                 members = {v, *(int(c[row]) for c in cols)}
                 assert classify_undirected(eight, v, members) == labels[row]
@@ -301,9 +305,10 @@ def test_batch_directed_labels_match_scalar_classifier():
 
     g = gnp_directed(20, 0.25, seed=6)
     v = int(np.argmax(g.degrees))
+    ctx = AnchorContext(g, v)
     for method, fn in (("R31", classify_wedge_batch), ("R32", classify_chain_batch)):
-        cols = draw_batch(g, v, method, 500, np.random.default_rng(1))
-        labels = fn(g, v, cols[0], cols[1], True)
+        cols = draw_batch(g, ctx, method, 500, np.random.default_rng(1))
+        labels = fn(g, ctx, cols[0], cols[1], True)
         for row in range(500):
             members = {v, int(cols[0][row]), int(cols[1][row])}
             assert classify_directed3(g, v, members) == labels[row]
