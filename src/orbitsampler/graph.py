@@ -39,8 +39,6 @@ import numpy as np
 # Direction of an adjacency entry as seen from the row node.
 OUT, IN, MUTUAL = 1, 2, 3
 
-_MAX_NODE_ID = 2**63 - 1
-
 
 class GraphError(ValueError):
     """Base class for graph construction and query errors."""
@@ -448,13 +446,13 @@ def _open_lines(src) -> Iterable[str]:
 def load_edge_list(src, directed: bool = False) -> Graph:
     """Parse a plain-text edge list into a :class:`Graph`.
 
-    Lines hold two whitespace-separated nonnegative integer node ids;
-    ``#``-prefixed lines are comments.  For ``directed=True`` a line
-    ``u v`` contributes an arc from u to v, and a co-occurring ``v u``
-    line turns the edge mutual.  Self loops and repeated lines are dropped
-    (counted in the returned graph's :class:`LoadSummary`).  Node ids are
-    compacted to ``0..n-1``; the original ids stay available through
-    ``Graph.original_ids``.
+    Lines hold two whitespace-separated node ids, each a string of ASCII
+    digits below 2**63; ``#``-prefixed lines are comments.  For
+    ``directed=True`` a line ``u v`` contributes an arc from u to v, and a
+    co-occurring ``v u`` line turns the edge mutual.  Self loops and
+    repeated lines are dropped (counted in the returned graph's
+    :class:`LoadSummary`).  Node ids are compacted to ``0..n-1``; the
+    original ids stay available through ``Graph.original_ids``.
     """
     ends = array("q")
     lines = 0
@@ -468,16 +466,16 @@ def load_edge_list(src, directed: bool = False) -> Graph:
             parts = text.split()
             if len(parts) != 2:
                 raise ParseError(f"expected two fields, got {len(parts)}", line_no)
+            u, v = parts
+            if not (u.isdigit() and v.isdigit() and u.isascii() and v.isascii()):
+                if u.startswith("-") or v.startswith("-"):
+                    raise ParseError("negative node id", line_no)
+                raise ParseError(f"non-integer node id in {parts!r}", line_no)
             try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"non-integer node id in {parts!r}", line_no) from None
-            if u < 0 or v < 0:
-                raise ParseError("negative node id", line_no)
-            if u > _MAX_NODE_ID or v > _MAX_NODE_ID:
-                raise ParseError("node id exceeds 63 bits", line_no)
-            ends.append(u)
-            ends.append(v)
+                ends.append(int(u))
+                ends.append(int(v))
+            except OverflowError:
+                raise ParseError("node id exceeds 63 bits", line_no) from None
     finally:
         close = getattr(handle, "close", None)
         if close is not None:

@@ -1,7 +1,8 @@
 """Exact orbit degrees by brute-force enumeration.
 
 Enumerates every connected induced 3- and 4-node subgraph containing a given
-anchor exactly once, classifies each, and checks the closed-form identities
+anchor exactly once, classifies each through the orbit tables of
+:mod:`orbitsampler.orbits`, and checks the closed-form identities
 that tie orbit counts to the per-node normalizers.  This module is the ground
 truth for all statistical tests; it is deliberately simple and makes no
 attempt to compete with the sampling pipelines on speed.
@@ -15,20 +16,19 @@ candidate subgraphs are refused by a configurable guard.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import IN as IN_CODE
-from .graph import Graph, NodeStats
+from .graph import MUTUAL, Graph, NodeStats
 from .orbits import (
-    CENTER_RANK,
-    END_RANK,
-    TRIANGLE_RANK,
+    DIR3,
+    ORBIT3,
+    ORBIT4,
     TRIPLE_IDENTITY,
     UNORBIT,
     WALK_IDENTITY,
     WEDGE_IDENTITY,
-    _triangle_canonical,
 )
 
 DEFAULT_GUARD = 10**6
@@ -84,15 +84,19 @@ def check_guard(
         )
 
 
-class _NeighbourSets(dict):
-    """Neighbour sets of a graph's nodes, built on first lookup."""
+class _NeighbourCodes(dict):
+    """Per node, its neighbours mapped to the direction code of the pair seen
+    from the node (``MUTUAL`` when undirected), built on first lookup."""
 
     def __init__(self, g: Graph):
         super().__init__()
         self.g = g
 
-    def __missing__(self, u: int) -> set[int]:
-        s = self[u] = {int(x) for x in self.g.neighbors(u)}
+    def __missing__(self, u: int) -> dict[int, int]:
+        g = self.g
+        lo, hi = int(g.indptr[u]), int(g.indptr[u + 1])
+        codes = g.labels[lo:hi].tolist() if g.directed else [MUTUAL] * (hi - lo)
+        s = self[u] = dict(zip(g.indices[lo:hi].tolist(), codes))
         return s
 
 
@@ -104,17 +108,17 @@ def enumerate_cises(g: Graph, v: int, k: int) -> Iterator[tuple[int, ...]]:
     """
     if k not in (3, 4):
         raise ValueError(f"subgraph size must be 3 or 4, got {k}")
-    return _cises(_NeighbourSets(g), v, k)
+    return (tuple(sorted(m)) for m in _cises(_NeighbourCodes(g), v, k))
 
 
-def _cises(nbrs: _NeighbourSets, v: int, k: int) -> Iterator[tuple[int, ...]]:
+def _cises(nbrs: _NeighbourCodes, v: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Member tuples in growth order, the anchor first."""
     sub = [v]
 
     def extend(ext: list[int], forbidden: set[int]) -> Iterator[tuple[int, ...]]:
         if len(sub) == k:
-            yield tuple(sorted(sub))
+            yield tuple(sub)
             return
-        ext = list(ext)
         while ext:
             w = ext.pop()
             fresh = [x for x in nbrs[w] if x not in forbidden]
@@ -122,7 +126,7 @@ def _cises(nbrs: _NeighbourSets, v: int, k: int) -> Iterator[tuple[int, ...]]:
             yield from extend(ext + fresh, forbidden | set(fresh))
             sub.pop()
 
-    yield from extend(sorted(nbrs[v]), {v} | nbrs[v])
+    yield from extend(sorted(nbrs[v]), {v, *nbrs[v]})
 
 
 def exact_orbit_degrees(
@@ -138,77 +142,35 @@ def exact_orbit_degrees(
     bounds only those (directed orbits only need size 3, see
     :data:`orbitsampler.estimators.MODES`).
 
-    Classification here works on plain adjacency sets rather than going
-    through :func:`classify_undirected`, purely for speed; the two paths are
-    cross-checked in the test suite.
+    Subgraphs are tallied by edge pattern (bit ``i`` for the member pair
+    ``orbits.PAIRS[i]``, anchor first) or, for 3 nodes, by the direction
+    codes of the three pairs; the orbit tables then map each tally.
     """
     check_guard(g, v, guard, sizes)
-    nbrs = _NeighbourSets(g)
-    succ: dict[int, set[int]] = {}
-
-    def outs(u: int) -> set[int]:
-        s = succ.get(u)
-        if s is None:
-            lo, hi = int(g.indptr[u]), int(g.indptr[u + 1])
-            labs = g.labels[lo:hi]
-            s = {int(x) for x, c in zip(g.indices[lo:hi], labs) if c != IN_CODE}
-            succ[u] = s
-        return s
-
-    def code(a: int, b: int) -> int:
-        fwd = b in outs(a)
-        rev = a in outs(b)
-        return 3 if fwd and rev else (1 if fwd else 2)
-
+    nbrs = _NeighbourCodes(g)
+    nv = nbrs[v]
     und = {i: 0 for i in range(15)}
     und[0] = g.degree(v)
     dir3 = {i: 0 for i in range(1, 31)} if g.directed else None
 
     if 3 in sizes:
-        for members in _cises(nbrs, v, 3):
-            x, y = (m for m in members if m != v)
-            vx = x in nbrs[v]
-            vy = y in nbrs[v]
-            xy = y in nbrs[x]
-            edges = vx + vy + xy
-            if edges == 3:
-                und[3] += 1
-                if dir3 is not None:
-                    key = _triangle_canonical(code(v, x), code(v, y), code(x, y))
-                    dir3[TRIANGLE_RANK[key]] += 1
-            elif vx and vy:
-                und[2] += 1
-                if dir3 is not None:
-                    a, b = code(v, x), code(v, y)
-                    dir3[CENTER_RANK[(a, b) if a <= b else (b, a)]] += 1
-            else:
-                und[1] += 1
-                if dir3 is not None:
-                    mid, far = (x, y) if vx else (y, x)
-                    dir3[END_RANK[(code(v, mid), code(mid, far))]] += 1
+        codes3 = Counter(
+            (nv.get(x, 0), nv.get(y, 0), nbrs[x].get(y, 0))
+            for _, x, y in _cises(nbrs, v, 3)
+        )
+        for (a, b, c), n in codes3.items():
+            und[int(ORBIT3[(a > 0) | (b > 0) << 1 | (c > 0) << 2])] += n
+            if dir3 is not None:
+                dir3[int(DIR3[a, b, c])] += n
 
     if 4 in sizes:
-        for members in _cises(nbrs, v, 4):
-            a, b, c = (m for m in members if m != v)
-            nb_v, nb_a, nb_b = nbrs[v], nbrs[a], nbrs[b]
-            va = a in nb_v
-            vb = b in nb_v
-            vc = c in nb_v
-            ab = b in nb_a
-            ac = c in nb_a
-            bc = c in nb_b
-            m = va + vb + vc + ab + ac + bc
-            dv = va + vb + vc
-            if m == 3:
-                dmax = max(dv, va + ab + ac, vb + ab + bc, vc + ac + bc)
-                und[(7 if dv == 3 else 6) if dmax == 3 else (5 if dv == 2 else 4)] += 1
-            elif m == 4:
-                dmax = max(dv, va + ab + ac, vb + ab + bc, vc + ac + bc)
-                und[8 if dmax == 2 else {1: 9, 2: 10, 3: 11}[dv]] += 1
-            elif m == 5:
-                und[12 if dv == 2 else 13] += 1
-            else:
-                und[14] += 1
+        patterns = Counter(
+            (x in nv) | (y in nv) << 1 | (y in nbrs[x]) << 2
+            | (z in nv) << 3 | (z in nbrs[x]) << 4 | (z in nbrs[y]) << 5
+            for _, x, y, z in _cises(nbrs, v, 4)
+        )
+        for p, n in patterns.items():
+            und[int(ORBIT4[p])] += n
 
     return OrbitCounts(node=v, undirected=und, directed3=dir3)
 

@@ -48,6 +48,8 @@ import numpy as np
 
 from .graph import AnchorContext, Graph, NodeStats
 from .orbits import (
+    DIR3,
+    ORBIT4,
     TRIPLE_IDENTITY,
     WALK_IDENTITY,
     WEDGE_IDENTITY,
@@ -57,6 +59,10 @@ from .orbits import (
 )
 
 METHOD_ORDER = ("R31", "R32", "R41", "R42", "R43", "R44")
+
+# Tally length per ``directed`` flag: one bin for every orbit id the
+# classification tables hold.
+_TALLY_LENGTH = {False: int(ORBIT4.max()) + 1, True: int(DIR3.max()) + 1}
 
 
 class CannotSampleError(ValueError):
@@ -250,4 +256,4 @@ def tally_orbits(
         if directed:
             raise ValueError(f"{method} tallies are undirected only")
         orbits = classify_quad_batch(g, method, ctx, *cols)
-    return np.bincount(orbits, minlength=31 if directed else 15)
+    return np.bincount(orbits, minlength=_TALLY_LENGTH[directed])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -34,6 +34,28 @@ def star_graph(leaves: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     return Graph.from_edges([(i, (i + 1) % n) for i in range(n)])
+
+
+def arc_graph(arcs, n: int = 3) -> Graph:
+    return Graph.from_edges(arcs, directed=True, node_count=n)
+
+
+def all_directed_3node() -> list[tuple[frozenset, Graph]]:
+    """Every connected directed 3-node graph as (arc set, Graph).  Three
+    nodes are connected exactly when two or three of their pairs are edges."""
+    out = []
+    pairs = ((0, 1), (0, 2), (1, 2))
+    for mask in (0b011, 0b101, 0b110, 0b111):
+        chosen = [pairs[i] for i in range(3) if mask >> i & 1]
+        for codes in product((1, 2, 3), repeat=len(chosen)):
+            arcs = []
+            for (a, b), c in zip(chosen, codes):
+                if c != 2:
+                    arcs.append((a, b))
+                if c != 1:
+                    arcs.append((b, a))
+            out.append((frozenset(arcs), arc_graph(arcs)))
+    return out
 
 
 @pytest.fixture

@@ -57,10 +57,13 @@ def test_load_parse_error_carries_line_number():
     with pytest.raises(ParseError) as exc:
         load_edge_list(io.StringIO("0 1\nbogus line here\n"))
     assert exc.value.line_no == 2
-    with pytest.raises(ParseError):
-        load_edge_list(io.StringIO("0 x\n"))
-    with pytest.raises(ParseError):
-        load_edge_list(io.StringIO("-1 2\n"))
+    # int() would read "1_000" as 1000, "+5" as 5 and "\u0663" as 3
+    for bad in ("0 x", "-1 2", "1_000 2", "+5 6", "1 \u0663"):
+        with pytest.raises(ParseError) as exc:
+            load_edge_list(io.StringIO(f"0 1\n# c\n{bad}\n"))
+        assert exc.value.line_no == 3, bad
+    with pytest.raises(ParseError, match="negative node id"):
+        load_edge_list(io.StringIO("2 -1\n"))
 
 
 def test_load_empty_graph_error():

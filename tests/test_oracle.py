@@ -130,8 +130,8 @@ def test_guard():
 
 
 def test_oracle_counts_match_public_classifier():
-    # the oracle's inlined set-based classification must agree with the
-    # general classifier, undirected and directed
+    # the oracle's tallies by edge pattern and code triple must agree with
+    # the classifiers applied to each member set, undirected and directed
     from orbitsampler import classify_directed3, classify_undirected
     from orbitsampler.generators import gnp_directed
 

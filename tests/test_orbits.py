@@ -16,9 +16,9 @@ from orbitsampler import (
     unorbit,
 )
 from orbitsampler.generators import gnp, gnp_directed
-from orbitsampler.orbits import CENTER_IDS, END_IDS, TRIANGLE_IDS
+from orbitsampler.orbits import CENTER_IDS, DIR3, END_IDS, ORBIT3, ORBIT4, TRIANGLE_IDS
 
-from conftest import cycle_graph
+from conftest import all_directed_3node, arc_graph, cycle_graph
 
 
 def test_paw_anchors(paw):
@@ -91,32 +91,6 @@ def test_undirected_taxonomy_is_the_anchored_isomorphism_partition():
             assert iso == (oa == ob), (ea, eb, oa, ob)
 
 
-def _arc_graph(arcs, n=3) -> Graph:
-    return Graph.from_edges(arcs, directed=True, node_count=n)
-
-
-def _all_directed_3node():
-    """Every connected directed 3-node graph as (arc set, Graph)."""
-    out = []
-    pairs = ((0, 1), (0, 2), (1, 2))
-    for mask in range(1, 8):
-        chosen = [pairs[i] for i in range(3) if mask >> i & 1]
-        for codes in product((1, 2, 3), repeat=len(chosen)):
-            arcs = []
-            for (a, b), c in zip(chosen, codes):
-                if c != 2:
-                    arcs.append((a, b))
-                if c != 1:
-                    arcs.append((b, a))
-            g = _arc_graph(arcs)
-            try:
-                classify_undirected(g, 0, (0, 1, 2))
-            except NotACisError:
-                continue
-            out.append((frozenset(arcs), g))
-    return out
-
-
 def _anchored_arc_isomorphic(arcs_a, arcs_b) -> bool:
     for perm in permutations(range(3)):
         if perm[0] != 0:
@@ -127,7 +101,7 @@ def _anchored_arc_isomorphic(arcs_a, arcs_b) -> bool:
 
 
 def test_directed_taxonomy_is_the_anchored_isomorphism_partition():
-    graphs = _all_directed_3node()
+    graphs = all_directed_3node()
     labelled = [
         (arcs, classify_directed3(g, 0, (0, 1, 2))) for arcs, g in graphs
     ]
@@ -136,19 +110,32 @@ def test_directed_taxonomy_is_the_anchored_isomorphism_partition():
         assert _anchored_arc_isomorphic(aa, ab) == (oa == ob), (aa, ab, oa, ob)
 
 
+def test_orbit_tables_agree():
+    # a code triple's directed orbit lies in the undirected orbit of its
+    # edge pattern, and a 4-node pattern that leaves member 3 isolated is
+    # disconnected
+    for a, b, c in product(range(4), repeat=3):
+        pattern = (a > 0) | (b > 0) << 1 | (c > 0) << 2
+        if ORBIT3[pattern] < 0:
+            assert DIR3[a, b, c] == -1
+        else:
+            assert unorbit(int(DIR3[a, b, c])) == ORBIT3[pattern]
+        assert ORBIT4[pattern] == -1
+
+
 def test_directed_class_sizes_and_examples():
     assert len(END_IDS) == 9 and len(CENTER_IDS) == 6 and len(TRIANGLE_IDS) == 15
     # mutual in-out star centre: codes {3,3} -> last centre id
-    g = _arc_graph([(0, 1), (1, 0), (0, 2), (2, 0)])
+    g = arc_graph([(0, 1), (1, 0), (0, 2), (2, 0)])
     assert classify_directed3(g, 0, (0, 1, 2)) == 14
     # fully mutual triangle -> highest triangle id
-    g = _arc_graph([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+    g = arc_graph([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
     assert classify_directed3(g, 0, (0, 1, 2)) == 30
     # forward chain, anchor at the tail -> first end id
-    g = _arc_graph([(0, 1), (1, 2)])
+    g = arc_graph([(0, 1), (1, 2)])
     assert classify_directed3(g, 0, (0, 1, 2)) == 2
     # out-star centre: codes {1,1} -> first centre id
-    g = _arc_graph([(0, 1), (0, 2)])
+    g = arc_graph([(0, 1), (0, 2)])
     assert classify_directed3(g, 0, (0, 1, 2)) == 1
 
 

@@ -24,7 +24,7 @@ from orbitsampler import (
 from orbitsampler.graph import Graph
 from orbitsampler.samplers import _skip_one, _skip_two, _weighted_pick, draw_batch
 
-from conftest import EIGHT_EDGES, complete_graph, star_graph
+from conftest import EIGHT_EDGES, all_directed_3node, complete_graph, star_graph
 
 
 class _NeedMore(Exception):
@@ -184,7 +184,7 @@ def test_r44_examples(k4, star4, path4):
     _cannot_sample(path4, 1, "R44")
 
 
-def test_random_vertex_primitives():
+def test_skip_one_and_skip_two_map_every_index():
     # uniform index draws that skip one or two excluded positions, mapped
     # exactly over every drawn index
     nb = np.array([10, 20, 30])
@@ -196,7 +196,7 @@ def test_random_vertex_primitives():
     assert four[_skip_two(np.arange(2), 1, 3)].tolist() == [10, 30]
 
 
-def test_weighted_random_vertex_mapping():
+def test_weighted_pick_maps_every_draw():
     acc = np.array([2, 2, 6])  # weights 2, 0, 4
     picks = [int(_weighted_pick(acc, 1, _Probe([r]))[0]) for r in range(1, 7)]
     assert picks == [0, 0, 2, 2, 2, 2]  # middle position never chosen
@@ -210,7 +210,7 @@ def test_weighted_random_vertex_mapping():
         _weighted_pick(np.array([], dtype=np.int64), 1, _Probe([]))
 
 
-def test_weighted_random_vertex_excluding_mapping():
+def test_r43_second_step_cuts_out_the_anchor_block():
     # R43's second step: w in N(u) - {v} weighted by d_w - 1, drawn from the
     # cumulative range with v's weight block cut out.  Anchor 2 sits between
     # the neighbours of u = 1: N(1) = [0, 2, 3] with weights 3, 1, 1, and
@@ -312,3 +312,21 @@ def test_batch_directed_labels_match_scalar_classifier():
         for row in range(500):
             members = {v, int(cols[0][row]), int(cols[1][row])}
             assert classify_directed3(g, v, members) == labels[row]
+
+    # every connected directed 3-node graph, through each draw shape that
+    # reaches it: wedges (0; u, w) and chains 0 - u - w
+    seen = set()
+    for _, g in all_directed_3node():
+        ctx = AnchorContext(g, 0)
+        want = classify_directed3(g, 0, (0, 1, 2))
+        for u, w in ((1, 2), (2, 1)):
+            shapes = (
+                (classify_wedge_batch, g.has_edge(0, u) and g.has_edge(0, w)),
+                (classify_chain_batch, g.has_edge(0, u) and g.has_edge(u, w)),
+            )
+            for fn, drawable in shapes:
+                if drawable:
+                    got = fn(g, ctx, np.array([u]), np.array([w]), True)
+                    assert got.tolist() == [want], (fn.__name__, u, w)
+                    seen.add(want)
+    assert seen == set(range(1, 31))
