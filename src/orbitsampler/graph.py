@@ -16,13 +16,14 @@ graph is immutable after construction (its one lazily built array,
 ``two_paths_all``, is set under a lock), so instances are safe to share
 across threads.
 
-Pair lookups come in two kinds.  Pairs that contain the anchor of an
-estimate are answered by an :class:`AnchorContext`, built once per estimate
-and never cached on the graph: a gather from a per-node code array and from
-the anchor's back positions.  All other pairs go through the vectorized
-``has_edges`` / ``pos_of_many`` / ``direction_codes``, which search the
-sorted edge keys with the queries in sorted order (neighbouring queries then
-touch neighbouring memory) and scatter the results back to query order.
+One int64 key orders the pairs: (row, col) has key ``row * n + col``, which
+fits while ``n**2`` is below 2**63 (``MAX_NODES``).  Loading merges repeated
+lines by one sort of that key.  Pairs that contain the anchor of an estimate
+are answered by an :class:`AnchorContext`, built once per estimate and never
+cached on the graph: a gather from a per-node code array and from the
+anchor's back positions.  Every other pair lookup, scalar or batched, is one
+search of the sorted edge keys (``Graph._find``), and a lookup that needs an
+edge raises :class:`NotANeighborError` for a pair that is not one.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ import numpy as np
 
 # Direction of an adjacency entry as seen from the row node.
 OUT, IN, MUTUAL = 1, 2, 3
+
+# Largest node count whose edge keys row * n + col (all below n**2) fit int64.
+MAX_NODES = 3_037_000_499
 
 
 class GraphError(ValueError):
@@ -118,6 +122,8 @@ class Graph:
     ):
         self.indptr = _freeze(np.asarray(indptr, dtype=np.int64))
         self.indices = _freeze(np.asarray(indices, dtype=np.int64))
+        if not len(self.indices):
+            raise EmptyGraphError("a graph needs at least one edge")
         self.node_count = len(self.indptr) - 1
         self.edge_count = len(self.indices) // 2
         self.directed = bool(directed)
@@ -135,8 +141,7 @@ class Graph:
         self.summary = summary
         self.degrees = _freeze(np.diff(self.indptr))
         # Sorted (row, neighbour) keys, one per adjacency entry, so a key's
-        # index is the entry's index.  Scalar lookups search them directly;
-        # vectorized ones sort their queries first (see _find).
+        # index is the entry's index.  Every pair lookup searches them (_find).
         rows = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
         self._edge_keys = _freeze(rows * self.node_count + self.indices)
         self._lock = threading.Lock()
@@ -177,6 +182,9 @@ class Graph:
         Ids are dense (``0..node_count-1``, by default ``0..max``) unless
         ``compact`` maps the distinct ids to ``0..n-1`` and keeps them as
         ``original_ids``.  The counts land in the graph's :class:`LoadSummary`.
+
+        Repeats merge by one sort of the edge key ``lo * n + hi``, so more
+        than ``MAX_NODES`` nodes raise :class:`GraphError`, before any build.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -187,43 +195,41 @@ class Graph:
             raise EmptyGraphError("no usable edges")
         original_ids = None
         if compact:
-            ids = np.sort(np.concatenate((u, v)))
-            original_ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
-            u = np.searchsorted(original_ids, u)
-            v = np.searchsorted(original_ids, v)
+            original_ids, ends = np.unique(np.concatenate((u, v)), return_inverse=True)
+            u, v = ends[: len(u)], ends[len(u) :]
             node_count = len(original_ids)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         if node_count is None:
             node_count = 1 + int(hi.max())
         if int(lo.min()) < 0 or int(hi.max()) >= node_count:
             raise GraphError(f"node ids outside 0..{node_count - 1}")
-        # flag bits: 1 = arc lo->hi seen, 2 = arc hi->lo seen
-        flag = np.where(u < v, 1, 2) if directed else np.full(len(u), 3)
-        order = np.lexsort((flag, hi, lo))
-        lo, hi, flag = lo[order], hi[order], flag[order]
-        new_edge = np.concatenate(([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])))
-        # a line repeats an earlier one when both have the same edge and flag
-        new_pair = new_edge | np.concatenate(([True], flag[1:] != flag[:-1]))
-        starts = np.flatnonzero(new_edge)
-        flag = np.bitwise_or.reduceat(flag, starts)
-        lo, hi = lo[starts], hi[starts]
-        summary = LoadSummary(
-            lines_read, len(lo), loops, len(new_pair) - int(new_pair.sum())
-        )
-        # Symmetric CSR: each edge once from either end.  Seen from lo the
-        # flag is the direction code itself; seen from hi it is reversed.
+        if node_count > MAX_NODES:
+            raise GraphError(f"{node_count} nodes: edge keys need n**2 below 2**63")
+        # Repeated lines share their edge key; one sort groups them.
+        key = lo * node_count + hi
+        order = np.argsort(key)
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        lo, hi = lo[order[starts]], hi[order[starts]]
+        # Symmetric CSR: each edge once from either end, in edge-key order.
         rows = np.concatenate((lo, hi))
         cols = np.concatenate((hi, lo))
-        order = np.argsort(rows * node_count + cols)
-        labels = None
+        csr = np.argsort(rows * node_count + cols)
+        distinct, labels = len(starts), None
         if directed:
+            # Each line sets one bit, OUT for the arc lo->hi and IN for
+            # hi->lo, so the merged bits are the direction code seen from lo
+            # and a line repeats an earlier one when it sets no new bit.
+            flag = np.bitwise_or.reduceat(np.where(u < v, OUT, IN)[order], starts)
+            distinct = np.count_nonzero(flag & OUT) + np.count_nonzero(flag & IN)
             back = np.where(flag == MUTUAL, MUTUAL, OUT + IN - flag)
-            labels = np.concatenate((flag, back))[order]
+            labels = np.concatenate((flag, back))[csr]
+        summary = LoadSummary(lines_read, len(lo), loops, len(u) - int(distinct))
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
         return cls(
             indptr,
-            cols[order],
+            cols[csr],
             labels=labels,
             directed=directed,
             original_ids=original_ids,
@@ -238,61 +244,56 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
-    def _key_index(self, u: int, v: int) -> int:
-        """Index of entry (u, v) in the flat adjacency, or -1."""
-        key = u * self.node_count + v
-        i = int(np.searchsorted(self._edge_keys, key))
-        if i < len(self._edge_keys) and self._edge_keys[i] == key:
-            return i
-        return -1
+    def _find(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency index of each pair (us, vs), and whether it is an edge.
 
-    def _find(self, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Keys of pairs (us, vs) and their insertion points in the edge keys.
-
-        The queries are searched in sorted order, so consecutive binary
-        searches share their path through the key array, and the results
-        are scattered back to query order.
+        The one search of the edge keys.  Queries are searched in sorted
+        order, so consecutive binary searches share their path through the
+        keys, and the results are scattered back to query order.  An index
+        is meaningful only where ``found`` (elsewhere it may be past the end).
         """
         keys = np.asarray(us, dtype=np.int64) * self.node_count + vs
         order = np.argsort(keys)
         idx = np.empty(len(keys), dtype=np.intp)
         idx[order] = np.searchsorted(self._edge_keys, keys[order])
-        return keys, idx
+        return idx, self._edge_keys.take(idx, mode="clip") == keys
+
+    @staticmethod
+    def _require(found: np.ndarray, a, b) -> None:
+        """Raise for the first pair (a, b) that ``found`` marks as no edge."""
+        if not found.all():
+            i = int(np.argmin(found))
+            a, b = (np.broadcast_to(x, found.shape)[i] for x in (a, b))
+            raise NotANeighborError(f"{a} is not a neighbour of {b}")
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._key_index(u, v) >= 0
+        return bool(self.has_edges([u], [v])[0])
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized edge test for aligned node arrays."""
-        keys, idx = self._find(us, vs)
-        idx_c = np.minimum(idx, len(self._edge_keys) - 1)
-        return (idx < len(self._edge_keys)) & (self._edge_keys[idx_c] == keys)
+        return self._find(us, vs)[1]
 
     def pos_of(self, v: int, u: int) -> int:
         """Index of neighbour ``u`` inside the sorted list of ``v``."""
-        i = self._key_index(v, u)
-        if i < 0:
-            raise NotANeighborError(f"{u} is not a neighbour of {v}")
-        return i - int(self.indptr[v])
+        return int(self.pos_of_many([v], u)[0])
 
     def pos_of_many(self, vs: np.ndarray, u: int) -> np.ndarray:
         """Positions of node ``u`` in the neighbour lists of each ``v``."""
-        return self._find(vs, u)[1] - self.indptr[vs]
+        idx, found = self._find(vs, u)
+        self._require(found, u, vs)
+        return idx - self.indptr[vs]
 
     def direction_code(self, u: int, v: int) -> int:
         """Direction of edge (u, v) as seen from ``u``: OUT, IN or MUTUAL."""
-        if not self.directed:
-            raise GraphError("graph carries no direction labels")
-        i = self._key_index(u, v)
-        if i < 0:
-            raise NotANeighborError(f"{u} is not a neighbour of {v}")
-        return int(self.labels[i])
+        return int(self.direction_codes([u], [v])[0])
 
     def direction_codes(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`direction_code`; pairs must be edges."""
         if not self.directed:
             raise GraphError("graph carries no direction labels")
-        return self.labels[self._find(us, vs)[1]]
+        idx, found = self._find(us, vs)
+        self._require(found, us, vs)
+        return self.labels[idx]
 
     # -- statistics ---------------------------------------------------------
 

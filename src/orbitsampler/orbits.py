@@ -177,10 +177,8 @@ def classify_undirected(g: Graph, anchor: int, members: Iterable[int]) -> int:
     k = len(nodes)
     if k < 2 or k > 4:
         raise NotACisError(f"member sets must have 2-4 nodes, got {k}")
-    pattern = sum(
-        1 << i for i, (a, b) in enumerate(PAIRS[: k * (k - 1) // 2])
-        if g.has_edge(nodes[a], nodes[b])
-    )
+    a, b = np.array(nodes)[np.transpose(PAIRS[: k * (k - 1) // 2])]
+    pattern = sum(1 << i for i, edge in enumerate(g.has_edges(a, b).tolist()) if edge)
     orbit = int(_ORBITS[k][pattern])
     if orbit < 0:
         raise NotACisError(f"members {nodes} are not connected")
@@ -194,10 +192,10 @@ def classify_directed3(g: Graph, anchor: int, members: Iterable[int]) -> int:
     nodes = _anchor_first(anchor, members)
     if len(nodes) != 3:
         raise NotACisError(f"directed classification needs 3 nodes, got {nodes}")
-    codes = [
-        g.direction_code(nodes[a], nodes[b]) if g.has_edge(nodes[a], nodes[b]) else 0
-        for a, b in PAIRS[:3]
-    ]
+    a, b = np.array(nodes)[np.transpose(PAIRS[:3])]
+    edge = g.has_edges(a, b)
+    codes = np.zeros(3, dtype=np.int8)
+    codes[edge] = g.direction_codes(a[edge], b[edge])
     orbit = int(DIR3[tuple(codes)])
     if orbit < 0:
         raise NotACisError(f"members {nodes} are not connected")

@@ -17,7 +17,7 @@ from orbitsampler import (
     load_edge_list,
 )
 from orbitsampler.generators import gnp, preferential_attachment, sparse_random_graph
-from orbitsampler.graph import IN, MUTUAL, OUT, AnchorContext
+from orbitsampler.graph import IN, MAX_NODES, MUTUAL, OUT, AnchorContext
 
 from conftest import naive_node_stats
 
@@ -69,6 +69,8 @@ def test_load_parse_error_carries_line_number():
 def test_load_empty_graph_error():
     with pytest.raises(EmptyGraphError):
         load_edge_list(io.StringIO("# nothing\n0 0\n"))
+    with pytest.raises(EmptyGraphError):
+        Graph(np.zeros(3, dtype=np.int64), np.array([], dtype=np.int64))
 
 
 def test_load_accepts_bytes_and_line_iterables():
@@ -148,19 +150,41 @@ def edge_list_lines(draw):
 def test_load_matches_set_reference(lines, directed):
     indptr, indices, labels, ids, summary = reference_load(lines, directed)
     text = io.StringIO("\n".join(lines) + "\n")
+    # the dense-id build of the same lines: each kept id maps to its rank,
+    # and an id seen only in self loops to 0, which keeps its loops loops
+    rank = {x: i for i, x in enumerate(ids)}
+    pairs = [
+        tuple(rank.get(int(x), 0) for x in t.split())
+        for t in lines if not t.startswith("#")
+    ]
     if not indices:
         with pytest.raises(EmptyGraphError):
             load_edge_list(text, directed=directed)
+        with pytest.raises(EmptyGraphError):
+            Graph.from_edges(pairs, directed)
         return
     g = load_edge_list(text, directed=directed)
-    assert g.indptr.tolist() == indptr
-    assert g.indices.tolist() == indices
+    dense = Graph.from_edges(pairs, directed)
     assert g.original_ids.tolist() == ids
     assert g.summary == summary
-    if directed:
-        assert g.labels.tolist() == labels
-    else:
-        assert g.labels is None
+    assert dense.summary == dataclasses.replace(summary, lines_read=0)
+    for h in (g, dense):
+        assert h.indptr.tolist() == indptr
+        assert h.indices.tolist() == indices
+        if directed:
+            assert h.labels.tolist() == labels
+        else:
+            assert h.labels is None
+
+
+def test_from_arrays_refuses_graphs_too_large_for_the_edge_key():
+    # row * n + col stays below n**2, which reaches 2**63 just past MAX_NODES;
+    # the check runs before any node-sized array is allocated
+    assert MAX_NODES**2 < 2**63 <= (MAX_NODES + 1) ** 2
+    with pytest.raises(GraphError, match=r"2\*\*63"):
+        Graph.from_edges([(0, 1)], node_count=MAX_NODES + 1)
+    with pytest.raises(GraphError, match=r"2\*\*63"):
+        Graph.from_edges([(0, 3_100_000_000)])
 
 
 def test_from_edges_rejects_out_of_range_ids():
@@ -359,6 +383,12 @@ def _check_batch_lookups(g: Graph, us: np.ndarray, vs: np.ndarray) -> None:
         assert g.direction_codes(eu, ev).tolist() == [
             g.direction_code(a, b) for a, b in zip(eu.tolist(), ev.tolist())
         ]
+    if not edge.all():
+        with pytest.raises(NotANeighborError):
+            g.pos_of_many(us, vs)
+        if g.directed:
+            with pytest.raises(NotANeighborError):
+                g.direction_codes(us, vs)
 
 
 @given(small_graphs(), st.data())
@@ -384,6 +414,23 @@ def test_batch_lookups_past_the_last_edge_key(eight):
     empty = np.array([], dtype=np.int64)
     assert eight.has_edges(empty, empty).tolist() == []
     assert eight.pos_of_many(empty, 0).tolist() == []
+
+
+def test_batch_lookups_refuse_non_edges():
+    # arcs 0->1->2->3: (0, 2) and (0, 3) search to entries of other pairs,
+    # and (3, 3) sorts past the last edge key; a batch names its first
+    # non-edge in the words of its scalar twin
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 3)], directed=True)
+    with pytest.raises(NotANeighborError, match="0 is not a neighbour of 2"):
+        g.direction_codes([0], [2])
+    with pytest.raises(NotANeighborError, match="0 is not a neighbour of 2"):
+        g.direction_codes([1, 0, 0], [0, 2, 3])
+    with pytest.raises(NotANeighborError, match="3 is not a neighbour of 0"):
+        g.pos_of_many([0], 3)
+    with pytest.raises(NotANeighborError, match="3 is not a neighbour of 3"):
+        g.direction_codes(np.array([2, 3]), np.array([3, 3]))
+    with pytest.raises(NotANeighborError, match="3 is not a neighbour of 3"):
+        g.pos_of_many(np.array([2, 3]), 3)
 
 
 @pytest.mark.parametrize(
