@@ -75,7 +75,8 @@ def _build_parser() -> _Parser:
 
     out_opts = _Parser(add_help=False)
     out_opts.add_argument("--output", default=None, help="write here instead of stdout")
-    out_opts.add_argument("--format", choices=("json", "csv"), default="json")
+    # unset: JSON, except orbit-table's fixed-width text table
+    out_opts.add_argument("--format", choices=("json", "csv"), default=None)
 
     mode_opts = _Parser(add_help=False)
     mode_opts.add_argument(
@@ -292,6 +293,8 @@ def _cmd_orbit_table(args) -> int:
                 [row["orbit"], row["class"], " ".join(map(str, row["codes"])), row["unorbit"]]
             )
         _emit(args, buf.getvalue())
+    elif args.format == "json":
+        _emit(args, dumps(rows))
     else:
         lines = ["orbit  class        codes    unorbit"]
         for row in rows:

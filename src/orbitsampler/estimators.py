@@ -41,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from .graph import AnchorContext, Graph
-from .orbits import UNORBIT, TRIPLE_IDENTITY, WALK_IDENTITY, WEDGE_IDENTITY
+from .orbits import IDENTITIES, UNORBIT
 from .samplers import bias_vector, route_defined, tally_orbits
 
 
@@ -215,18 +215,14 @@ def estimate_orbit_degrees(
     if not directed:
         cov = covariance(pooled)
         est[0] = Estimate(float(st.degree), 0.0, "exact")
-        # Each identity solved for its orbit, from its total and other
-        # terms, with the variance of those terms.
-        for terms, solved, total in (
-            (WEDGE_IDENTITY, 2, st.wedges),
-            (WALK_IDENTITY, 4, st.three_walks),
-            (TRIPLE_IDENTITY, 7, st.triples),
-        ):
+        # Each identity row solved for its orbit, from its normalizer and
+        # other terms, with the variance of those terms.
+        for solved, name in ((2, "wedges"), (4, "three_walks"), (7, "triples")):
             c = np.zeros(len(pooled.values))
-            for i, coef in terms.items():
+            for i, coef in IDENTITIES[name].items():
                 if i != solved:
                     c[i] = coef
-            value = total - float(c @ pooled.values)
+            value = getattr(st, name) - float(c @ pooled.values)
             est[solved] = Estimate(value, max(float(c @ cov @ c), 0.0), "identity")
         rows = cov.tolist()
         covariances = {(i, j): rows[i][j] for i, j in combinations(_COV_ORBITS, 2)}

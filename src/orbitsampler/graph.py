@@ -251,8 +251,14 @@ class Graph:
         order, so consecutive binary searches share their path through the
         keys, and the results are scattered back to query order.  An index
         is meaningful only where ``found`` (elsewhere it may be past the end).
+        Ids outside ``0..n-1`` would alias another pair's key, so they raise.
         """
-        keys = np.asarray(us, dtype=np.int64) * self.node_count + vs
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        n = self.node_count
+        # read as unsigned, a negative id is above every valid one
+        if us.size and vs.size and max(x.view(np.uint64).max() for x in (us, vs)) >= n:
+            raise GraphError(f"node ids must lie in 0..{n - 1}")
+        keys = us * n + vs
         order = np.argsort(keys)
         idx = np.empty(len(keys), dtype=np.intp)
         idx[order] = np.searchsorted(self._edge_keys, keys[order])

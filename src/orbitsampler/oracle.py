@@ -21,15 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import MUTUAL, Graph, NodeStats
-from .orbits import (
-    DIR3,
-    ORBIT3,
-    ORBIT4,
-    TRIPLE_IDENTITY,
-    UNORBIT,
-    WALK_IDENTITY,
-    WEDGE_IDENTITY,
-)
+from .orbits import DIR3, IDENTITIES, ORBIT3, ORBIT4, UNORBIT
 
 DEFAULT_GUARD = 10**6
 
@@ -49,12 +41,10 @@ class OrbitCounts:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Residuals of the three orbit-count identities at one node."""
+    """Residuals of the orbit-count identities at one node."""
 
-    wedge_residual: int        # (c2 + c3) - wedges
-    walk_residual: int         # weighted 4-node sum - three_walks
-    triple_residual: int       # (c7 + c11 + c13 + c14) - triples
-    ok: bool
+    residuals: dict[str, int]  # per normalizer: sum(c * d_i) - normalizer
+    ok: bool  # every residual is zero
 
 
 def candidate_bound(stats: NodeStats, sizes: tuple[int, ...] = (3, 4)) -> int:
@@ -176,17 +166,14 @@ def exact_orbit_degrees(
 
 
 def verify_identities(counts: OrbitCounts, stats: NodeStats) -> IdentityReport:
-    """Residuals of the three exact identities; all must be zero."""
+    """Residuals of every row of :data:`orbitsampler.orbits.IDENTITIES`;
+    all must be zero."""
     c = counts.undirected
-    wedge = sum(w * c[i] for i, w in WEDGE_IDENTITY.items()) - stats.wedges
-    walk = sum(w * c[i] for i, w in WALK_IDENTITY.items()) - stats.three_walks
-    triple = sum(w * c[i] for i, w in TRIPLE_IDENTITY.items()) - stats.triples
-    return IdentityReport(
-        wedge_residual=wedge,
-        walk_residual=walk,
-        triple_residual=triple,
-        ok=(wedge == 0 and walk == 0 and triple == 0),
-    )
+    residuals = {
+        name: sum(w * c[i] for i, w in row.items()) - getattr(stats, name)
+        for name, row in IDENTITIES.items()
+    }
+    return IdentityReport(residuals, ok=not any(residuals.values()))
 
 
 def directed_partition_consistent(counts: OrbitCounts) -> bool:

@@ -1,4 +1,5 @@
-"""Orbit classification for 2-4 node connected induced subgraphs.
+"""What an orbit is: the orbit tables, the count identities and the
+scalar classifiers of 2-4 node connected induced subgraphs.
 
 Undirected orbits use the standard 15-orbit numbering for the nine
 2-4 node graphlets (0 = plain edge, 14 = 4-clique).  Directed 3-node
@@ -22,7 +23,8 @@ canonical direction-code tuple (codes 1 = outgoing, 2 = incoming,
 The assignment is deterministic and, summed per class, consistent with the
 undirected orbit of the same subgraph.  ``orbit_table`` prints the full map.
 
-Every classifier, scalar or batch, and the oracle index the same tables.
+The scalar classifiers here, the batch classifiers of
+:mod:`orbitsampler.samplers` and the oracle index the same tables.
 A member tuple lists the anchor first; its edge *pattern* has bit ``i`` set
 when the pair ``PAIRS[i]`` is an edge.  The 3-node pairs come first, so a
 3-node pattern is the low three bits of a 4-node one.
@@ -33,6 +35,11 @@ ORBIT4   the same per 4-node pattern
 DIR3     ``DIR3[a, b, c]``: directed orbit for the codes of (v, x),
          (v, y) and (x, y), with 0 for no edge (-1: disconnected)
 =======  ==============================================================
+
+``IDENTITIES`` ties the undirected orbit degrees to the per-node
+normalizers.  Each row is the bias row of the sampling route that draws
+uniformly from what its normalizer counts; the oracle checks every row, and
+the undirected estimator solves three of them for orbits 2, 4 and 7.
 """
 
 from __future__ import annotations
@@ -42,18 +49,22 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import MUTUAL, AnchorContext, Graph, GraphError
+from .graph import MUTUAL, Graph, GraphError
 
 END_IDS = (2, 4, 5, 7, 9, 10, 12, 13, 15)
 CENTER_IDS = (1, 3, 6, 8, 11, 14)
 TRIANGLE_IDS = tuple(range(16, 31))
 
-# Count identities: a normalizer equals sum(c * d_i) over (orbit, c) pairs.
-# The oracle checks them on exact counts; the undirected estimator solves
-# them for orbits 2, 4 and 7, which its routes R32, R41 and R42 never reach.
-WEDGE_IDENTITY = {2: 1, 3: 1}  # wedges
-WALK_IDENTITY = {3: 2, 4: 1, 8: 2, 9: 2, 10: 1, 12: 4, 13: 2, 14: 6}  # three_walks
-TRIPLE_IDENTITY = {7: 1, 11: 1, 13: 1, 14: 1}  # triples
+# Per normalizer (a NodeStats field), the (orbit i, c) pairs of its count
+# identity: the normalizer equals sum(c * d_i).
+IDENTITIES = {
+    "wedges": {2: 1, 3: 1},
+    "two_paths": {1: 1, 3: 2},
+    "forked_paths": {3: 2, 5: 1, 8: 2, 10: 1, 11: 2, 12: 2, 13: 4, 14: 6},
+    "tail_wedges": {6: 1, 9: 1, 10: 1, 12: 2, 13: 1, 14: 3},
+    "three_walks": {3: 2, 4: 1, 8: 2, 9: 2, 10: 1, 12: 4, 13: 2, 14: 6},
+    "triples": {7: 1, 11: 1, 13: 1, 14: 1},
+}
 
 # Member pairs by position, anchor at 0, ordered by their larger position.
 PAIRS = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
@@ -200,72 +211,3 @@ def classify_directed3(g: Graph, anchor: int, members: Iterable[int]) -> int:
     if orbit < 0:
         raise NotACisError(f"members {nodes} are not connected")
     return orbit
-
-
-# -- vectorized classification for sampler batches ---------------------------
-#
-# Pairs (v, x) with the anchor v are gathered from the anchor context's code
-# array (nonzero = edge, and the direction code of (v, x) when directed);
-# only pairs without v search the graph's edge keys.
-
-
-def classify_wedge_batch(
-    g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray, directed: bool
-) -> np.ndarray:
-    """Orbits for draws of the form (v; u, w) with u, w both neighbours of v."""
-    tri = g.has_edges(u, w)
-    if not directed:
-        return ORBIT3[0b011 + 0b100 * tri]
-    if not g.directed:
-        raise GraphError("directed classification requires direction labels")
-    c = np.zeros(len(u), dtype=np.int8)
-    c[tri] = g.direction_codes(u[tri], w[tri])
-    return DIR3[ctx.code[u], ctx.code[w], c]
-
-
-def classify_chain_batch(
-    g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray, directed: bool
-) -> np.ndarray:
-    """Orbits for draws of the form v - u - w with w drawn around u."""
-    b = ctx.code[w]
-    if not directed:
-        return ORBIT3[0b101 + 0b010 * (b != 0)]
-    return DIR3[ctx.code[u], b, g.direction_codes(u, w)]
-
-
-# For each 4-node sampling route, members (v, u, w, r): the pairs present by
-# construction, and the three pairs that must be queried.
-_QUAD_PAIRS = {
-    "R41": (("vu", "vw", "ur"), ("vr", "uw", "wr")),
-    "R42": (("vu", "uw", "ur"), ("vw", "vr", "wr")),
-    "R43": (("vu", "uw", "wr"), ("vw", "vr", "ur")),
-    "R44": (("vu", "vw", "vr"), ("uw", "ur", "wr")),
-}
-_QUAD_BIT = {"vuwr"[a] + "vuwr"[b]: 1 << i for i, (a, b) in enumerate(PAIRS)}
-
-
-def classify_quad_batch(
-    g: Graph, method: str, ctx: AnchorContext, u: np.ndarray, w: np.ndarray,
-    r: np.ndarray,
-) -> np.ndarray:
-    """Undirected orbits for 4-node draws of one sampling route.
-
-    Degenerate draws (three distinct members) classify as triangles, which
-    is what the coincidence w == r (route R41) or r == v (route R43) always
-    induces.
-    """
-    known, queried = _QUAD_PAIRS[method]
-    cols = {"u": u, "w": w, "r": r}
-    pattern = sum(_QUAD_BIT[p] for p in known)
-    for a, b in queried:
-        if a == "v":
-            edge = ctx.code[cols[b]] != 0
-        else:
-            edge = g.has_edges(cols[a], cols[b])
-        pattern = pattern + _QUAD_BIT[a + b] * edge
-    out = ORBIT4[pattern]
-    if method == "R41":
-        out[w == r] = 3
-    elif method == "R43":
-        out[r == ctx.v] = 3
-    return out

@@ -64,7 +64,7 @@ def report_from_dict(data: dict) -> OrbitReport:
     )
 
 
-def dumps(payload: dict) -> str:
+def dumps(payload: dict | list) -> str:
     """Deterministic JSON text for any report payload."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

@@ -1,9 +1,12 @@
-"""Randomized selection of 3- and 4-node connected induced subgraphs.
+"""Sampling routes: draws of 3- and 4-node connected induced subgraphs
+around an anchor node ``v``, and their batch classification.
 
-Six sampling routes draw subgraphs around an anchor node ``v``.  Each route
-reaches only a subset of the anchor's orbits, but does so with a bias that is
-an exact, per-subgraph constant (see :func:`bias_vector`), which is what
-makes the counts invertible into unbiased orbit-degree estimates.
+Each route is one row of :data:`ROUTES`.  It draws uniformly from the
+selections that its normalizer (a ``NodeStats`` field) counts, so it hits
+every subgraph at orbit i with the exact probability c_i / normalizer, where
+c_i is that normalizer's row of :data:`orbitsampler.orbits.IDENTITIES` (see
+:func:`bias_vector`).  That makes the tallies invertible into unbiased
+orbit-degree estimates.
 
 =======  ============================================================
 R31      u, w: two distinct uniform neighbours of v
@@ -20,13 +23,14 @@ R41 and R43 may produce a coincidence (w == r, resp. r == v); the draw then
 degenerates to a 3-node triangle and is kept as such --- resampling would
 bias the estimates.
 
-A route can draw at a node exactly where its bias denominator is positive
+A route can draw at a node exactly where its normalizer is positive
 (:func:`route_defined`): ``wedges > 0`` means degree >= 2 and ``triples > 0``
 degree >= 3.
 
 :func:`draw_batch` draws ``k`` subgraphs of one route at once with vectorized
 arithmetic and consumes a ``numpy.random.Generator``, so identical seeds give
-identical draw sequences.
+identical draw sequences.  The ``classify_*_batch`` functions label draws
+with the anchor's orbit; :func:`tally_orbits` draws, labels and counts.
 
 Every step around the anchor reads the estimate's
 :class:`~orbitsampler.graph.AnchorContext`.  The route check reads its
@@ -34,8 +38,9 @@ Every step around the anchor reads the estimate's
 arrays (R43's second step computes the statistics of each drawn u).  The
 routes keep the index ``iu`` of the neighbour they drew, so the position of
 v in the list of u is the gather ``back[iu]``, and the classifiers test
-pairs (v, x) by gathering the context's code array.  Only pairs without the
-anchor (R43's step from w back past u, and the (u, w), (u, r), (w, r)
+pairs (v, x) by gathering the context's code array (nonzero = edge, and the
+direction code of (v, x) when directed).  Only pairs without the anchor
+(R43's step from w back past u, and the (u, w), (u, r), (w, r)
 classification tests) search the graph's edge keys.  The batch functions
 take the context in place of the anchor's id; :func:`sample_members` builds
 one from a node id, and :func:`tally_orbits` hands its caller's context to
@@ -44,68 +49,17 @@ both the draws and the classification.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
-from .graph import AnchorContext, Graph, NodeStats
-from .orbits import (
-    DIR3,
-    ORBIT4,
-    TRIPLE_IDENTITY,
-    WALK_IDENTITY,
-    WEDGE_IDENTITY,
-    classify_chain_batch,
-    classify_quad_batch,
-    classify_wedge_batch,
-)
-
-METHOD_ORDER = ("R31", "R32", "R41", "R42", "R43", "R44")
-
-# Tally length per ``directed`` flag: one bin for every orbit id the
-# classification tables hold.
-_TALLY_LENGTH = {False: int(ORBIT4.max()) + 1, True: int(DIR3.max()) + 1}
+from .graph import AnchorContext, Graph, GraphError, NodeStats
+from .orbits import DIR3, IDENTITIES, ORBIT3, ORBIT4, PAIRS
 
 
 class CannotSampleError(ValueError):
-    """The route's selection set is empty (its bias denominator is zero)."""
-
-
-# -- bias probabilities ------------------------------------------------------
-
-# R31, R43 and R44 draw uniformly from what their denominator counts, so
-# their numerators are that count identity's coefficients.
-_BIAS_NUMERATORS = {
-    "R31": (WEDGE_IDENTITY, "wedges", 3),
-    "R32": ({1: 1, 3: 2}, "two_paths", 3),
-    "R41": ({3: 2, 5: 1, 8: 2, 10: 1, 11: 2, 12: 2, 13: 4, 14: 6}, "forked_paths", 14),
-    "R42": ({6: 1, 9: 1, 10: 1, 12: 2, 13: 1, 14: 3}, "tail_wedges", 14),
-    "R43": (WALK_IDENTITY, "three_walks", 14),
-    "R44": (TRIPLE_IDENTITY, "triples", 14),
-}
-
-
-def route_defined(method: str, stats: NodeStats) -> bool:
-    """Whether the route can draw at the node: its bias denominator is > 0."""
-    return getattr(stats, _BIAS_NUMERATORS[method][1]) > 0
-
-
-def _require_route(method: str, stats: NodeStats) -> None:
-    if not route_defined(method, stats):
-        field = _BIAS_NUMERATORS[method][1]
-        raise CannotSampleError(
-            f"{method} cannot draw at node {stats.node} ({field} = 0)"
-        )
-
-
-def bias_vector(method: str, stats: NodeStats) -> dict[int, float]:
-    """Per-orbit probability of one draw hitting any fixed subgraph there.
-
-    Orbits the route cannot reach carry an exact 0.  Raises
-    :class:`CannotSampleError` when the route's denominator vanishes.
-    """
-    _require_route(method, stats)
-    numerators, denom_field, max_orbit = _BIAS_NUMERATORS[method]
-    denom = getattr(stats, denom_field)
-    return {i: numerators.get(i, 0) / denom for i in range(1, max_orbit + 1)}
+    """The route's selection set is empty (its normalizer is zero)."""
 
 
 # -- vectorized batch draws --------------------------------------------------
@@ -202,14 +156,120 @@ def _batch_r44(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
     return ctx.nb[iu], ctx.nb[iw], ctx.nb[ir]
 
 
-_BATCHERS = {
-    "R31": _batch_r31,
-    "R32": _batch_r32,
-    "R41": _batch_r41,
-    "R42": _batch_r42,
-    "R43": _batch_r43,
-    "R44": _batch_r44,
+@dataclass(frozen=True)
+class Route:
+    """What one sampling route draws, and what its draws are."""
+
+    normalizer: str  # the NodeStats field counting its selections
+    draw: Callable  # (g, ctx, k, rng) -> the member columns after the anchor
+    max_orbit: int  # the highest undirected orbit id it reaches
+    # 4-node routes, members named "vuwr": the pairs that are edges by
+    # construction, and the two members whose coincidence is a triangle
+    known: tuple[str, ...] = ()
+    triangle: str = ""
+
+
+ROUTES = {
+    "R31": Route("wedges", _batch_r31, 3),
+    "R32": Route("two_paths", _batch_r32, 3),
+    "R41": Route("forked_paths", _batch_r41, 14, ("vu", "vw", "ur"), "wr"),
+    "R42": Route("tail_wedges", _batch_r42, 14, ("vu", "uw", "ur")),
+    "R43": Route("three_walks", _batch_r43, 14, ("vu", "uw", "wr"), "vr"),
+    "R44": Route("triples", _batch_r44, 14, ("vu", "vw", "vr")),
 }
+METHOD_ORDER = tuple(ROUTES)
+
+# Tally length per ``directed`` flag: one bin for every orbit id the
+# classification tables hold.
+_TALLY_LENGTH = {False: int(ORBIT4.max()) + 1, True: int(DIR3.max()) + 1}
+
+
+def route_defined(method: str, stats: NodeStats) -> bool:
+    """Whether the route can draw at the node: its normalizer is > 0."""
+    return getattr(stats, ROUTES[method].normalizer) > 0
+
+
+def _require_route(method: str, stats: NodeStats) -> None:
+    if not route_defined(method, stats):
+        field = ROUTES[method].normalizer
+        raise CannotSampleError(
+            f"{method} cannot draw at node {stats.node} ({field} = 0)"
+        )
+
+
+def bias_vector(method: str, stats: NodeStats) -> dict[int, float]:
+    """Per-orbit probability of one draw hitting any fixed subgraph there.
+
+    Orbits the route cannot reach carry an exact 0.  Raises
+    :class:`CannotSampleError` when the route's normalizer vanishes.
+    """
+    _require_route(method, stats)
+    route = ROUTES[method]
+    row = IDENTITIES[route.normalizer]
+    denom = getattr(stats, route.normalizer)
+    return {i: row.get(i, 0) / denom for i in range(1, route.max_orbit + 1)}
+
+
+# -- batch classification ----------------------------------------------------
+
+
+def classify_wedge_batch(
+    g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray, directed: bool
+) -> np.ndarray:
+    """Orbits for draws of the form (v; u, w) with u, w both neighbours of v."""
+    tri = g.has_edges(u, w)
+    if not directed:
+        return ORBIT3[0b011 + 0b100 * tri]
+    if not g.directed:
+        raise GraphError("directed classification requires direction labels")
+    c = np.zeros(len(u), dtype=np.int8)
+    c[tri] = g.direction_codes(u[tri], w[tri])
+    return DIR3[ctx.code[u], ctx.code[w], c]
+
+
+def classify_chain_batch(
+    g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray, directed: bool
+) -> np.ndarray:
+    """Orbits for draws of the form v - u - w with w drawn around u."""
+    b = ctx.code[w]
+    if not directed:
+        return ORBIT3[0b101 + 0b010 * (b != 0)]
+    return DIR3[ctx.code[u], b, g.direction_codes(u, w)]
+
+
+# The bit of each member pair (v, u, w, r) in a 4-node edge pattern.
+_QUAD_BIT = {"vuwr"[a] + "vuwr"[b]: 1 << i for i, (a, b) in enumerate(PAIRS)}
+
+
+def classify_quad_batch(
+    g: Graph, method: str, ctx: AnchorContext, u: np.ndarray, w: np.ndarray,
+    r: np.ndarray,
+) -> np.ndarray:
+    """Undirected orbits for 4-node draws of one sampling route.
+
+    The route's known pairs are edges by construction; the other three are
+    tested.  Degenerate draws (three distinct members) classify as the
+    triangle that the route's coincidence always induces.
+    """
+    route = ROUTES[method]
+    cols = {"v": ctx.v, "u": u, "w": w, "r": r}
+    pattern = 0
+    for (a, b), bit in _QUAD_BIT.items():
+        if a + b in route.known:
+            edge = True
+        elif a == "v":
+            edge = ctx.code[cols[b]] != 0
+        else:
+            edge = g.has_edges(cols[a], cols[b])
+        pattern = pattern + bit * edge
+    out = ORBIT4[pattern]
+    if route.triangle:
+        a, b = route.triangle
+        out[cols[a] == cols[b]] = 3
+    return out
+
+
+# -- draws and tallies ---------------------------------------------------------
 
 
 def draw_batch(
@@ -218,7 +278,7 @@ def draw_batch(
     """Draw ``k`` subgraphs at once around the context's anchor; returns the
     member columns after the anchor."""
     _require_route(method, ctx.stats)
-    return _BATCHERS[method](g, ctx, k, rng)
+    return ROUTES[method].draw(g, ctx, k, rng)
 
 
 def sample_members(

@@ -219,6 +219,9 @@ def test_orbit_table_output(capsys):
     assert main(["orbit-table", "--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 31 and rows[0] == ["orbit", "class", "codes", "unorbit"]
+    assert main(["orbit-table", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["orbit"] for row in rows] == list(range(1, 31))
 
 
 def test_bench_on_small_graph(graph_file, capsys):

@@ -32,7 +32,7 @@ def _pool(draws, hits, probs, routes=None):
     )
 
 
-def test_estimate_single_arithmetic():
+def test_pool_hits_one_route_is_plain_inversion():
     # one route: the pooled rule is the plain inversion m / (K p) with
     # variance d/K (1/p - d)
     e = _pool([100], [[30]], [[1 / 3]], ["R32"]).estimates([0])[0]
@@ -41,7 +41,7 @@ def test_estimate_single_arithmetic():
     assert e.source == "R32"
 
 
-def test_estimate_single_boundaries():
+def test_pool_hits_one_route_boundaries():
     e = _pool([100], [[100]], [[1 / 5]]).estimates([0])[0]
     assert e.value == pytest.approx(5.0) and e.variance == 0.0
     e = _pool([50], [[0]], [[0.2]]).estimates([0])[0]
@@ -56,7 +56,7 @@ def test_estimate_single_boundaries():
     assert list(pooled.estimates(range(3)).values()) == [Estimate(0.0, 0.0, "exact")] * 3
 
 
-def test_combine_examples():
+def test_pool_hits_two_route_examples():
     # D = 100 * 0.1 + 300 * 0.05 = 25; hits 20 + 45 over D
     pooled = _pool([100, 300], [[20], [45]], [[0.1], [0.05]])
     e = pooled.estimates([0])[0]
@@ -86,7 +86,7 @@ def test_combine_examples():
     st.floats(0.0, 1.0),
     st.floats(0.0, 1.0),
 )
-def test_combine_is_convex(ka, kb, pa, pb, fa, fb):
+def test_pool_hits_is_convex(ka, kb, pa, pb, fa, fb):
     ma, mb = int(fa * ka), int(fb * kb)
     pooled = _pool([ka, kb], [[ma], [mb]], [[pa], [pb]])
     wa, wb = pooled.weights[:, 0]

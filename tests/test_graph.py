@@ -14,6 +14,7 @@ from orbitsampler import (
     LoadSummary,
     NotANeighborError,
     ParseError,
+    classify_undirected,
     load_edge_list,
 )
 from orbitsampler.generators import gnp, preferential_attachment, sparse_random_graph
@@ -431,6 +432,21 @@ def test_batch_lookups_refuse_non_edges():
         g.direction_codes(np.array([2, 3]), np.array([3, 3]))
     with pytest.raises(NotANeighborError, match="3 is not a neighbour of 3"):
         g.pos_of_many(np.array([2, 3]), 3)
+
+
+def test_lookups_refuse_ids_out_of_range():
+    # key 0 * 3 + 5 is the key of (1, 2), and on the path 0-1-2-3 the pair
+    # (0, 6) has the key of (1, 2): an unchecked id answers for another pair
+    g = Graph.from_edges([(1, 2)], node_count=3)
+    path = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
+    for lookup in (
+        lambda: g.has_edge(0, 5),
+        lambda: g.pos_of(0, 5),
+        lambda: g.has_edges(np.array([1, -1]), np.array([2, 2])),
+        lambda: classify_undirected(path, 0, [0, 1, 6]),
+    ):
+        with pytest.raises(GraphError, match=r"node ids must lie in 0\.\."):
+            lookup()
 
 
 @pytest.mark.parametrize(

@@ -52,19 +52,23 @@ def test_exact_degrees_k4(k4):
     assert {i: n for i, n in c.items() if n} == {0: 3, 3: 3, 14: 1}
 
 
+NORMALIZERS = (
+    "wedges", "two_paths", "forked_paths", "tail_wedges", "three_walks", "triples"
+)
+
+
+def _assert_identities_hold(g, v):
+    rep = verify_identities(exact_orbit_degrees(g, v), g.stats(v))
+    assert rep.residuals == dict.fromkeys(NORMALIZERS, 0) and rep.ok, (v, rep)
+
+
 def test_identities_paw(paw):
-    c2 = exact_orbit_degrees(paw, 2)
-    rep = verify_identities(c2, paw.stats(2))
-    assert rep.ok and rep.triple_residual == 0
-    c0 = exact_orbit_degrees(paw, 0)
-    rep0 = verify_identities(c0, paw.stats(0))
-    assert rep0.ok and rep0.walk_residual == 0
+    _assert_identities_hold(paw, 2)
+    _assert_identities_hold(paw, 0)
 
 
 def test_identities_degree_one_node(paw):
-    rep = verify_identities(exact_orbit_degrees(paw, 3), paw.stats(3))
-    assert rep.ok
-    assert (rep.wedge_residual, rep.walk_residual, rep.triple_residual) == (0, 0, 0)
+    _assert_identities_hold(paw, 3)
 
 
 def _triangle_count(g: Graph) -> int:
@@ -159,4 +163,4 @@ def test_identity_residuals_on_random_graphs():
             else preferential_attachment(30, 2, seed)
         )
         for v in range(g.node_count):
-            assert verify_identities(exact_orbit_degrees(g, v), g.stats(v)).ok
+            _assert_identities_hold(g, v)

@@ -272,12 +272,12 @@ def test_batch_never_hits_zero_probability_orbits(eight):
 def test_batch_labels_match_scalar_classifier(eight):
     # the vectorized per-draw labeling must agree with the general
     # classifier on every single draw
-    from orbitsampler.orbits import (
+    from orbitsampler.samplers import (
         classify_chain_batch,
         classify_quad_batch,
         classify_wedge_batch,
+        draw_batch,
     )
-    from orbitsampler.samplers import draw_batch
 
     for v in (0, 1, 4):
         ctx = AnchorContext(eight, v)
@@ -299,8 +299,11 @@ def test_batch_labels_match_scalar_classifier(eight):
 
 def test_batch_directed_labels_match_scalar_classifier():
     from orbitsampler.generators import gnp_directed
-    from orbitsampler.orbits import classify_chain_batch, classify_wedge_batch
-    from orbitsampler.samplers import draw_batch
+    from orbitsampler.samplers import (
+        classify_chain_batch,
+        classify_wedge_batch,
+        draw_batch,
+    )
     from orbitsampler import classify_directed3
 
     g = gnp_directed(20, 0.25, seed=6)
