@@ -1,7 +1,9 @@
-"""Byte-for-byte regression of ``estimate`` and ``evaluate`` output.
+"""Byte-for-byte regression of every deterministic CLI output.
 
 The expected files under ``tests/golden/`` pin the exact bytes the CLI
-writes for fixed seeds on small generated graphs.  A change that is meant to
+writes for fixed seeds on small generated graphs: ``estimate``, ``exact``,
+``evaluate`` and ``orbit-table`` in each of their formats.  ``bench`` is
+left out because its rows hold timings.  A change that is meant to
 keep outputs identical must pass this test unchanged.  A change that alters
 outputs on purpose (a new estimator rule, a different random stream)
 re-baselines by regenerating the files and saying so in CHANGES.md::
@@ -48,7 +50,7 @@ GRAPHS = {
     "digraph": (lambda: gnp_directed(40, 0.15, seed=9), _write_directed),
 }
 
-# file name -> (graph, CLI arguments after --graph)
+# file name -> (graph or None, CLI arguments after --graph)
 _HUB = ["--max-degree-node", "--seed", "3"]
 _DIRECTED = ["--directed", "--mode", "directed3"]
 CASES = {
@@ -66,9 +68,20 @@ CASES = {
         "digraph",
         ["estimate", *_DIRECTED, *_HUB, "--budget", "4000", "--format", "csv"],
     ),
+    "exact_undirected.json": ("pa", ["exact", "--max-degree-node"]),
+    "exact_directed3.csv": (
+        "digraph", ["exact", *_DIRECTED, "--max-degree-node", "--format", "csv"]
+    ),
     "evaluate_undirected.json": (
         "pa",
         ["evaluate", *_HUB, "--budget", "3000", "--runs", "4", "--workers", "1"],
+    ),
+    "evaluate_undirected.csv": (
+        "pa",
+        [
+            "evaluate", *_HUB, "--budget", "3000", "--runs", "4", "--workers", "1",
+            "--format", "csv",
+        ],
     ),
     "evaluate_directed3.json": (
         "digraph",
@@ -77,6 +90,16 @@ CASES = {
             "--workers", "1",
         ],
     ),
+    "evaluate_directed3.csv": (
+        "digraph",
+        [
+            "evaluate", *_DIRECTED, *_HUB, "--budget", "3000", "--runs", "4",
+            "--workers", "1", "--format", "csv",
+        ],
+    ),
+    "orbit_table.txt": (None, ["orbit-table"]),
+    "orbit_table.csv": (None, ["orbit-table", "--format", "csv"]),
+    "orbit_table.json": (None, ["orbit-table", "--format", "json"]),
 }
 
 
@@ -90,7 +113,8 @@ def _graph_files(directory: Path) -> dict[str, Path]:
 
 def _run(case: str, graphs: dict[str, Path], out: Path) -> bytes:
     graph, args = CASES[case]
-    argv = [args[0], "--graph", str(graphs[graph]), *args[1:], "--output", str(out)]
+    source = [] if graph is None else ["--graph", str(graphs[graph])]
+    argv = [args[0], *source, *args[1:], "--output", str(out)]
     assert main(argv) == 0
     return out.read_bytes()
 
