@@ -30,12 +30,12 @@ from .estimators import (
     OrbitReport,
     estimate_orbit_degrees,
 )
-from .experiment import measure_sample_time, run_experiment
+from .experiment import exact_mode_counts, measure_sample_time, run_experiment
 from .generators import sparse_random_graph
 from .graph import Graph, GraphError, load_edge_list
-from .oracle import DEFAULT_GUARD, GuardExceededError, exact_orbit_degrees
+from .oracle import DEFAULT_GUARD, GuardExceededError
 from .orbits import orbit_table
-from .report import dumps, report_to_dict, write_report_csv
+from .report import dumps, report_rows, report_to_dict
 from .samplers import METHOD_ORDER, CannotSampleError
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_GUARD = 0, 1, 2, 3
@@ -79,9 +79,7 @@ def _build_parser() -> _Parser:
     out_opts.add_argument("--format", choices=("json", "csv"), default=None)
 
     mode_opts = _Parser(add_help=False)
-    mode_opts.add_argument(
-        "--mode", choices=("undirected", "directed3"), default="undirected"
-    )
+    mode_opts.add_argument("--mode", choices=tuple(MODES), default="undirected")
 
     p_est = sub.add_parser(
         "estimate",
@@ -142,6 +140,11 @@ def _add_budget_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _at_least(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise _UsageError(f"{flag} must be at least {low}, got {value}")
+
+
 def _budget_from_args(args) -> BudgetConfig:
     if args.budget_split is not None:
         try:
@@ -181,15 +184,28 @@ def _check_mode(g: Graph, mode: str) -> None:
         raise GraphError("--mode directed3 requires --directed")
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+def _emit(args, payload, header: list[str], rows, text: str | None = None) -> None:
+    """Write a result to --output or stdout: CSV rows for --format csv, the
+    command's text form when it has one and no format is given, else JSON."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        out = buf.getvalue()
+    elif text is not None and args.format is None:
+        out = text
     else:
-        sys.stdout.write(text)
+        out = dumps(payload)
+    if args.output:
+        Path(args.output).write_text(out, encoding="utf-8")
+    else:
+        sys.stdout.write(out)
 
 
 def _cmd_estimate(args) -> int:
     budget = _budget_from_args(args)
+    _at_least(args.seed, 0, "--seed")
     g = _load_graph(args)
     _check_mode(g, args.mode)
     v = _pick_node(g, args)
@@ -198,22 +214,12 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _require_guard(args) -> None:
-    if args.oracle_guard < 0:
-        raise _UsageError(
-            f"--oracle-guard must be at least 0, got {args.oracle_guard}"
-        )
-
-
 def _cmd_exact(args) -> int:
-    _require_guard(args)
+    _at_least(args.oracle_guard, 0, "--oracle-guard")
     g = _load_graph(args)
     _check_mode(g, args.mode)
     v = _pick_node(g, args)
-    counts = exact_orbit_degrees(
-        g, v, guard=args.oracle_guard, sizes=MODES[args.mode].sizes
-    )
-    mapping = counts.undirected if args.mode == "undirected" else counts.directed3
+    mapping = exact_mode_counts(g, v, args.mode, args.oracle_guard)
     report = OrbitReport(
         node=v,
         mode=args.mode,
@@ -228,21 +234,16 @@ def _cmd_exact(args) -> int:
 
 
 def _emit_report(args, report: OrbitReport, node_label: int) -> None:
-    if args.format == "csv":
-        buf = io.StringIO()
-        write_report_csv(report, buf, node_label=node_label)
-        _emit(args, buf.getvalue())
-    else:
-        _emit(args, dumps(report_to_dict(report, node_label=node_label)))
+    header, rows = report_rows(report, node_label)
+    _emit(args, report_to_dict(report, node_label), header, rows)
 
 
 def _cmd_evaluate(args) -> int:
     budget = _budget_from_args(args)
-    if args.runs < 2:
-        raise _UsageError(f"--runs must be at least 2, got {args.runs}")
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be at least 1, got {args.workers}")
-    _require_guard(args)
+    _at_least(args.seed, 0, "--seed")
+    _at_least(args.runs, 2, "--runs")
+    _at_least(args.workers, 1, "--workers")
+    _at_least(args.oracle_guard, 0, "--oracle-guard")
     g = _load_graph(args)
     _check_mode(g, args.mode)
     v = _pick_node(g, args)
@@ -262,74 +263,55 @@ def _cmd_evaluate(args) -> int:
             "enumeration guard exceeded; emitting estimation-only report",
             file=sys.stderr,
         )
+    node = g.to_original(v)
     payload = report.to_dict()
-    payload["node"] = g.to_original(v)
-    if args.format == "csv":
-        _emit(args, _eval_csv(report, g.to_original(v)))
-    else:
-        _emit(args, dumps(payload))
+    payload["node"] = node
+    exact, err = report.exact or {}, report.nrmse or {}
+    rows = [
+        [node, report.mode, i, mean, exact.get(i), err.get(i)]
+        for i, mean in sorted(report.mean_estimates.items())
+    ]
+    header = ["node", "mode", "orbit", "mean_estimate", "exact", "nrmse"]
+    _emit(args, payload, header, rows)
     return EXIT_OK
 
 
-def _eval_csv(report, node_label: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["node", "mode", "orbit", "mean_estimate", "exact", "nrmse"])
-    for i, mean in sorted(report.mean_estimates.items()):
-        exact = None if report.exact is None else report.exact.get(i)
-        err = None if report.nrmse is None else report.nrmse.get(i)
-        writer.writerow([node_label, report.mode, i, mean, exact, err])
-    return buf.getvalue()
-
-
 def _cmd_orbit_table(args) -> int:
-    rows = orbit_table()
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["orbit", "class", "codes", "unorbit"])
-        for row in rows:
-            writer.writerow(
-                [row["orbit"], row["class"], " ".join(map(str, row["codes"])), row["unorbit"]]
-            )
-        _emit(args, buf.getvalue())
-    elif args.format == "json":
-        _emit(args, dumps(rows))
-    else:
-        lines = ["orbit  class        codes    unorbit"]
-        for row in rows:
-            codes = ",".join(map(str, row["codes"]))
-            lines.append(
-                f"{row['orbit']:>5}  {row['class']:<11}  {codes:<7}  {row['unorbit']}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+    table = orbit_table()
+    rows, lines = [], ["orbit  class        codes    unorbit"]
+    for row in table:
+        orbit, cls, unorbit = row["orbit"], row["class"], row["unorbit"]
+        rows.append([orbit, cls, " ".join(map(str, row["codes"])), unorbit])
+        codes = ",".join(map(str, row["codes"]))
+        lines.append(f"{orbit:>5}  {cls:<11}  {codes:<7}  {unorbit}")
+    header = ["orbit", "class", "codes", "unorbit"]
+    _emit(args, table, header, rows, text="\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    if args.draws < 1:
-        raise _UsageError(f"--draws must be at least 1, got {args.draws}")
-    if args.nodes < 2:
-        raise _UsageError(f"--nodes must be at least 2, got {args.nodes}")
+    _at_least(args.draws, 1, "--draws")
+    _at_least(args.nodes, 2, "--nodes")
     if not 0 < args.avg_degree <= args.nodes - 1:
         raise _UsageError(
             f"--avg-degree must be positive and at most --nodes - 1, "
             f"got {args.avg_degree}"
         )
+    _at_least(args.seed, 0, "--seed")
     if args.graph is not None:
         g = load_edge_list(args.graph)
     else:
         g = sparse_random_graph(args.nodes, args.avg_degree, args.seed)
     v = int(np.argmax(g.degrees))
     methods = args.method or list(METHOD_ORDER)
-    rows = []
+    rates = []
     for m in methods:
         try:
             per_draw = measure_sample_time(g, v, m, draws=args.draws, seed=args.seed)
         except CannotSampleError as exc:  # route undefined at this node
-            rows.append({"method": m, "error": str(exc)})
+            rates.append({"method": m, "error": str(exc)})
             continue
-        rows.append(
+        rates.append(
             {
                 "method": m,
                 "seconds_per_draw": per_draw,
@@ -340,24 +322,11 @@ def _cmd_bench(args) -> int:
         "node": g.to_original(v),
         "degree": int(g.degrees[v]),
         "draws": args.draws,
-        "rates": rows,
+        "rates": rates,
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["method", "seconds_per_draw", "draws_per_second", "error"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r["method"],
-                    r.get("seconds_per_draw"),
-                    r.get("draws_per_second"),
-                    r.get("error"),
-                ]
-            )
-        _emit(args, buf.getvalue())
-    else:
-        _emit(args, dumps(payload))
+    header = ["method", "seconds_per_draw", "draws_per_second", "error"]
+    rows = [[r.get(col) for col in header] for r in rates]
+    _emit(args, payload, header, rows)
     return EXIT_OK
 
 

@@ -122,6 +122,7 @@ def run_pipeline_matrix(
 ) -> tuple[np.ndarray, list[float]]:
     """Per-run estimate vectors, shape (runs, orbits), plus per-run seconds."""
     run_seeds = [seed + i for i in range(runs)]
+    workers = min(workers, runs)  # no idle processes
     if workers <= 1:
         results = [_one_run(g, v, mode, budget, s) for s in run_seeds]
     else:
@@ -133,6 +134,16 @@ def run_pipeline_matrix(
     matrix = np.array([vec for vec, _ in results], dtype=float)
     times = [t for _, t in results]
     return matrix, times
+
+
+def exact_mode_counts(
+    g: Graph, v: int, mode: str, guard: int | None
+) -> dict[int, int]:
+    """Exact degrees of the mode's orbits at v, enumerating only the
+    subgraph sizes the mode reports; raises GuardExceededError when the
+    guard refuses the anchor."""
+    counts = exact_orbit_degrees(g, v, guard=guard, sizes=MODES[mode].sizes)
+    return counts.undirected if mode == "undirected" else counts.directed3
 
 
 def run_experiment(
@@ -168,13 +179,10 @@ def run_experiment(
     )
 
     try:
-        counts = exact_orbit_degrees(g, v, guard=oracle_guard, sizes=spec.sizes)
+        exact_map = exact_mode_counts(g, v, mode, oracle_guard)
     except GuardExceededError:
         return report
 
-    exact_map = (
-        counts.undirected if mode == "undirected" else counts.directed3
-    )
     report.exact = {i: int(exact_map[i]) for i in ids}
     report.nrmse = {
         i: nrmse(matrix[:, x], exact_map[i]) for x, i in enumerate(ids)

@@ -441,12 +441,12 @@ def _open_lines(src) -> Iterable[str]:
     if isinstance(src, (str, Path)):
         return open(src, "r", encoding="ascii", errors="replace")
     if isinstance(src, (bytes, bytearray)):
-        return io.StringIO(src.decode("ascii", errors="replace"))
+        return io.StringIO(src.decode("ascii", errors="replace"), newline=None)
     if isinstance(src, io.IOBase) or hasattr(src, "read"):
         data = src.read()
         if isinstance(data, bytes):
             data = data.decode("ascii", errors="replace")
-        return io.StringIO(data)
+        return io.StringIO(data, newline=None)
     return iter(src)
 
 

@@ -13,9 +13,7 @@ round-trip representation, so identical reports dump to identical bytes.
 
 from __future__ import annotations
 
-import csv
 import json
-from typing import IO
 
 from .estimators import Estimate, OrbitReport
 
@@ -41,6 +39,21 @@ def report_to_dict(report: OrbitReport, node_label: int | None = None) -> dict:
             for (i, j), c in sorted(report.covariances.items())
         ],
     }
+
+
+def report_rows(
+    report: OrbitReport, node_label: int | None = None
+) -> tuple[list[str], list[list]]:
+    """Header and rows of the flat one-row-per-orbit table."""
+    node = report.node if node_label is None else node_label
+    header = [
+        "node", "mode", "orbit", "estimate", "estimate_clamped", "variance", "source"
+    ]
+    rows = [
+        [node, report.mode, i, e.value, e.clamped, e.variance, e.source]
+        for i, e in sorted(report.estimates.items())
+    ]
+    return header, rows
 
 
 def report_from_dict(data: dict) -> OrbitReport:
@@ -71,14 +84,3 @@ def dumps(payload: dict | list) -> str:
 
 def loads(text: str) -> dict:
     return json.loads(text)
-
-
-def write_report_csv(report: OrbitReport, fh: IO[str], node_label: int | None = None) -> None:
-    """Flat one-row-per-orbit table."""
-    node = report.node if node_label is None else node_label
-    writer = csv.writer(fh)
-    writer.writerow(
-        ["node", "mode", "orbit", "estimate", "estimate_clamped", "variance", "source"]
-    )
-    for i, e in sorted(report.estimates.items()):
-        writer.writerow([node, report.mode, i, e.value, e.clamped, e.variance, e.source])

@@ -133,19 +133,18 @@ def _batch_r43(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
     iu = _weighted_pick(g.acc_walk(ctx.stats), k, rng)
     u = ctx.nb[iu]
     w = np.empty(k, dtype=np.int64)
-    # The degree-weighted step around u excludes v's block; draws are grouped
-    # by distinct u (in increasing order, as nb is sorted) so each group
-    # shares one cumulative array.
+    # The degree-weighted step around u picks from u's cumulative array with
+    # v's block cut out; draws are grouped by distinct u (in increasing order,
+    # as nb is sorted) so each group shares one cut array.
     for i in np.unique(iu):
         sel = np.nonzero(iu == i)[0]
         x = int(ctx.nb[i])
         acc = g.acc_degree(g.stats(x))
         pos = int(ctx.back[i])
-        lo = int(acc[pos - 1]) if pos > 0 else 0
-        block = int(acc[pos]) - lo
-        rnd = rng.integers(1, int(acc[-1]) - block + 1, size=len(sel))
-        rnd = np.where(rnd > lo, rnd + block, rnd)
-        w[sel] = g.neighbors(x)[np.searchsorted(acc, rnd, side="left")]
+        block = acc[pos] - (acc[pos - 1] if pos > 0 else 0)
+        cut = np.concatenate((acc[:pos], acc[pos + 1 :] - block))
+        j = _skip_one(_weighted_pick(cut, len(sel), rng), pos)
+        w[sel] = g.neighbors(x)[j]
     return u, w, _second_step(g, w, g.pos_of_many(w, u), rng)
 
 

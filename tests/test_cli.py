@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import json
+import types
 import weakref
 
 import numpy as np
@@ -145,6 +146,11 @@ def test_usage_errors(graph_file, capsys):
     assert main(ev + ["--workers", "-2"]) == 1
     assert main(ev + ["--oracle-guard", "-1"]) == 1
     assert main(["exact", *est[1:], "--oracle-guard", "-1"]) == 1
+    # a negative seed is refused before the graph is read or generated
+    assert main(est + ["--budget", "300", "--seed", "-1"]) == 1
+    assert main(ev + ["--seed", "-1"]) == 1
+    assert main(["bench", "--nodes", "50", "--seed", "-1"]) == 1
+    assert "--seed must be at least 0, got -1" in capsys.readouterr().err
     # graph sizes no generated graph can have, checked before generating
     bench = ["bench", "--draws", "10"]
     assert main(bench + ["--nodes", "4", "--avg-degree", "10"]) == 1
@@ -255,6 +261,14 @@ def test_bench_reports_only_undefined_routes(tmp_path, capsys, monkeypatch):
         "method": "R42", "error": "R42 cannot draw at node 2 (tail_wedges = 0)"
     }
     assert all("error" not in r for m, r in rows.items() if m != "R42")
+    assert main(["bench", "--graph", str(path), "--draws", "10", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["method", "seconds_per_draw", "draws_per_second", "error"]
+    assert [(r[0], r[3]) for r in rows[1:]] == [
+        (m, "R42 cannot draw at node 2 (tail_wedges = 0)" if m == "R42" else "")
+        for m in ("R31", "R32", "R41", "R42", "R43", "R44")
+    ]
+    assert all((r[1] == "") == (r[0] == "R42") for r in rows[1:])
 
     # any other failure is an error of the command, not a row
     from orbitsampler import cli
@@ -288,6 +302,39 @@ def test_report_roundtrip():
     back = report_from_dict(data)
     assert back == rep
     assert dumps(report_to_dict(back)) == dumps(report_to_dict(rep))
+
+
+def test_pool_starts_no_more_processes_than_runs(monkeypatch):
+    # a fake context records the pool size and maps in this process
+    from orbitsampler import experiment
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    context = types.SimpleNamespace(Pool=Pool)
+    monkeypatch.setattr(experiment.multiprocessing, "get_context", lambda _: context)
+    monkeypatch.setattr(experiment, "_CTX", {})  # what a worker would set
+    g = gnp(30, 0.2, seed=4)
+    v = int(np.argmax(g.degrees))
+    args = (g, v, "undirected", BudgetConfig(total=300))
+    serial, _ = experiment.run_pipeline_matrix(*args, runs=2, seed=0)
+    for workers, runs in ((4, 2), (2, 3)):
+        matrix, _ = experiment.run_pipeline_matrix(*args, runs=runs, seed=0, workers=workers)
+        assert (matrix[:2] == serial).all()
+    assert sizes == [2, 2]
 
 
 def test_serial_run_experiment_releases_graph():
@@ -331,8 +378,8 @@ def test_run_experiment_forced_graph(route_tallies):
 def test_run_experiment_oracle_sizes_by_mode(monkeypatch, digraph_file, capsys):
     # directed orbits are all 3-node ones, so directed3 mode must not ask
     # the oracle for 4-node subgraphs; undirected mode needs both sizes.
-    # run_experiment and the exact command read the same table.
-    from orbitsampler import cli, experiment
+    # run_experiment and the exact command share one helper.
+    from orbitsampler import experiment
     from orbitsampler.generators import gnp_directed
 
     requested = []
@@ -343,7 +390,6 @@ def test_run_experiment_oracle_sizes_by_mode(monkeypatch, digraph_file, capsys):
         return exact(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "exact_orbit_degrees", spy)
-    monkeypatch.setattr(cli, "exact_orbit_degrees", spy)
     g = gnp_directed(20, 0.25, seed=6)
     v = int(np.argmax(g.degrees))
     rep = run_experiment(g, v, "directed3", BudgetConfig(total=400), runs=3, seed=0)

@@ -79,6 +79,19 @@ def test_load_accepts_bytes_and_line_iterables():
         assert load_edge_list(src).edge_count == 2
 
 
+def test_load_reads_every_line_ending_from_every_source(tmp_path):
+    data = b"1 2\n2 3\r\n3 1\r3 4\r\n# c\r4 4\n"
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(data)
+    sources = (path, data, io.BytesIO(data), io.StringIO(data.decode()))
+    graphs = [load_edge_list(src, directed=True) for src in sources]
+    assert graphs[0].summary == LoadSummary(6, 4, 1, 0)
+    for g in graphs[1:]:
+        assert g.summary == graphs[0].summary
+        for name in ("indptr", "indices", "labels", "original_ids"):
+            assert (getattr(g, name) == getattr(graphs[0], name)).all(), name
+
+
 def test_load_directed_repeated_and_reciprocal_arcs():
     g = load_edge_list(io.StringIO("0 1\n0 1\n1 0\n1 0\n"), directed=True)
     assert g.edge_count == 1 and g.direction_code(0, 1) == MUTUAL
