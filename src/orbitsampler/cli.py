@@ -128,6 +128,8 @@ def _build_parser() -> _Parser:
     p_bench.add_argument(
         "--method", action="append", choices=METHOD_ORDER, default=None
     )
+    # routes ignore directions, so --graph is read undirected, with no id map
+    p_bench.set_defaults(directed=False, id_map=None)
     return parser
 
 
@@ -291,16 +293,16 @@ def _cmd_orbit_table(args) -> int:
 
 def _cmd_bench(args) -> int:
     _at_least(args.draws, 1, "--draws")
-    _at_least(args.nodes, 2, "--nodes")
-    if not 0 < args.avg_degree <= args.nodes - 1:
-        raise _UsageError(
-            f"--avg-degree must be positive and at most --nodes - 1, "
-            f"got {args.avg_degree}"
-        )
     _at_least(args.seed, 0, "--seed")
     if args.graph is not None:
-        g = load_edge_list(args.graph)
-    else:
+        g = _load_graph(args)
+    else:  # the size options shape only a generated graph
+        _at_least(args.nodes, 2, "--nodes")
+        if not 0 < args.avg_degree <= args.nodes - 1:
+            raise _UsageError(
+                f"--avg-degree must be positive and at most --nodes - 1, "
+                f"got {args.avg_degree}"
+            )
         g = sparse_random_graph(args.nodes, args.avg_degree, args.seed)
     v = int(np.argmax(g.degrees))
     methods = args.method or list(METHOD_ORDER)

@@ -24,6 +24,11 @@ cached on the graph: a gather from a per-node code array and from the
 anchor's back positions.  Every other pair lookup, scalar or batched, is one
 search of the sorted edge keys (``Graph._find``), and a lookup that needs an
 edge raises :class:`NotANeighborError` for a pair that is not one.
+
+An edge list whose every line fits a strict grammar (``_tokenize_edges``)
+is parsed by array operations over its bytes; any other input is read by
+the line scanner (``_scan_edges``), which gives the same pairs on every
+input the grammar takes and alone raises :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -437,17 +442,140 @@ class AnchorContext:
         self.back = g.pos_of_many(self.nb, v)
 
 
-def _open_lines(src) -> Iterable[str]:
+# Byte classes of the edge-list fast path (_tokenize_edges): a byte of
+# class 0 outside a comment sends the input to the line scanner.
+_DIGIT, _BLANK = 1, 2
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b" \t\r\n")] = _BLANK
+# Ids of at most 18 digits are below 10**18 < 2**63, so Horner cannot wrap.
+_MAX_DIGITS = 18
+_BLOCK_BYTES = 1 << 20
+_LF, _CR, _HASH, _ZERO = (np.uint8(c) for c in b"\n\r#0")
+
+
+def _tokenize_edges(data: bytes | bytearray) -> tuple[np.ndarray, int] | None:
+    """Endpoint pairs and line count of an edge list, or None when a line
+    falls outside the fast grammar and the line scanner must read it.
+
+    Every line is blank, a comment whose first byte is ``#``, or two runs
+    of 1-18 ASCII digits, separated and optionally surrounded by spaces or
+    tabs; lines end in ``\\n`` or ``\\r\\n``.  The scanner reads each such
+    input to the same pairs and line count.
+
+    The input is read in blocks of whole lines, about ``_BLOCK_BYTES``
+    each, into one output array sized by the line count, so the
+    temporaries (a class byte per input byte, a few int64 arrays per digit
+    run) stay block-sized and are reused from block to block.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    pairs = np.empty((data.count(b"\n") + 1, 2), dtype=np.int64)
+    kept = lines = lo = 0
+    while lo < len(b):
+        hi = data.find(b"\n", lo + _BLOCK_BYTES) + 1 or len(b)
+        block = _tokenize_block(b[lo:hi], pairs[kept:])
+        if block is None:
+            return None
+        kept, lines, lo = kept + block[0], lines + block[1], hi
+    return pairs[:kept], lines
+
+
+def _tokenize_block(b: np.ndarray, out: np.ndarray) -> tuple[int, int] | None:
+    """Write the pairs of whole lines ``b`` into ``out``; return the pair
+    and line counts, or None when a line falls outside the fast grammar."""
+    n = len(b)
+    cr = np.flatnonzero(b == _CR)
+    if len(cr) and (cr[-1] == n - 1 or np.any(b[cr + 1] != _LF)):
+        return None  # a lone \r ends a line for the scanner
+    newline = np.flatnonzero(b == _LF)
+    starts = np.concatenate(([0], newline + 1))
+    starts = starts[starts < n]
+    cls = _BYTE_CLASS[b]
+    comment = b[starts] == _HASH
+    if comment.any():
+        cls[np.repeat(comment, np.diff(starts, append=n))] = _BLANK
+    if not cls.all():
+        return None
+    bounds = np.flatnonzero(np.diff(cls == _DIGIT, prepend=False, append=False))
+    del cls
+    first, end = bounds[0::2], bounds[1::2]
+    width = end - first
+    top = int(width.max(initial=0))
+    if top > _MAX_DIGITS:
+        return None
+    # Digit runs per line, from the runs that start before each newline.
+    per_line = np.diff(np.searchsorted(first, newline), prepend=0, append=len(first))
+    if np.any((per_line != 0) & (per_line != 2)):
+        return None
+    # Horner over digit positions, right-aligned: step k reads the k-th
+    # byte from the end of each run, and a run shorter than k adds a
+    # leading 0 (its index may wrap to the end of the block, never past
+    # its start, since the longest run and one more byte fit in it).
+    value = out.reshape(-1)[: len(first)]
+    value[:] = 0
+    width = width.astype(np.uint8)
+    pos = end - top
+    for k in range(top, 0, -1):
+        digit = b[pos] - _ZERO
+        digit *= width >= k
+        value *= 10
+        value += digit
+        pos += 1
+    return len(first) // 2, len(starts)
+
+
+def _scan_edges(lines: Iterable[str]) -> tuple[np.ndarray, int]:
+    """Endpoint pairs and line count of an edge list, one line at a time.
+
+    The reference reader: it takes every input, and it alone raises
+    :class:`ParseError`.
+    """
+    ends = array("q")
+    line_no = 0
+    for line_no, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected two fields, got {len(parts)}", line_no)
+        u, v = parts
+        if not (u.isdigit() and v.isdigit() and u.isascii() and v.isascii()):
+            if u.startswith("-") or v.startswith("-"):
+                raise ParseError("negative node id", line_no)
+            raise ParseError(f"non-integer node id in {parts!r}", line_no)
+        try:
+            ends.append(int(u))
+            ends.append(int(v))
+        except OverflowError:
+            raise ParseError("node id exceeds 63 bits", line_no) from None
+    return np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), line_no
+
+
+def _read_edges(src) -> tuple[np.ndarray, int]:
+    """Endpoint pairs and line count of any source of ``load_edge_list``.
+
+    A path, ``bytes`` or file object is read once; text is tokenized as
+    its ASCII encoding (other characters become ``?``).  An iterable of
+    lines, and every input the tokenizer declines, goes to the scanner.
+    """
     if isinstance(src, (str, Path)):
-        return open(src, "r", encoding="ascii", errors="replace")
-    if isinstance(src, (bytes, bytearray)):
-        return io.StringIO(src.decode("ascii", errors="replace"), newline=None)
-    if isinstance(src, io.IOBase) or hasattr(src, "read"):
+        data = Path(src).read_bytes()
+    elif isinstance(src, (bytes, bytearray)):
+        data = src
+    elif hasattr(src, "read"):
         data = src.read()
-        if isinstance(data, bytes):
-            data = data.decode("ascii", errors="replace")
-        return io.StringIO(data, newline=None)
-    return iter(src)
+    else:
+        return _scan_edges(src)
+    fast = _tokenize_edges(
+        data.encode("ascii", errors="replace") if isinstance(data, str) else data
+    )
+    if fast is not None:
+        return fast
+    # Text keeps its own characters, so a ParseError quotes what was read.
+    if not isinstance(data, str):
+        data = data.decode("ascii", errors="replace")
+    return _scan_edges(io.StringIO(data, newline=None))
 
 
 def load_edge_list(src, directed: bool = False) -> Graph:
@@ -460,35 +588,13 @@ def load_edge_list(src, directed: bool = False) -> Graph:
     repeated lines are dropped (counted in the returned graph's
     :class:`LoadSummary`).  Node ids are compacted to ``0..n-1``; the
     original ids stay available through ``Graph.original_ids``.
-    """
-    ends = array("q")
-    lines = 0
-    handle = _open_lines(src)
-    try:
-        for line_no, raw in enumerate(handle, start=1):
-            lines += 1
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected two fields, got {len(parts)}", line_no)
-            u, v = parts
-            if not (u.isdigit() and v.isdigit() and u.isascii() and v.isascii()):
-                if u.startswith("-") or v.startswith("-"):
-                    raise ParseError("negative node id", line_no)
-                raise ParseError(f"non-integer node id in {parts!r}", line_no)
-            try:
-                ends.append(int(u))
-                ends.append(int(v))
-            except OverflowError:
-                raise ParseError("node id exceeds 63 bits", line_no) from None
-    finally:
-        close = getattr(handle, "close", None)
-        if close is not None:
-            close()
 
-    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    A path, ``bytes`` or file object is read once; an input in the fast
+    grammar of ``_tokenize_edges`` is parsed by array operations, any
+    other by the line scanner (``_scan_edges``), which reads every input
+    the fast grammar takes to the same pairs.
+    """
+    pairs, lines = _read_edges(src)
     return Graph.from_arrays(
         pairs[:, 0], pairs[:, 1], directed, compact=True, lines_read=lines
     )

@@ -244,6 +244,16 @@ def test_bench_on_small_graph(graph_file, capsys):
     }
 
 
+def test_bench_graph_loads_like_every_command(graph_file, tmp_path, capsys):
+    missing = tmp_path / "nope.txt"
+    assert main(["bench", "--graph", str(missing), "--draws", "10"]) == 2
+    assert capsys.readouterr().err == f"error: graph file not found: {missing}\n"
+    # the size options shape only a generated graph, so a given file ignores them
+    for size in (["--nodes", "1"], ["--avg-degree", "0"], ["--nodes", "4"]):
+        assert main(["bench", "--graph", str(graph_file), "--draws", "10", *size]) == 0
+        assert json.loads(capsys.readouterr().out)["draws"] == 10
+
+
 def test_bench_rejects_draw_counts_below_one(graph_file, capsys):
     for draws in ("0", "-5"):
         assert main(["bench", "--graph", str(graph_file), "--draws", draws]) == 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from orbitsampler import (
     classify_undirected,
     load_edge_list,
 )
+from orbitsampler import graph
 from orbitsampler.generators import gnp, preferential_attachment, sparse_random_graph
 from orbitsampler.graph import IN, MAX_NODES, MUTUAL, OUT, AnchorContext
 
@@ -109,6 +111,135 @@ def test_load_largest_node_id():
     with pytest.raises(ParseError) as exc:
         load_edge_list(io.StringIO(f"0 1\n# c\n{2**63} 1\n"))
     assert exc.value.line_no == 3
+
+
+# Every input in this suite that the scanner rejects, with its message.
+PARSE_ERRORS = [
+    ("0 1\nbogus line here\n", 2, "expected two fields, got 3"),
+    ("0 1\n# c\n0 x\n", 3, "non-integer node id in ['0', 'x']"),
+    ("0 1\n# c\n-1 2\n", 3, "negative node id"),
+    ("0 1\n# c\n1_000 2\n", 3, "non-integer node id in ['1_000', '2']"),
+    ("0 1\n# c\n+5 6\n", 3, "non-integer node id in ['+5', '6']"),
+    ("0 1\n# c\n1 \u0663\n", 3, "non-integer node id in ['1', '\u0663']"),
+    ("2 -1\n", 1, "negative node id"),
+    (f"0 1\n# c\n{2**63} 1\n", 3, "node id exceeds 63 bits"),
+]
+
+# Inputs at the edge of the fast grammar, and whether the tokenizer takes them.
+BOUNDARY = [
+    (b"123456789012345678 1\n", True),  # 18 digits
+    (b"1234567890123456789 1\n", False),  # 19 digits: the scanner reads it
+    (b"12345678901234567890 1\n", False),
+    (f"{2**63 - 1} 1\n".encode(), False),
+    (f"{2**63} 1\n".encode(), False),
+    (b"007 0008\n", True),
+    (b"+5 6\n", False),
+    (b"-1 2\n", False),
+    (b"1_000 2\n", False),
+    (b"1\t2\n\t3 \t4\t\n", True),
+    (b"1\x0b2\n", False),
+    (b"1\x0c2\n", False),
+    (b"1\x1c2\n", False),
+    (b"1 2\r\n3 4\r\n", True),
+    (b"1 2\r3 4\r", False),
+    (b"1 2\r\r\n", False),
+    (b"1\r2\n", False),
+    (b"1 2\n3 4", True),
+    (b" # c\n1 2\n", False),
+    (b"1 2 # c\n", False),
+    (b"1\n", False),
+    (b"1 2 3\n", False),
+    (b"1 2 3 4\n", False),
+    (b"  \n\t\n \r\n1 2\n", True),
+    (b"1 2\x00\n", False),
+    (b"1 \xff\n", False),
+    (b"", True),
+    (b"#\xff\x00\x0c 7 x\r\n1 2\n", True),
+]
+
+
+def scan(data: bytes):
+    lines = io.StringIO(data.decode("ascii", errors="replace"), newline=None)
+    return graph._scan_edges(lines)
+
+
+def assert_tokenizer_agrees(data: bytes) -> bool:
+    """The tokenizer declines ``data`` or reads it as the scanner does;
+    returns whether it took it."""
+    fast = graph._tokenize_edges(data)
+    try:
+        pairs, lines = scan(data)
+    except ParseError:
+        assert fast is None, data
+        return False
+    if fast is not None:
+        assert fast[0].tolist() == pairs.tolist(), data
+        assert fast[1] == lines, data
+    return fast is not None
+
+
+def test_tokenizer_declines_parse_errors_and_keeps_their_messages():
+    for text, line_no, message in PARSE_ERRORS:
+        assert not assert_tokenizer_agrees(text.encode("ascii", errors="replace"))
+        with pytest.raises(ParseError) as exc:
+            load_edge_list(io.StringIO(text))
+        assert exc.value.line_no == line_no, text
+        assert str(exc.value) == f"line {line_no}: {message}", text
+
+
+def test_tokenizer_agrees_with_scanner_at_the_grammar_boundary():
+    for data, taken in BOUNDARY:
+        assert assert_tokenizer_agrees(data) == taken, data
+
+
+@given(st.text(alphabet="0123456789 \t\r\n#-\x0ca", max_size=40))
+def test_tokenizer_agrees_with_scanner_on_any_bytes(text):
+    assert_tokenizer_agrees(text.encode())
+
+
+def test_clean_file_takes_the_fast_path_from_every_source(tmp_path, monkeypatch):
+    def refuse(lines):
+        raise AssertionError("the line scanner read a clean file")
+
+    monkeypatch.setattr(graph, "_scan_edges", refuse)
+    data = b"# header\n1 2\r\n2 3\n\n 3\t1 \n3 4\n4 4"
+    path = tmp_path / "clean.txt"
+    path.write_bytes(data)
+    sources = (path, str(path), data, io.BytesIO(data), io.StringIO(data.decode()))
+    graphs = [load_edge_list(src) for src in sources]
+    assert graphs[0].summary == LoadSummary(7, 4, 1, 0)
+    for g in graphs[1:]:
+        assert g.summary == graphs[0].summary
+        for name in ("indptr", "indices", "original_ids"):
+            assert (getattr(g, name) == getattr(graphs[0], name)).all(), name
+
+
+def test_fast_load_peak_stays_within_scanner_peak_plus_file(tmp_path):
+    rng = np.random.default_rng(5)
+    ends = rng.integers(0, 50_000, size=(200_000, 2))
+    path = tmp_path / "big.txt"
+    path.write_text("# generated\n" + "".join(f"{u} {v}\n" for u, v in ends.tolist()))
+
+    def scanner_load():
+        with open(path, encoding="ascii", errors="replace") as lines:
+            pairs, count = graph._scan_edges(lines)
+        return Graph.from_arrays(
+            pairs[:, 0], pairs[:, 1], compact=True, lines_read=count
+        )
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            g = load()
+            return g, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    slow, slow_peak = peak(scanner_load)
+    fast, fast_peak = peak(lambda: load_edge_list(path))
+    assert fast.summary == slow.summary
+    assert (fast.indices == slow.indices).all()
+    assert fast_peak <= slow_peak + path.stat().st_size
 
 
 def reference_load(lines, directed):
