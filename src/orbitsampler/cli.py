@@ -134,8 +134,11 @@ def _build_parser() -> _Parser:
 
 
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=None, help="total draws, split evenly")
-    p.add_argument(
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument(
+        "--budget", type=int, default=None, help="total draws, split evenly"
+    )
+    group.add_argument(
         "--budget-split",
         default=None,
         help="comma-separated per-route draws in pipeline order",
@@ -154,10 +157,8 @@ def _budget_from_args(args) -> BudgetConfig:
         except ValueError:
             raise _UsageError(f"bad --budget-split {args.budget_split!r}") from None
         budget = BudgetConfig(split=split)
-    elif args.budget is not None:
-        budget = BudgetConfig(total=args.budget)
     else:
-        raise _UsageError("need --budget or --budget-split")
+        budget = BudgetConfig(total=args.budget)
     try:
         budget.resolve(MODES[args.mode].routes)
     except ValueError as exc:

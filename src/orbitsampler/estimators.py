@@ -122,9 +122,6 @@ class OrbitReport:
     estimates: dict[int, Estimate]
     covariances: dict[tuple[int, int], float] = field(default_factory=dict)
 
-    def values(self, orbit_ids) -> np.ndarray:
-        return np.array([self.estimates[i].value for i in orbit_ids], dtype=float)
-
 
 @dataclass(frozen=True)
 class PooledHits:

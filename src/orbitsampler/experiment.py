@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,50 +43,15 @@ class EvalReport:
     wall_clock_per_run: list[float] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "node": self.node,
-            "mode": self.mode,
-            "runs": self.runs,
-            "budgets": dict(self.budgets),
-            "seed": self.seed,
-            "mean_estimates": {str(k): v for k, v in self.mean_estimates.items()},
-            "exact": None
-            if self.exact is None
-            else {str(k): v for k, v in self.exact.items()},
-            "nrmse": None
-            if self.nrmse is None
-            else {str(k): v for k, v in self.nrmse.items()},
-            "l1": self.l1,
-            "l2": self.l2,
-            "topk": None
-            if self.topk is None
-            else {str(k): v for k, v in self.topk.items()},
-        }
-        if self.wall_clock_per_run is not None:
-            out["wall_clock_per_run"] = self.wall_clock_per_run
+        """JSON payload: orbit-keyed mappings get string keys, ``None``
+        stays ``None``, and per-run times appear only when collected."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("mean_estimates", "exact", "nrmse", "topk"):
+            if out[name] is not None:
+                out[name] = {str(k): v for k, v in out[name].items()}
+        if self.wall_clock_per_run is None:
+            del out["wall_clock_per_run"]
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        def int_keys(mapping, cast):
-            if mapping is None:
-                return None
-            return {int(k): cast(v) for k, v in mapping.items()}
-
-        return cls(
-            node=int(data["node"]),
-            mode=str(data["mode"]),
-            runs=int(data["runs"]),
-            budgets={str(k): int(v) for k, v in data["budgets"].items()},
-            seed=int(data["seed"]),
-            mean_estimates=int_keys(data["mean_estimates"], float),
-            exact=int_keys(data["exact"], int),
-            nrmse=int_keys(data["nrmse"], lambda x: None if x is None else float(x)),
-            l1=data.get("l1"),
-            l2=data.get("l2"),
-            topk=int_keys(data.get("topk"), dict),
-            wall_clock_per_run=data.get("wall_clock_per_run"),
-        )
 
 
 def _one_run(
@@ -191,14 +156,10 @@ def run_experiment(
         exact_vec = np.array([exact_map[i] for i in ids], dtype=float)
         if exact_vec.sum() > 0 and (matrix.sum(axis=1) > 0).all():
             dists = np.array([l1_l2(row, exact_vec) for row in matrix])
-            report.l1 = {
-                "mean": float(dists[:, 0].mean()),
-                "variance": float(dists[:, 0].var(ddof=1)),
-            }
-            report.l2 = {
-                "mean": float(dists[:, 1].mean()),
-                "variance": float(dists[:, 1].var(ddof=1)),
-            }
+            report.l1, report.l2 = (
+                {"mean": float(d.mean()), "variance": float(d.var(ddof=1))}
+                for d in dists.T
+            )
         report.topk = {}
         for k in TOPK_LEVELS:
             hits = np.array(

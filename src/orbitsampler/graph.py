@@ -114,14 +114,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 class Graph:
-    """Simple undirected graph, optionally with per-edge direction labels."""
+    """Simple undirected graph, optionally with per-edge direction labels;
+    it is directed exactly when it carries them."""
 
     def __init__(
         self,
         indptr: np.ndarray,
         indices: np.ndarray,
         labels: np.ndarray | None = None,
-        directed: bool = False,
         original_ids: np.ndarray | None = None,
         summary: LoadSummary | None = None,
     ):
@@ -131,15 +131,12 @@ class Graph:
             raise EmptyGraphError("a graph needs at least one edge")
         self.node_count = len(self.indptr) - 1
         self.edge_count = len(self.indices) // 2
-        self.directed = bool(directed)
-        if directed:
-            if labels is None:
-                raise GraphError("directed graph requires direction labels")
+        self.directed = labels is not None
+        self.labels = None
+        if self.directed:
             self.labels = _freeze(np.asarray(labels, dtype=np.int8))
             if len(self.labels) != len(self.indices):
                 raise GraphError("labels must align with adjacency entries")
-        else:
-            self.labels = None
         if original_ids is None:
             original_ids = np.arange(self.node_count, dtype=np.int64)
         self.original_ids = _freeze(np.asarray(original_ids, dtype=np.int64))
@@ -236,7 +233,6 @@ class Graph:
             indptr,
             cols[csr],
             labels=labels,
-            directed=directed,
             original_ids=original_ids,
             summary=summary,
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .estimators import Estimate, OrbitReport
+from .estimators import OrbitReport
 
 
 def report_to_dict(report: OrbitReport, node_label: int | None = None) -> dict:
@@ -56,31 +56,6 @@ def report_rows(
     return header, rows
 
 
-def report_from_dict(data: dict) -> OrbitReport:
-    estimates = {
-        int(row["id"]): Estimate(
-            float(row["estimate"]), float(row["variance"]), str(row["source"])
-        )
-        for row in data["orbits"]
-    }
-    covariances = {
-        (int(row["i"]), int(row["j"])): float(row["value"])
-        for row in data.get("covariances", [])
-    }
-    return OrbitReport(
-        node=int(data["node"]),
-        mode=str(data["mode"]),
-        budgets={str(k): int(v) for k, v in data["budgets"].items()},
-        seed=None if data.get("seed") is None else int(data["seed"]),
-        estimates=estimates,
-        covariances=covariances,
-    )
-
-
 def dumps(payload: dict | list) -> str:
     """Deterministic JSON text for any report payload."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def loads(text: str) -> dict:
-    return json.loads(text)

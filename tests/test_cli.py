@@ -14,8 +14,6 @@ from orbitsampler import BudgetConfig, run_experiment
 from orbitsampler.cli import main
 from orbitsampler.generators import gnp
 from orbitsampler.metrics import nrmse
-from orbitsampler.report import dumps, loads, report_from_dict, report_to_dict
-from orbitsampler.estimators import estimate_orbit_degrees
 
 from conftest import complete_graph, pooled_value
 
@@ -139,6 +137,9 @@ def test_usage_errors(graph_file, capsys):
     assert main(est + ["--budget", "2"]) == 1  # below one draw per route
     assert main(est + ["--budget-split", "5,0,5"]) == 1
     assert main(est + ["--budget-split", "5,5"]) == 1  # three routes
+    # the two budget options exclude each other
+    assert main(est + ["--budget", "300", "--budget-split", "100,100,100"]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
     assert main(est + ["--mode", "directed3", "--budget-split", "5,5,5"]) == 1
     assert main(["evaluate", *est[1:], "--budget", "300", "--runs", "1"]) == 1
     ev = ["evaluate", *est[1:], "--budget", "300", "--runs", "2"]
@@ -304,16 +305,6 @@ def test_id_map_flag(graph_file, tmp_path):
     assert target.exists() and target.read_text().startswith("0 0")
 
 
-def test_report_roundtrip():
-    g = gnp(30, 0.2, seed=4)
-    v = int(np.argmax(g.degrees))
-    rep = estimate_orbit_degrees(g, v, "undirected", BudgetConfig(total=600), seed=9)
-    data = loads(dumps(report_to_dict(rep)))
-    back = report_from_dict(data)
-    assert back == rep
-    assert dumps(report_to_dict(back)) == dumps(report_to_dict(rep))
-
-
 def test_pool_starts_no_more_processes_than_runs(monkeypatch):
     # a fake context records the pool size and maps in this process
     from orbitsampler import experiment
@@ -355,17 +346,6 @@ def test_serial_run_experiment_releases_graph():
     del g
     gc.collect()
     assert ref() is None
-
-
-def test_eval_report_roundtrip():
-    from orbitsampler import EvalReport
-
-    g = gnp(30, 0.2, seed=4)
-    v = int(np.argmax(g.degrees))
-    rep = run_experiment(g, v, "undirected", BudgetConfig(total=600), runs=4, seed=2)
-    back = EvalReport.from_dict(loads(dumps(rep.to_dict())))
-    assert back == rep
-    assert dumps(back.to_dict()) == dumps(rep.to_dict())
 
 
 def test_run_experiment_forced_graph(route_tallies):

@@ -76,6 +76,13 @@ CASES = {
         "pa",
         ["evaluate", *_HUB, "--budget", "3000", "--runs", "4", "--workers", "1"],
     ),
+    "evaluate_undirected_guarded.json": (
+        "pa",
+        [
+            "evaluate", *_HUB, "--budget", "3000", "--runs", "4", "--workers", "1",
+            "--oracle-guard", "5",
+        ],
+    ),
     "evaluate_undirected.csv": (
         "pa",
         [

@@ -612,13 +612,12 @@ def test_lookups_refuse_ids_out_of_range():
     ],
 )
 def test_validate_rejects_broken_invariant(indptr, indices, labels, message):
-    directed = labels is not None
-    g = Graph(np.array(indptr), np.array(indices), labels, directed=directed)
+    g = Graph(np.array(indptr), np.array(indices), labels)
     with pytest.raises(GraphError, match=message):
         g.validate()
 
 
 def test_validate_accepts_hand_built_graph():
     Graph(np.array([0, 1, 2]), np.array([1, 0])).validate()
-    Graph(np.array([0, 1, 2]), np.array([1, 0]), [OUT, IN], directed=True).validate()
-    Graph(np.array([0, 1, 2]), np.array([1, 0]), [MUTUAL, MUTUAL], directed=True).validate()
+    Graph(np.array([0, 1, 2]), np.array([1, 0]), [OUT, IN]).validate()
+    Graph(np.array([0, 1, 2]), np.array([1, 0]), [MUTUAL, MUTUAL]).validate()
