@@ -1,12 +1,4 @@
-"""Command-line front end.
-
-Subcommands::
-
-    estimate     sample-based orbit-degree report for one node
-    exact        brute-force enumeration report (same JSON schema)
-    evaluate     repeated runs with NRMSE / L1 / L2 / top-k metrics
-    orbit-table  directed orbit id <-> canonical direction codes
-    bench        sampling throughput micro-benchmark
+"""Orbit-degree estimates of one node by biased subgraph sampling.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 enumeration guard
 exceeded.
@@ -28,15 +20,14 @@ from .estimators import (
     BudgetConfig,
     Estimate,
     OrbitReport,
+    check_mode,
     estimate_orbit_degrees,
 )
-from .experiment import exact_mode_counts, measure_sample_time, run_experiment
-from .generators import sparse_random_graph
+from .experiment import exact_mode_counts, run_experiment
 from .graph import Graph, GraphError, load_edge_list
 from .oracle import DEFAULT_GUARD, GuardExceededError
 from .orbits import orbit_table
 from .report import dumps, report_rows, report_to_dict
-from .samplers import METHOD_ORDER, CannotSampleError
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_GUARD = 0, 1, 2, 3
 
@@ -112,24 +103,7 @@ def _build_parser() -> _Parser:
         help="include wall-clock times (breaks byte-reproducibility)",
     )
 
-    p_table = sub.add_parser(
-        "orbit-table", parents=[out_opts], help="directed orbit code table"
-    )
-    del p_table  # no extra arguments
-
-    p_bench = sub.add_parser(
-        "bench", parents=[out_opts], help="sampling throughput micro-benchmark"
-    )
-    p_bench.add_argument("--graph", default=None, help="edge-list file (else generated)")
-    p_bench.add_argument("--nodes", type=int, default=100_000)
-    p_bench.add_argument("--avg-degree", type=float, default=10.0)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--draws", type=int, default=100_000)
-    p_bench.add_argument(
-        "--method", action="append", choices=METHOD_ORDER, default=None
-    )
-    # routes ignore directions, so --graph is read undirected, with no id map
-    p_bench.set_defaults(directed=False, id_map=None)
+    sub.add_parser("orbit-table", parents=[out_opts], help="directed orbit code table")
     return parser
 
 
@@ -182,11 +156,6 @@ def _pick_node(g: Graph, args) -> int:
     return int(np.argmax(g.degrees))
 
 
-def _check_mode(g: Graph, mode: str) -> None:
-    if mode == "directed3" and not g.directed:
-        raise GraphError("--mode directed3 requires --directed")
-
-
 def _emit(args, payload, header: list[str], rows, text: str | None = None) -> None:
     """Write a result to --output or stdout: CSV rows for --format csv, the
     command's text form when it has one and no format is given, else JSON."""
@@ -210,7 +179,7 @@ def _cmd_estimate(args) -> int:
     budget = _budget_from_args(args)
     _at_least(args.seed, 0, "--seed")
     g = _load_graph(args)
-    _check_mode(g, args.mode)
+    check_mode(g, args.mode)
     v = _pick_node(g, args)
     report = estimate_orbit_degrees(g, v, args.mode, budget, args.seed)
     _emit_report(args, report, g.to_original(v))
@@ -220,7 +189,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_exact(args) -> int:
     _at_least(args.oracle_guard, 0, "--oracle-guard")
     g = _load_graph(args)
-    _check_mode(g, args.mode)
+    check_mode(g, args.mode)
     v = _pick_node(g, args)
     mapping = exact_mode_counts(g, v, args.mode, args.oracle_guard)
     report = OrbitReport(
@@ -248,7 +217,7 @@ def _cmd_evaluate(args) -> int:
     _at_least(args.workers, 1, "--workers")
     _at_least(args.oracle_guard, 0, "--oracle-guard")
     g = _load_graph(args)
-    _check_mode(g, args.mode)
+    check_mode(g, args.mode)
     v = _pick_node(g, args)
     report = run_experiment(
         g,
@@ -292,53 +261,11 @@ def _cmd_orbit_table(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    _at_least(args.draws, 1, "--draws")
-    _at_least(args.seed, 0, "--seed")
-    if args.graph is not None:
-        g = _load_graph(args)
-    else:  # the size options shape only a generated graph
-        _at_least(args.nodes, 2, "--nodes")
-        if not 0 < args.avg_degree <= args.nodes - 1:
-            raise _UsageError(
-                f"--avg-degree must be positive and at most --nodes - 1, "
-                f"got {args.avg_degree}"
-            )
-        g = sparse_random_graph(args.nodes, args.avg_degree, args.seed)
-    v = int(np.argmax(g.degrees))
-    methods = args.method or list(METHOD_ORDER)
-    rates = []
-    for m in methods:
-        try:
-            per_draw = measure_sample_time(g, v, m, draws=args.draws, seed=args.seed)
-        except CannotSampleError as exc:  # route undefined at this node
-            rates.append({"method": m, "error": str(exc)})
-            continue
-        rates.append(
-            {
-                "method": m,
-                "seconds_per_draw": per_draw,
-                "draws_per_second": 1.0 / per_draw if per_draw > 0 else float("inf"),
-            }
-        )
-    payload = {
-        "node": g.to_original(v),
-        "degree": int(g.degrees[v]),
-        "draws": args.draws,
-        "rates": rates,
-    }
-    header = ["method", "seconds_per_draw", "draws_per_second", "error"]
-    rows = [[r.get(col) for col in header] for r in rates]
-    _emit(args, payload, header, rows)
-    return EXIT_OK
-
-
 _COMMANDS = {
     "estimate": _cmd_estimate,
     "exact": _cmd_exact,
     "evaluate": _cmd_evaluate,
     "orbit-table": _cmd_orbit_table,
-    "bench": _cmd_bench,
 }
 
 

@@ -40,7 +40,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import AnchorContext, Graph
+from .graph import AnchorContext, Graph, GraphError
 from .orbits import IDENTITIES, UNORBIT
 from .samplers import bias_vector, route_defined, tally_orbits
 
@@ -66,6 +66,16 @@ MODES = {
         (3,),
     ),
 }
+
+
+def check_mode(g: Graph, mode: str) -> None:
+    """Refuse a mode ``g`` cannot run: ValueError for an unknown mode,
+    GraphError for directed3 on a graph without direction labels."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "directed3" and not g.directed:
+        raise GraphError("mode directed3 needs a directed graph (--directed)")
+
 
 # The orbits R41 and R42 reach, whose pairwise covariances the undirected
 # report carries; they cover every term of the identities for 2, 4 and 7.
@@ -186,11 +196,8 @@ def estimate_orbit_degrees(
     thirty 3-node directed orbits: path centres from R31, path ends from
     R32 and triangles from both.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    check_mode(g, mode)
     directed = mode == "directed3"
-    if directed and not g.directed:
-        raise ValueError("directed estimation needs a directed graph")
     spec = MODES[mode]
     ctx = AnchorContext(g, v)
     st = ctx.stats

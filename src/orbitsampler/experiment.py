@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import MODES, BudgetConfig, estimate_orbit_degrees
+from .estimators import MODES, BudgetConfig, check_mode, estimate_orbit_degrees
 from .graph import AnchorContext, Graph
 from .metrics import l1_l2, nrmse, topk_detection
 from .oracle import DEFAULT_GUARD, GuardExceededError, exact_orbit_degrees
@@ -107,6 +107,7 @@ def exact_mode_counts(
     """Exact degrees of the mode's orbits at v, enumerating only the
     subgraph sizes the mode reports; raises GuardExceededError when the
     guard refuses the anchor."""
+    check_mode(g, mode)
     counts = exact_orbit_degrees(g, v, guard=guard, sizes=MODES[mode].sizes)
     return counts.undirected if mode == "undirected" else counts.directed3
 
@@ -177,7 +178,9 @@ def measure_sample_time(
 ) -> float:
     """Seconds per draw of one route, from a warmed batch measurement.
 
-    The anchor context (and with it ``two_paths_all``) is built untimed.
+    The anchor context (and with it ``two_paths_all``) is built untimed, and
+    the draws are not classified.  The acceptance suite's throughput
+    criterion is its one caller.
     """
     ctx = AnchorContext(g, v)
     rng = np.random.default_rng(seed)

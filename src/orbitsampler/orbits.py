@@ -49,7 +49,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import MUTUAL, Graph, GraphError
+from .graph import MUTUAL, Graph
 
 END_IDS = (2, 4, 5, 7, 9, 10, 12, 13, 15)
 CENTER_IDS = (1, 3, 6, 8, 11, 14)
@@ -198,8 +198,6 @@ def classify_undirected(g: Graph, anchor: int, members: Iterable[int]) -> int:
 
 def classify_directed3(g: Graph, anchor: int, members: Iterable[int]) -> int:
     """Directed orbit (1..30) of ``anchor`` in a 3-node member set."""
-    if not g.directed:
-        raise GraphError("directed classification requires direction labels")
     nodes = _anchor_first(anchor, members)
     if len(nodes) != 3:
         raise NotACisError(f"directed classification needs 3 nodes, got {nodes}")

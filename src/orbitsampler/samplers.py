@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import AnchorContext, Graph, GraphError, NodeStats
+from .graph import AnchorContext, Graph, NodeStats
 from .orbits import DIR3, IDENTITIES, ORBIT3, ORBIT4, PAIRS
 
 
@@ -219,8 +219,6 @@ def classify_wedge_batch(
     tri = g.has_edges(u, w)
     if not directed:
         return ORBIT3[0b011 + 0b100 * tri]
-    if not g.directed:
-        raise GraphError("directed classification requires direction labels")
     c = np.zeros(len(u), dtype=np.int8)
     c[tri] = g.direction_codes(u[tri], w[tri])
     return DIR3[ctx.code[u], ctx.code[w], c]

@@ -99,13 +99,39 @@ def test_exact_guard_exit_code(graph_file, capsys):
 
 
 def test_directed_mode_requires_directed(graph_file, capsys):
-    rc = main(
-        [
-            "estimate", "--graph", str(graph_file), "--node", "0",
-            "--mode", "directed3", "--budget", "100",
-        ]
-    )
-    assert rc == 2
+    # every command that takes a mode refuses directed3 on an unlabeled graph
+    args = ["--graph", str(graph_file), "--node", "0", "--mode", "directed3"]
+    for cmd in (
+        ["estimate", *args, "--budget", "100"],
+        ["exact", *args],
+        ["evaluate", *args, "--budget", "100", "--runs", "2", "--workers", "2"],
+    ):
+        assert main(cmd) == 2
+        assert "--directed" in capsys.readouterr().err
+
+
+def test_exact_mode_counts_refuses_directed3_without_labels():
+    from orbitsampler.experiment import exact_mode_counts
+    from orbitsampler.graph import Graph, GraphError
+
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
+    with pytest.raises(GraphError, match="--directed"):
+        exact_mode_counts(g, 0, "directed3", None)
+    with pytest.raises(ValueError, match="unknown mode"):
+        exact_mode_counts(g, 0, "bogus", None)
+
+
+def test_help_lists_every_command_once(capsys):
+    from orbitsampler import cli
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "Subcommands::" not in out
+    listed = out.split("positional arguments:")[1].split("options:")[0]
+    for name in cli._COMMANDS:
+        assert f"\n    {name} " in listed
 
 
 def test_missing_graph_is_data_error(tmp_path, capsys):
@@ -150,15 +176,10 @@ def test_usage_errors(graph_file, capsys):
     # a negative seed is refused before the graph is read or generated
     assert main(est + ["--budget", "300", "--seed", "-1"]) == 1
     assert main(ev + ["--seed", "-1"]) == 1
-    assert main(["bench", "--nodes", "50", "--seed", "-1"]) == 1
     assert "--seed must be at least 0, got -1" in capsys.readouterr().err
-    # graph sizes no generated graph can have, checked before generating
-    bench = ["bench", "--draws", "10"]
-    assert main(bench + ["--nodes", "4", "--avg-degree", "10"]) == 1
-    assert main(bench + ["--nodes", "1"]) == 1
-    assert main(bench + ["--avg-degree", "0"]) == 1
-    assert main(bench + ["--avg-degree", "-2"]) == 1
-    assert main(bench + ["--directed"]) == 1  # no such option
+    # no draw-only bench command: perfbench times draws plus lookups
+    assert main(["bench", "--draws", "10"]) == 1
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_evaluate_deterministic_across_workers(graph_file, tmp_path):
@@ -229,67 +250,6 @@ def test_orbit_table_output(capsys):
     assert main(["orbit-table", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [row["orbit"] for row in rows] == list(range(1, 31))
-
-
-def test_bench_on_small_graph(graph_file, capsys):
-    rc = main(
-        [
-            "bench", "--graph", str(graph_file), "--draws", "2000",
-            "--seed", "1",
-        ]
-    )
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert {r["method"] for r in payload["rates"]} == {
-        "R31", "R32", "R41", "R42", "R43", "R44"
-    }
-
-
-def test_bench_graph_loads_like_every_command(graph_file, tmp_path, capsys):
-    missing = tmp_path / "nope.txt"
-    assert main(["bench", "--graph", str(missing), "--draws", "10"]) == 2
-    assert capsys.readouterr().err == f"error: graph file not found: {missing}\n"
-    # the size options shape only a generated graph, so a given file ignores them
-    for size in (["--nodes", "1"], ["--avg-degree", "0"], ["--nodes", "4"]):
-        assert main(["bench", "--graph", str(graph_file), "--draws", "10", *size]) == 0
-        assert json.loads(capsys.readouterr().out)["draws"] == 10
-
-
-def test_bench_rejects_draw_counts_below_one(graph_file, capsys):
-    for draws in ("0", "-5"):
-        assert main(["bench", "--graph", str(graph_file), "--draws", draws]) == 1
-        assert "--draws must be at least 1" in capsys.readouterr().err
-
-
-def test_bench_reports_only_undefined_routes(tmp_path, capsys, monkeypatch):
-    # triangle plus a pendant: no neighbour of the hub has two spare
-    # neighbours, so R42 cannot draw there and is reported as such
-    path = tmp_path / "paw.txt"
-    path.write_text("0 1\n0 2\n1 2\n2 3\n")
-    assert main(["bench", "--graph", str(path), "--draws", "10"]) == 0
-    rows = {r["method"]: r for r in json.loads(capsys.readouterr().out)["rates"]}
-    assert rows["R42"] == {
-        "method": "R42", "error": "R42 cannot draw at node 2 (tail_wedges = 0)"
-    }
-    assert all("error" not in r for m, r in rows.items() if m != "R42")
-    assert main(["bench", "--graph", str(path), "--draws", "10", "--format", "csv"]) == 0
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert rows[0] == ["method", "seconds_per_draw", "draws_per_second", "error"]
-    assert [(r[0], r[3]) for r in rows[1:]] == [
-        (m, "R42 cannot draw at node 2 (tail_wedges = 0)" if m == "R42" else "")
-        for m in ("R31", "R32", "R41", "R42", "R43", "R44")
-    ]
-    assert all((r[1] == "") == (r[0] == "R42") for r in rows[1:])
-
-    # any other failure is an error of the command, not a row
-    from orbitsampler import cli
-
-    def broken(*args, **kwargs):
-        raise ValueError("broken measurement")
-
-    monkeypatch.setattr(cli, "measure_sample_time", broken)
-    assert main(["bench", "--graph", str(path), "--draws", "10"]) == 2
-    assert "broken measurement" in capsys.readouterr().err
 
 
 def test_id_map_flag(graph_file, tmp_path):

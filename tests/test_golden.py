@@ -2,9 +2,8 @@
 
 The expected files under ``tests/golden/`` pin the exact bytes the CLI
 writes for fixed seeds on small generated graphs: ``estimate``, ``exact``,
-``evaluate`` and ``orbit-table`` in each of their formats.  ``bench`` is
-left out because its rows hold timings.  A change that is meant to
-keep outputs identical must pass this test unchanged.  A change that alters
+``evaluate`` and ``orbit-table`` in each of their formats.  A change that
+is meant to keep outputs identical must pass this test unchanged.  A change that alters
 outputs on purpose (a new estimator rule, a different random stream)
 re-baselines by regenerating the files and saying so in CHANGES.md::
 
