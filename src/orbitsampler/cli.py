@@ -51,9 +51,6 @@ def _build_parser() -> _Parser:
     graph_opts.add_argument(
         "--directed", action="store_true", help="treat lines as arcs"
     )
-    graph_opts.add_argument(
-        "--id-map", default=None, help="write the dense-to-original id map here"
-    )
 
     node_opts = _Parser(add_help=False)
     sel = node_opts.add_mutually_exclusive_group(required=True)
@@ -144,10 +141,7 @@ def _load_graph(args) -> Graph:
     path = Path(args.graph)
     if not path.exists():
         raise GraphError(f"graph file not found: {path}")
-    g = load_edge_list(path, directed=args.directed)
-    if args.id_map:
-        g.write_id_map(args.id_map)
-    return g
+    return load_edge_list(path, directed=args.directed)
 
 
 def _pick_node(g: Graph, args) -> int:

@@ -185,53 +185,51 @@ class Graph:
         ``compact`` maps the distinct ids to ``0..n-1`` and keeps them as
         ``original_ids``.  The counts land in the graph's :class:`LoadSummary`.
 
-        Repeats merge by one sort of the edge key ``lo * n + hi``, so more
-        than ``MAX_NODES`` nodes raise :class:`GraphError`, before any build.
+        One sort of the adjacency keys ``row * n + col`` merges repeats and
+        orders the CSR, so more than ``MAX_NODES`` nodes raise
+        :class:`GraphError`, before any build.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         keep = u != v
-        loops = len(u) - int(keep.sum())
-        u, v = u[keep], v[keep]
-        if not len(u):
+        m = int(keep.sum())
+        loops = len(u) - m
+        if not m:
             raise EmptyGraphError("no usable edges")
+        ends = np.concatenate((u[keep], v[keep]))
         original_ids = None
         if compact:
-            original_ids, ends = np.unique(np.concatenate((u, v)), return_inverse=True)
-            u, v = ends[: len(u)], ends[len(u) :]
+            original_ids, ends = np.unique(ends, return_inverse=True)
             node_count = len(original_ids)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
         if node_count is None:
-            node_count = 1 + int(hi.max())
-        if int(lo.min()) < 0 or int(hi.max()) >= node_count:
+            node_count = 1 + int(ends.max())
+        if int(ends.min()) < 0 or int(ends.max()) >= node_count:
             raise GraphError(f"node ids outside 0..{node_count - 1}")
         if node_count > MAX_NODES:
             raise GraphError(f"{node_count} nodes: edge keys need n**2 below 2**63")
-        # Repeated lines share their edge key; one sort groups them.
-        key = lo * node_count + hi
+        # Line i gives the entries (u_i, v_i) at i and (v_i, u_i) at m + i.
+        # One sort of their keys groups repeated lines and orders the CSR.
+        rows, cols = ends, np.roll(ends, m)
+        key = rows * node_count + cols
         order = np.argsort(key)
         key = key[order]
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        lo, hi = lo[order[starts]], hi[order[starts]]
-        # Symmetric CSR: each edge once from either end, in edge-key order.
-        rows = np.concatenate((lo, hi))
-        cols = np.concatenate((hi, lo))
-        csr = np.argsort(rows * node_count + cols)
-        distinct, labels = len(starts), None
+        first = order[starts]
+        edges = distinct = len(starts) // 2
+        labels = None
         if directed:
-            # Each line sets one bit, OUT for the arc lo->hi and IN for
-            # hi->lo, so the merged bits are the direction code seen from lo
-            # and a line repeats an earlier one when it sets no new bit.
-            flag = np.bitwise_or.reduceat(np.where(u < v, OUT, IN)[order], starts)
-            distinct = np.count_nonzero(flag & OUT) + np.count_nonzero(flag & IN)
-            back = np.where(flag == MUTUAL, MUTUAL, OUT + IN - flag)
-            labels = np.concatenate((flag, back))[csr]
-        summary = LoadSummary(lines_read, len(lo), loops, len(u) - int(distinct))
+            # Entry i < m sets OUT and entry m + i sets IN, so the merged bits
+            # of a run are its direction code, and each distinct arc sets OUT
+            # at exactly one entry, its tail's.
+            bits = np.repeat(np.array([OUT, IN], dtype=np.int8), m)
+            labels = np.bitwise_or.reduceat(bits[order], starts)
+            distinct = np.count_nonzero(labels & OUT)
+        summary = LoadSummary(lines_read, edges, loops, m - int(distinct))
         indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
+        np.cumsum(np.bincount(rows[first], minlength=node_count), out=indptr[1:])
         return cls(
             indptr,
-            cols[csr],
+            cols[first],
             labels=labels,
             original_ids=original_ids,
             summary=summary,
@@ -369,12 +367,6 @@ class Graph:
         if i >= self.node_count or self.original_ids[i] != original:
             raise GraphError(f"unknown node id {original}")
         return i
-
-    def write_id_map(self, path: str | Path) -> None:
-        """Persist the dense-to-original id map as two-column text."""
-        with open(path, "w", encoding="ascii") as f:
-            for dense, orig in enumerate(self.original_ids):
-                f.write(f"{dense} {int(orig)}\n")
 
     # -- validation -----------------------------------------------------------
 

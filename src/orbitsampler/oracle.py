@@ -70,7 +70,8 @@ def check_guard(
     bound = candidate_bound(g.stats(v), sizes)
     if bound > limit:
         raise GuardExceededError(
-            f"node {v} implies up to {bound} candidate subgraphs (limit {limit})"
+            f"node {g.to_original(v)} implies up to {bound} candidate subgraphs"
+            f" (limit {limit})"
         )
 
 

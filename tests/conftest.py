@@ -135,13 +135,14 @@ def naive_cises(g: Graph, v: int, k: int) -> set[tuple[int, ...]]:
 
 def _connected_naive(g: Graph, nodes) -> bool:
     nodes = set(nodes)
+    adj = {a: set(g.neighbors(a).tolist()) for a in nodes}
     seen = {next(iter(nodes))}
     grew = True
     while grew:
         grew = False
         for a in list(seen):
             for b in nodes - seen:
-                if g.has_edge(a, b):
+                if b in adj[a]:
                     seen.add(b)
                     grew = True
     return seen == nodes

@@ -98,6 +98,15 @@ def test_exact_guard_exit_code(graph_file, capsys):
     assert rc == 3
 
 
+def test_exact_guard_names_the_file_id(tmp_path, capsys):
+    # ids are sparse, so node 300 of the file is dense node 2
+    path = tmp_path / "sparse.txt"
+    path.write_text("100 200\n200 300\n300 100\n300 400\n")
+    args = ["exact", "--graph", str(path), "--node", "300", "--oracle-guard", "0"]
+    assert main(args) == 3
+    assert "guard exceeded: node 300 implies" in capsys.readouterr().err
+
+
 def test_directed_mode_requires_directed(graph_file, capsys):
     # every command that takes a mode refuses directed3 on an unlabeled graph
     args = ["--graph", str(graph_file), "--node", "0", "--mode", "directed3"]
@@ -180,6 +189,9 @@ def test_usage_errors(graph_file, capsys):
     # no draw-only bench command: perfbench times draws plus lookups
     assert main(["bench", "--draws", "10"]) == 1
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+    # no id-map option: every command reports the file's ids
+    assert main(est + ["--budget", "300", "--id-map", "x"]) == 1
+    assert "unrecognized arguments: --id-map" in capsys.readouterr().err
 
 
 def test_evaluate_deterministic_across_workers(graph_file, tmp_path):
@@ -250,19 +262,6 @@ def test_orbit_table_output(capsys):
     assert main(["orbit-table", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [row["orbit"] for row in rows] == list(range(1, 31))
-
-
-def test_id_map_flag(graph_file, tmp_path):
-    target = tmp_path / "ids.txt"
-    rc = main(
-        [
-            "estimate", "--graph", str(graph_file), "--node", "0",
-            "--budget", "300", "--id-map", str(target), "--output",
-            str(tmp_path / "r.json"),
-        ]
-    )
-    assert rc == 0
-    assert target.exists() and target.read_text().startswith("0 0")
 
 
 def test_pool_starts_no_more_processes_than_runs(monkeypatch):

@@ -347,17 +347,13 @@ def test_sparse_random_graph_rejects_impossible_edge_counts():
     assert sparse_random_graph(4, 3.0, seed=0).degrees.tolist() == [3, 3, 3, 3]
 
 
-def test_id_compaction_and_map(tmp_path):
+def test_id_compaction_and_map():
     g = load_edge_list(io.StringIO("100 7\n7 250\n"))
     assert g.node_count == 3
     assert list(g.original_ids) == [7, 100, 250]
     assert g.to_dense(100) == 1 and g.to_original(1) == 100
     with pytest.raises(GraphError):
         g.to_dense(8)
-    path = tmp_path / "ids.txt"
-    g.write_id_map(path)
-    rows = [line.split() for line in path.read_text().splitlines()]
-    assert rows == [["0", "7"], ["1", "100"], ["2", "250"]]
 
 
 def test_directed_arc_semantics():
