@@ -8,10 +8,11 @@ node to the neighbour), ``IN`` (arc towards the row node) or ``MUTUAL``
 
 Per-node statistics (:class:`NodeStats`) are the exact combinatorial
 normalizers used by the sampling procedures, and the ``acc_*`` methods build
-the cumulative weight arrays that drive weighted neighbour selection by
-binary search.  Both are recomputed on every call, never kept on the graph,
-so memory stays flat however many anchors are estimated; an estimate
-computes its anchor's statistics once, in its :class:`AnchorContext`.  The
+the cumulative weight arrays from which the weighted first steps pick a
+neighbour (through a guide table, ``samplers._weighted_pick``).  Both are
+recomputed on every call, never kept on the graph, so memory stays flat
+however many anchors are estimated; an estimate computes its anchor's
+statistics once, in its :class:`AnchorContext`.  The
 graph is immutable after construction (its one lazily built array,
 ``two_paths_all``, is set under a lock), so instances are safe to share
 across threads.

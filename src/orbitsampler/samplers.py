@@ -35,7 +35,12 @@ with the anchor's orbit; :func:`tally_orbits` draws, labels and counts.
 Every step around the anchor reads the estimate's
 :class:`~orbitsampler.graph.AnchorContext`.  The route check reads its
 ``stats``, from which the weighted first steps build their cumulative
-arrays (R43's second step computes the statistics of each drawn u).  The
+arrays (R43's second step weighs the lists of the drawn u in one array).
+Each weighted pick draws one batch of integers in ``1..total`` and answers
+it through a guide table over the cumulative array: equal buckets of the
+value range, each with the answers at its two ends, so a draw whose bucket
+holds one answer is a gather and only the others bisect, inside their
+bucket.  The answers are those of a binary search of every draw.  The
 routes keep the index ``iu`` of the neighbour they drew, so the position of
 v in the list of u is the gather ``back[iu]``, and the classifiers test
 pairs (v, x) by gathering the context's code array (nonzero = edge, and the
@@ -76,12 +81,53 @@ def _skip_two(idx: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     return idx + (idx >= e2)
 
 
+_GUIDE_PER_CANDIDATE = 16  # guide buckets per candidate, at most one per draw
+
+
 def _weighted_pick(acc: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """``k`` positions drawn in proportion to the weights whose cumulative
+    sums are ``acc``, from one ``rng.integers(1, total + 1, size=k)`` call."""
     total = int(acc[-1]) if len(acc) else 0
     if total <= 0:
         raise CannotSampleError("all candidate weights are zero")
-    rnd = rng.integers(1, total + 1, size=k)
-    return np.searchsorted(acc, rnd, side="left")
+    return _guided_search(acc, rng.integers(1, total + 1, size=k))
+
+
+def _guided_search(acc: np.ndarray, rnd: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(acc, rnd, side="left")`` for draws ``rnd`` in
+    ``1..acc[-1]``, without a binary search of every draw over ``acc``.
+
+    A guide table (Chen & Asau 1974; Devroye 1986, III.2.4) splits
+    ``1..total`` into equal buckets, at most one per draw, and finds the
+    answers at every bucket's bottom and top by two sorted searches.  A
+    draw whose bucket holds one answer is a gather; the others bisect
+    inside their bucket's answer range, and each leaves the bisection as
+    soon as its range closes.
+    """
+    total = int(acc[-1])
+    width = -(-total // max(1, min(_GUIDE_PER_CANDIDATE * len(acc), len(rnd))))
+    # Bucket b holds the values edge[b] + 1 ..= edge[b + 1]; every edge but
+    # the last (total) is below total, so none passes int64.  The answer at
+    # edge[b] + 1 is the count of acc <= edge[b].
+    edge = np.append(np.arange(0, total, width), total)
+    first = np.searchsorted(acc, edge[:-1], side="right")
+    last = np.searchsorted(acc, edge[1:], side="left")
+    b = (rnd - 1) // width
+    lo = first[b]
+    unresolved = first < last
+    if not unresolved.any():  # always so at width 1
+        return lo
+    open_ = np.flatnonzero(unresolved[b])
+    x, a, z = rnd[open_], lo[open_], last[b[open_]]
+    while len(open_):
+        mid = (a + z) >> 1
+        right = acc[mid] < x
+        a = np.where(right, mid + 1, a)
+        z = np.where(right, z, mid)
+        lo[open_] = a
+        keep = a < z
+        open_, x, a, z = open_[keep], x[keep], a[keep], z[keep]
+    return lo
 
 
 def _second_step(
@@ -132,19 +178,35 @@ def _batch_r42(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
 def _batch_r43(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
     iu = _weighted_pick(g.acc_walk(ctx.stats), k, rng)
     u = ctx.nb[iu]
+    if not k:
+        return u, u, u
+    # The second step picks w in N(u) - {v} weighted by (d_w - 1), whose
+    # total is u's (positive) walk weight.  One stable sort groups the draws
+    # by u, in increasing u (nb is sorted) and in draw order inside a group,
+    # and each group draws its integers in turn, as a pick per group would.
+    # The lists of the drawn u, end to end with v's entry weighing 0, form
+    # one cumulative array (its total is at most three_walks, which acc_walk
+    # checked to fit); each group's draws, shifted past the groups before
+    # it, land in its own list, so one search answers them all.
+    order = np.argsort(iu, kind="stable")
+    head = np.flatnonzero(np.diff(iu[order], prepend=-1))
+    group = iu[order[head]]
+    x = ctx.nb[group]
+    lens = g.degrees[x]
+    ends = np.cumsum(lens)
+    cand = g.indices[np.arange(ends[-1]) + np.repeat(g.indptr[x] - ends + lens, lens)]
+    weight = g.degrees[cand] - 1
+    weight[ends - lens + ctx.back[group]] = 0
+    acc = np.cumsum(weight)
+    top = acc[ends - 1]
+    base = np.concatenate(([0], top[:-1]))
+    counts = np.diff(head, append=k)
+    rnd = np.concatenate([
+        rng.integers(1, t + 1, size=c)
+        for t, c in zip((top - base).tolist(), counts.tolist())
+    ])
     w = np.empty(k, dtype=np.int64)
-    # The degree-weighted step around u picks from u's cumulative array with
-    # v's block cut out; draws are grouped by distinct u (in increasing order,
-    # as nb is sorted) so each group shares one cut array.
-    for i in np.unique(iu):
-        sel = np.nonzero(iu == i)[0]
-        x = int(ctx.nb[i])
-        acc = g.acc_degree(g.stats(x))
-        pos = int(ctx.back[i])
-        block = acc[pos] - (acc[pos - 1] if pos > 0 else 0)
-        cut = np.concatenate((acc[:pos], acc[pos + 1 :] - block))
-        j = _skip_one(_weighted_pick(cut, len(sel), rng), pos)
-        w[sel] = g.neighbors(x)[j]
+    w[order] = cand[_guided_search(acc, rnd + np.repeat(base, counts))]
     return u, w, _second_step(g, w, g.pos_of_many(w, u), rng)
 
 

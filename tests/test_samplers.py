@@ -7,10 +7,12 @@ member sets must equal the per-subgraph bias of the route at the anchor's
 orbit, subgraph by subgraph.
 """
 
+import copy
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from orbitsampler import (
     AnchorContext,
@@ -21,8 +23,15 @@ from orbitsampler import (
     sample_members,
     tally_orbits,
 )
+from orbitsampler.generators import preferential_attachment
 from orbitsampler.graph import Graph
-from orbitsampler.samplers import _skip_one, _skip_two, _weighted_pick, draw_batch
+from orbitsampler.samplers import (
+    _second_step,
+    _skip_one,
+    _skip_two,
+    _weighted_pick,
+    draw_batch,
+)
 
 from conftest import EIGHT_EDGES, all_directed_3node, complete_graph, star_graph
 
@@ -227,6 +236,82 @@ def test_r43_second_step_cuts_out_the_anchor_block():
         assert u[0] == 1
         picks.append(int(w[0]))
     assert picks == [0, 0, 0, 3]
+
+
+@st.composite
+def pick_cases(draw):
+    """Weights with zero runs at either end and inside, totals from below
+    to far above 16 per candidate and up to near 2**62, and batches from no
+    draw to many per candidate."""
+    n = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from(["unit", "wide", "skewed", "huge"]))
+    if scale == "unit":
+        body = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    elif scale == "wide":
+        body = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    elif scale == "skewed":  # Pareto(1.1), as the weights at a hub
+        seed = draw(st.integers(0, 2**32 - 1))
+        pareto = np.random.default_rng(seed).pareto(1.1, n)
+        body = np.minimum(pareto * 10, 10**12).astype(np.int64).tolist()
+    else:
+        body = draw(st.lists(st.integers(0, 2**62 // n), min_size=n, max_size=n))
+    zeros = st.integers(0, 3)
+    weights = [0] * draw(zeros) + body + [0] * draw(zeros)
+    if sum(weights) == 0:
+        weights[draw(st.integers(0, len(weights) - 1))] = 1
+    k = draw(st.sampled_from([0, 1, max(1, n // 2), 50 * len(weights)]))
+    return np.cumsum(weights, dtype=np.int64), k, draw(st.integers(0, 2**32 - 1))
+
+
+@given(pick_cases())
+def test_weighted_pick_equals_searchsorted_of_the_same_draws(case):
+    acc, k, seed = case
+    rng = np.random.default_rng(seed)
+    clone = copy.deepcopy(rng)
+    picks = _weighted_pick(acc, k, rng)
+    rnd = clone.integers(1, int(acc[-1]) + 1, size=k)
+    assert picks.tolist() == np.searchsorted(acc, rnd, side="left").tolist()
+    # one integers call: both generators are left in the same state
+    assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def _r43_per_group_reference(g, ctx, k, rng):
+    """R43 with a searchsorted per weighted pick and one mask per distinct u."""
+
+    def pick(acc, size):
+        rnd = rng.integers(1, int(acc[-1]) + 1, size=size)
+        return np.searchsorted(acc, rnd, side="left")
+
+    iu = pick(g.acc_walk(ctx.stats), k)
+    u = ctx.nb[iu]
+    w = np.empty(k, dtype=np.int64)
+    for i in np.unique(iu):
+        sel = np.nonzero(iu == i)[0]
+        x = int(ctx.nb[i])
+        acc = g.acc_degree(g.stats(x))
+        pos = int(ctx.back[i])
+        block = acc[pos] - (acc[pos - 1] if pos > 0 else 0)
+        cut = np.concatenate((acc[:pos], acc[pos + 1 :] - block))
+        j = _skip_one(pick(cut, len(sel)), pos)
+        w[sel] = g.neighbors(x)[j]
+    return u, w, _second_step(g, w, g.pos_of_many(w, u), rng)
+
+
+def test_r43_grouped_draws_match_the_per_group_loop():
+    g = preferential_attachment(3000, 3, seed=11)
+    ctx = AnchorContext(g, int(np.argmax(g.degrees)))
+    got = draw_batch(g, ctx, "R43", 20_000, np.random.default_rng(5))
+    want = _r43_per_group_reference(g, ctx, 20_000, np.random.default_rng(5))
+    assert len(np.unique(got[0])) > 50  # many groups, in one batch
+    for a, b in zip(got, want):
+        assert a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("method", METHOD_ORDER)
+def test_empty_batch_draws_nothing(method):
+    ctx = AnchorContext(EIGHT, 0)
+    cols = draw_batch(EIGHT, ctx, method, 0, np.random.default_rng(0))
+    assert [len(c) for c in cols] == [0] * len(cols)
 
 
 def test_bias_vector_values(paw, k4):
