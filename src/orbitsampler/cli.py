@@ -281,6 +281,10 @@ def main(argv=None) -> int:
     except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -39,8 +39,8 @@ arrays (R43's second step weighs the lists of the drawn u in one array).
 Each weighted pick draws one batch of integers in ``1..total`` and answers
 it through a guide table over the cumulative array: equal buckets of the
 value range, each with the answers at its two ends, so a draw whose bucket
-holds one answer is a gather and only the others bisect, inside their
-bucket.  The answers are those of a binary search of every draw.  The
+holds one answer is a gather and only the others are searched, in one
+``np.searchsorted``.  The answers are those of a search of every draw.  The
 routes keep the index ``iu`` of the neighbour they drew, so the position of
 v in the list of u is the gather ``back[iu]``, and the classifiers test
 pairs (v, x) by gathering the context's code array (nonzero = edge, and the
@@ -100,9 +100,8 @@ def _guided_search(acc: np.ndarray, rnd: np.ndarray) -> np.ndarray:
     A guide table (Chen & Asau 1974; Devroye 1986, III.2.4) splits
     ``1..total`` into equal buckets, at most one per draw, and finds the
     answers at every bucket's bottom and top by two sorted searches.  A
-    draw whose bucket holds one answer is a gather; the others bisect
-    inside their bucket's answer range, and each leaves the bisection as
-    soon as its range closes.
+    draw whose bucket holds one answer is a gather; one ``searchsorted``
+    answers the others.
     """
     total = int(acc[-1])
     width = -(-total // max(1, min(_GUIDE_PER_CANDIDATE * len(acc), len(rnd))))
@@ -114,19 +113,8 @@ def _guided_search(acc: np.ndarray, rnd: np.ndarray) -> np.ndarray:
     last = np.searchsorted(acc, edge[1:], side="left")
     b = (rnd - 1) // width
     lo = first[b]
-    unresolved = first < last
-    if not unresolved.any():  # always so at width 1
-        return lo
-    open_ = np.flatnonzero(unresolved[b])
-    x, a, z = rnd[open_], lo[open_], last[b[open_]]
-    while len(open_):
-        mid = (a + z) >> 1
-        right = acc[mid] < x
-        a = np.where(right, mid + 1, a)
-        z = np.where(right, z, mid)
-        lo[open_] = a
-        keep = a < z
-        open_, x, a, z = open_[keep], x[keep], a[keep], z[keep]
+    open_ = np.flatnonzero((first < last)[b])
+    lo[open_] = np.searchsorted(acc, rnd[open_], side="left")
     return lo
 
 
@@ -181,16 +169,12 @@ def _batch_r43(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
     if not k:
         return u, u, u
     # The second step picks w in N(u) - {v} weighted by (d_w - 1), whose
-    # total is u's (positive) walk weight.  One stable sort groups the draws
-    # by u, in increasing u (nb is sorted) and in draw order inside a group,
-    # and each group draws its integers in turn, as a pick per group would.
-    # The lists of the drawn u, end to end with v's entry weighing 0, form
-    # one cumulative array (its total is at most three_walks, which acc_walk
-    # checked to fit); each group's draws, shifted past the groups before
-    # it, land in its own list, so one search answers them all.
-    order = np.argsort(iu, kind="stable")
-    head = np.flatnonzero(np.diff(iu[order], prepend=-1))
-    group = iu[order[head]]
+    # total is u's (positive) walk weight.  The lists of the distinct drawn
+    # u, end to end with v's entry weighing 0, form one cumulative array
+    # (its total is at most three_walks, which acc_walk checked to fit);
+    # each draw's integer, shifted past the lists before its u's, lands in
+    # that list, so one search answers them all.
+    group, at = np.unique(iu, return_inverse=True)
     x = ctx.nb[group]
     lens = g.degrees[x]
     ends = np.cumsum(lens)
@@ -199,14 +183,8 @@ def _batch_r43(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
     weight[ends - lens + ctx.back[group]] = 0
     acc = np.cumsum(weight)
     top = acc[ends - 1]
-    base = np.concatenate(([0], top[:-1]))
-    counts = np.diff(head, append=k)
-    rnd = np.concatenate([
-        rng.integers(1, t + 1, size=c)
-        for t, c in zip((top - base).tolist(), counts.tolist())
-    ])
-    w = np.empty(k, dtype=np.int64)
-    w[order] = cand[_guided_search(acc, rnd + np.repeat(base, counts))]
+    walk = np.diff(top, prepend=0)
+    w = cand[_guided_search(acc, rng.integers(1, walk[at] + 1) + (top - walk)[at])]
     return u, w, _second_step(g, w, g.pos_of_many(w, u), rng)
 
 

@@ -153,6 +153,19 @@ def test_missing_graph_is_data_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_allocation_failure_is_data_error(graph_file, monkeypatch, capsys):
+    from orbitsampler import cli
+
+    def fail(*args):
+        raise MemoryError("Unable to allocate 2.18 TiB")
+
+    monkeypatch.setattr(cli, "estimate_orbit_degrees", fail)
+    argv = ["estimate", "--graph", str(graph_file), "--node", "0"]
+    assert main(argv + ["--budget", "300000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory (Unable to allocate 2.18 TiB)\n"
+
+
 def test_usage_errors(graph_file, capsys):
     assert main(["estimate", "--graph", str(graph_file)]) == 1  # no node
     assert (

@@ -259,7 +259,9 @@ def pick_cases(draw):
     weights = [0] * draw(zeros) + body + [0] * draw(zeros)
     if sum(weights) == 0:
         weights[draw(st.integers(0, len(weights) - 1))] = 1
-    k = draw(st.sampled_from([0, 1, max(1, n // 2), 50 * len(weights)]))
+    # 4 per candidate: as many buckets as draws, some holding one answer
+    ks = [0, 1, max(1, n // 2), 4 * len(weights), 50 * len(weights)]
+    k = draw(st.sampled_from(ks))
     return np.cumsum(weights, dtype=np.int64), k, draw(st.integers(0, 2**32 - 1))
 
 
@@ -275,33 +277,32 @@ def test_weighted_pick_equals_searchsorted_of_the_same_draws(case):
     assert rng.bit_generator.state == clone.bit_generator.state
 
 
-def _r43_per_group_reference(g, ctx, k, rng):
-    """R43 with a searchsorted per weighted pick and one mask per distinct u."""
-
-    def pick(acc, size):
-        rnd = rng.integers(1, int(acc[-1]) + 1, size=size)
-        return np.searchsorted(acc, rnd, side="left")
-
-    iu = pick(g.acc_walk(ctx.stats), k)
+def _r43_per_draw_reference(g, ctx, k, rng):
+    """R43 with a searchsorted per weighted pick: the second steps draw
+    their integers in one call, and each draw searches its u's list."""
+    acc_walk = g.acc_walk(ctx.stats)
+    rnd = rng.integers(1, int(acc_walk[-1]) + 1, size=k)
+    iu = np.searchsorted(acc_walk, rnd, side="left")
     u = ctx.nb[iu]
+    rnd = rng.integers(1, np.diff(acc_walk, prepend=0)[iu] + 1)
+    cuts = {}
     w = np.empty(k, dtype=np.int64)
-    for i in np.unique(iu):
-        sel = np.nonzero(iu == i)[0]
-        x = int(ctx.nb[i])
-        acc = g.acc_degree(g.stats(x))
-        pos = int(ctx.back[i])
-        block = acc[pos] - (acc[pos - 1] if pos > 0 else 0)
-        cut = np.concatenate((acc[:pos], acc[pos + 1 :] - block))
-        j = _skip_one(pick(cut, len(sel)), pos)
-        w[sel] = g.neighbors(x)[j]
+    for n, i in enumerate(iu.tolist()):
+        x, pos = int(ctx.nb[i]), int(ctx.back[i])
+        if i not in cuts:
+            acc = g.acc_degree(g.stats(x))
+            block = acc[pos] - (acc[pos - 1] if pos > 0 else 0)
+            cuts[i] = np.concatenate((acc[:pos], acc[pos + 1 :] - block))
+        j = _skip_one(int(np.searchsorted(cuts[i], rnd[n], side="left")), pos)
+        w[n] = g.neighbors(x)[j]
     return u, w, _second_step(g, w, g.pos_of_many(w, u), rng)
 
 
-def test_r43_grouped_draws_match_the_per_group_loop():
+def test_r43_batched_draws_match_the_per_draw_loop():
     g = preferential_attachment(3000, 3, seed=11)
     ctx = AnchorContext(g, int(np.argmax(g.degrees)))
     got = draw_batch(g, ctx, "R43", 20_000, np.random.default_rng(5))
-    want = _r43_per_group_reference(g, ctx, 20_000, np.random.default_rng(5))
+    want = _r43_per_draw_reference(g, ctx, 20_000, np.random.default_rng(5))
     assert len(np.unique(got[0])) > 50  # many groups, in one batch
     for a, b in zip(got, want):
         assert a.tolist() == b.tolist()
