@@ -22,9 +22,14 @@ fits while ``n**2`` is below 2**63 (``MAX_NODES``).  Loading merges repeated
 lines by one sort of that key.  Pairs that contain the anchor of an estimate
 are answered by an :class:`AnchorContext`, built once per estimate and never
 cached on the graph: a gather from a per-node code array and from the
-anchor's back positions.  Every other pair lookup, scalar or batched, is one
-search of the sorted edge keys (``Graph._find``), and a lookup that needs an
-edge raises :class:`NotANeighborError` for a pair that is not one.
+anchor's back positions.  Pairs of two neighbours of the anchor, given by
+their positions in its list, are answered by the context's pair index, a
+d x d code matrix built from one gather of the neighbours' lists
+(``AnchorContext.pair_index``) when it and the gather take no more bytes
+than three int64 columns of the draws that ask.  Every other pair lookup,
+scalar or batched, is one search of the sorted edge keys (``Graph._find``),
+and a lookup that needs an edge raises :class:`NotANeighborError` for a
+pair that is not one.
 
 An edge list whose every line fits a strict grammar (``_tokenize_edges``)
 is parsed by array operations over its bytes; any other input is read by
@@ -279,6 +284,15 @@ class Graph:
         """Vectorized edge test for aligned node arrays."""
         return self._find(us, vs)[1]
 
+    def list_entries(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency indices of the lists of ``xs``, end to end, and the end
+        of each list in that array."""
+        lens = self.degrees[xs]
+        ends = np.cumsum(lens)
+        at = np.repeat(self.indptr[xs] - ends + lens, lens)
+        at += np.arange(len(at))
+        return at, ends
+
     def pos_of(self, v: int, u: int) -> int:
         """Index of neighbour ``u`` inside the sorted list of ``v``."""
         return int(self.pos_of_many([v], u)[0])
@@ -417,6 +431,9 @@ class AnchorContext:
                 direction code of (v, x), or ``MUTUAL`` when undirected
     back        ``back[i]`` is the position of v in the list of ``nb[i]``
     ==========  ==========================================================
+
+    Pairs inside N(v) whose members a route drew by position in ``nb`` are
+    answered by :meth:`pair_index`.
     """
 
     def __init__(self, g: Graph, v: int):
@@ -429,6 +446,29 @@ class AnchorContext:
         else:
             self.code[self.nb] = MUTUAL
         self.back = g.pos_of_many(self.nb, v)
+
+    def pair_index(self, g: Graph, draws: int) -> np.ndarray | None:
+        """The d x d int8 code matrix of the pairs inside N(v), or None.
+
+        Entry (i, j) is 0 when (nb[i], nb[j]) is no edge, else its direction
+        code as seen from nb[i], or ``MUTUAL`` when undirected.  It is built
+        from one gather of the neighbours' lists (``two_paths + d`` entries),
+        keeping those whose ``code`` is nonzero, and only when the matrix
+        and the gather take no more bytes than three int64 columns of the
+        ``draws`` draws it serves; otherwise None, and the caller searches
+        the edge keys.
+        """
+        d = len(self.nb)
+        if d * d + 8 * (self.stats.two_paths + d) > 24 * draws:
+            return None
+        at, ends = g.list_entries(self.nb)
+        hit = np.flatnonzero(self.code[g.indices[at]])
+        at = at[hit]
+        pairs = np.zeros((d, d), dtype=np.int8)
+        i = np.searchsorted(ends, hit, side="right")
+        j = np.searchsorted(self.nb, g.indices[at])
+        pairs[i, j] = g.labels[at] if g.directed else MUTUAL
+        return pairs
 
 
 # Byte classes of the edge-list fast path (_tokenize_edges): a byte of

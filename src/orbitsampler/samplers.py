@@ -44,11 +44,21 @@ holds one answer is a gather and only the others are searched, in one
 routes keep the index ``iu`` of the neighbour they drew, so the position of
 v in the list of u is the gather ``back[iu]``, and the classifiers test
 pairs (v, x) by gathering the context's code array (nonzero = edge, and the
-direction code of (v, x) when directed).  Only pairs without the anchor
-(R43's step from w back past u, and the (u, w), (u, r), (w, r)
-classification tests) search the graph's edge keys.  The batch functions
-take the context in place of the anchor's id; :func:`sample_members` builds
-one from a node id, and :func:`tally_orbits` hands its caller's context to
+direction code of (v, x) when directed).
+
+:func:`draw_batch` returns a route's member columns after the anchor
+(``Route.size`` of them), then the positions its classifier reads: R31 and
+R41 the positions in N(v) of u and w (``Route.local``), R32 the adjacency
+index of its second step, whose direction code is ``g.labels`` there.  A
+pair of two such members is answered by the context's pair index (a d x d
+code matrix over the positions in N(v)), built when it and its gather take
+no more bytes than three int64 columns of the batch
+(``AnchorContext.pair_index``); a smaller batch searches the graph's edge
+keys instead.  The other pairs without the anchor (R41's and R42's (w, r),
+R43's (u, r) and its step from w back past u, R44's three pairs) always
+search the edge keys.  The batch functions take the context in place of
+the anchor's id; :func:`sample_members` builds one from a node id and keeps
+the member columns, and :func:`tally_orbits` hands its caller's context to
 both the draws and the classification.
 """
 
@@ -121,10 +131,9 @@ def _guided_search(acc: np.ndarray, rnd: np.ndarray) -> np.ndarray:
 def _second_step(
     g: Graph, u: np.ndarray, pos_v: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform element of N(u) but the entry at ``pos_v`` per draw; every d_u
-    is >= 2 here."""
-    j = _skip_one(rng.integers(0, g.degrees[u] - 1), pos_v)
-    return g.indices[g.indptr[u] + j]
+    """Adjacency index of a uniform element of N(u) but the entry at
+    ``pos_v`` per draw; every d_u is >= 2 here."""
+    return g.indptr[u] + _skip_one(rng.integers(0, g.degrees[u] - 1), pos_v)
 
 
 def _distinct_pair(d: int, k: int, rng: np.random.Generator):
@@ -135,21 +144,22 @@ def _distinct_pair(d: int, k: int, rng: np.random.Generator):
 
 def _batch_r31(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
     iu, iw = _distinct_pair(len(ctx.nb), k, rng)
-    return ctx.nb[iu], ctx.nb[iw]
+    return ctx.nb[iu], ctx.nb[iw], iu, iw
 
 
 def _batch_r32(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
     iu = _weighted_pick(g.acc_degree(ctx.stats), k, rng)
     u = ctx.nb[iu]
-    return u, _second_step(g, u, ctx.back[iu], rng)
+    at = _second_step(g, u, ctx.back[iu], rng)
+    return u, g.indices[at], at
 
 
 def _batch_r41(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
     iu = _weighted_pick(g.acc_degree(ctx.stats), k, rng)
     u = ctx.nb[iu]
     iw = _skip_one(rng.integers(0, len(ctx.nb) - 1, size=k), iu)
-    r = _second_step(g, u, ctx.back[iu], rng)
-    return u, ctx.nb[iw], r
+    r = g.indices[_second_step(g, u, ctx.back[iu], rng)]
+    return u, ctx.nb[iw], r, iu, iw
 
 
 def _batch_r42(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
@@ -176,16 +186,15 @@ def _batch_r43(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
     # that list, so one search answers them all.
     group, at = np.unique(iu, return_inverse=True)
     x = ctx.nb[group]
-    lens = g.degrees[x]
-    ends = np.cumsum(lens)
-    cand = g.indices[np.arange(ends[-1]) + np.repeat(g.indptr[x] - ends + lens, lens)]
+    entries, ends = g.list_entries(x)
+    cand = g.indices[entries]
     weight = g.degrees[cand] - 1
-    weight[ends - lens + ctx.back[group]] = 0
+    weight[ends - g.degrees[x] + ctx.back[group]] = 0
     acc = np.cumsum(weight)
     top = acc[ends - 1]
     walk = np.diff(top, prepend=0)
     w = cand[_guided_search(acc, rng.integers(1, walk[at] + 1) + (top - walk)[at])]
-    return u, w, _second_step(g, w, g.pos_of_many(w, u), rng)
+    return u, w, g.indices[_second_step(g, w, g.pos_of_many(w, u), rng)]
 
 
 def _batch_r44(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
@@ -200,18 +209,28 @@ class Route:
     """What one sampling route draws, and what its draws are."""
 
     normalizer: str  # the NodeStats field counting its selections
-    draw: Callable  # (g, ctx, k, rng) -> the member columns after the anchor
+    # (g, ctx, k, rng) -> the member columns after the anchor, then the
+    # positions its classifier reads
+    draw: Callable
     max_orbit: int  # the highest undirected orbit id it reaches
     # 4-node routes, members named "vuwr": the pairs that are edges by
     # construction, and the two members whose coincidence is a triangle
     known: tuple[str, ...] = ()
     triangle: str = ""
+    # the members drawn by position in N(v), whose positions follow the
+    # member columns in this order
+    local: str = ""
+
+    @property
+    def size(self) -> int:
+        """The number of member columns: the members after the anchor."""
+        return 2 if self.max_orbit == 3 else 3
 
 
 ROUTES = {
-    "R31": Route("wedges", _batch_r31, 3),
+    "R31": Route("wedges", _batch_r31, 3, local="uw"),
     "R32": Route("two_paths", _batch_r32, 3),
-    "R41": Route("forked_paths", _batch_r41, 14, ("vu", "vw", "ur"), "wr"),
+    "R41": Route("forked_paths", _batch_r41, 14, ("vu", "vw", "ur"), "wr", "uw"),
     "R42": Route("tail_wedges", _batch_r42, 14, ("vu", "uw", "ur")),
     "R43": Route("three_walks", _batch_r43, 14, ("vu", "uw", "wr"), "vr"),
     "R44": Route("triples", _batch_r44, 14, ("vu", "vw", "vr")),
@@ -252,26 +271,47 @@ def bias_vector(method: str, stats: NodeStats) -> dict[int, float]:
 # -- batch classification ----------------------------------------------------
 
 
-def classify_wedge_batch(
-    g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray, directed: bool
+def _local_codes(
+    g: Graph, ctx: AnchorContext, a: np.ndarray, b: np.ndarray,
+    ia: np.ndarray, ib: np.ndarray, directed: bool,
 ) -> np.ndarray:
-    """Orbits for draws of the form (v; u, w) with u, w both neighbours of v."""
-    tri = g.has_edges(u, w)
+    """Per pair (a, b) of neighbours of v, at positions ``ia``, ``ib`` of
+    ``ctx.nb``: 0 for a non-edge, else nonzero, and the direction code of
+    (a, b) when ``directed``.  The anchor's pair index answers when its
+    build rule admits the batch; otherwise the edge keys are searched."""
+    pairs = ctx.pair_index(g, len(a))
+    if pairs is not None:
+        return pairs[ia, ib]
+    edge = g.has_edges(a, b)
     if not directed:
-        return ORBIT3[0b011 + 0b100 * tri]
-    c = np.zeros(len(u), dtype=np.int8)
-    c[tri] = g.direction_codes(u[tri], w[tri])
+        return edge
+    c = np.zeros(len(a), dtype=np.int8)
+    c[edge] = g.direction_codes(a[edge], b[edge])
+    return c
+
+
+def classify_wedge_batch(
+    g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray,
+    iu: np.ndarray, iw: np.ndarray, directed: bool,
+) -> np.ndarray:
+    """Orbits for draws of the form (v; u, w) with u, w both neighbours of
+    v, drawn at positions ``iu``, ``iw`` of ``ctx.nb``."""
+    c = _local_codes(g, ctx, u, w, iu, iw, directed)
+    if not directed:
+        return ORBIT3[0b011 + 0b100 * (c != 0)]
     return DIR3[ctx.code[u], ctx.code[w], c]
 
 
 def classify_chain_batch(
-    g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray, directed: bool
+    g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray, at: np.ndarray,
+    directed: bool,
 ) -> np.ndarray:
-    """Orbits for draws of the form v - u - w with w drawn around u."""
+    """Orbits for draws of the form v - u - w with w drawn around u, at
+    adjacency index ``at``."""
     b = ctx.code[w]
     if not directed:
         return ORBIT3[0b101 + 0b010 * (b != 0)]
-    return DIR3[ctx.code[u], b, g.direction_codes(u, w)]
+    return DIR3[ctx.code[u], b, g.labels[at]]
 
 
 # The bit of each member pair (v, u, w, r) in a 4-node edge pattern.
@@ -280,9 +320,10 @@ _QUAD_BIT = {"vuwr"[a] + "vuwr"[b]: 1 << i for i, (a, b) in enumerate(PAIRS)}
 
 def classify_quad_batch(
     g: Graph, method: str, ctx: AnchorContext, u: np.ndarray, w: np.ndarray,
-    r: np.ndarray,
+    r: np.ndarray, *local: np.ndarray,
 ) -> np.ndarray:
-    """Undirected orbits for 4-node draws of one sampling route.
+    """Undirected orbits for 4-node draws of one sampling route; ``local``
+    are the positions in ``ctx.nb`` of the route's ``local`` members.
 
     The route's known pairs are edges by construction; the other three are
     tested.  Degenerate draws (three distinct members) classify as the
@@ -290,12 +331,16 @@ def classify_quad_batch(
     """
     route = ROUTES[method]
     cols = {"v": ctx.v, "u": u, "w": w, "r": r}
+    pos = dict(zip(route.local, local))
     pattern = 0
     for (a, b), bit in _QUAD_BIT.items():
         if a + b in route.known:
             edge = True
         elif a == "v":
             edge = ctx.code[cols[b]] != 0
+        elif a in pos and b in pos:
+            codes = _local_codes(g, ctx, cols[a], cols[b], pos[a], pos[b], False)
+            edge = codes != 0
         else:
             edge = g.has_edges(cols[a], cols[b])
         pattern = pattern + bit * edge
@@ -313,7 +358,8 @@ def draw_batch(
     g: Graph, ctx: AnchorContext, method: str, k: int, rng: np.random.Generator
 ):
     """Draw ``k`` subgraphs at once around the context's anchor; returns the
-    member columns after the anchor."""
+    route's member columns after the anchor (``ROUTES[method].size`` of
+    them), then the positions its classifier reads."""
     _require_route(method, ctx.stats)
     return ROUTES[method].draw(g, ctx, k, rng)
 
@@ -326,7 +372,7 @@ def sample_members(
     Degenerate draws repeat a member; callers that need sets should
     deduplicate per row.
     """
-    cols = draw_batch(g, AnchorContext(g, v), method, k, rng)
+    cols = draw_batch(g, AnchorContext(g, v), method, k, rng)[: ROUTES[method].size]
     out = np.empty((k, 1 + len(cols)), dtype=np.int64)
     out[:, 0] = v
     for i, c in enumerate(cols):
@@ -346,9 +392,9 @@ def tally_orbits(
     """
     cols = draw_batch(g, ctx, method, k, rng)
     if method == "R31":
-        orbits = classify_wedge_batch(g, ctx, cols[0], cols[1], directed)
+        orbits = classify_wedge_batch(g, ctx, *cols, directed)
     elif method == "R32":
-        orbits = classify_chain_batch(g, ctx, cols[0], cols[1], directed)
+        orbits = classify_chain_batch(g, ctx, *cols, directed)
     else:
         if directed:
             raise ValueError(f"{method} tallies are undirected only")

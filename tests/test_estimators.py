@@ -395,8 +395,10 @@ def test_pipelines_call_layers_through_module_attributes(monkeypatch):
     for name in ("tally_orbits", "covariance"):
         _count_calls(monkeypatch, estimators, name, counts)
     # the anchor's statistics are computed once per estimate, in its
-    # AnchorContext, and each route builds its cumulative array from them
-    for name in ("stats", "acc_degree", "acc_wedge"):
+    # AnchorContext, and each route builds its cumulative array from them.
+    # Above the pair index's build rule, the edge keys are searched only
+    # for pairs outside N(v): R41's and R42's (w, r); never in directed3.
+    for name in ("stats", "acc_degree", "acc_wedge", "has_edges", "direction_codes"):
         _count_calls(monkeypatch, Graph, name, counts)
 
     g = gnp(40, 0.2, seed=8)
@@ -406,7 +408,7 @@ def test_pipelines_call_layers_through_module_attributes(monkeypatch):
     assert counts == {
         "draw_batch": 3, "classify_chain_batch": 1, "classify_quad_batch": 2,
         "tally_orbits": 3, "covariance": 1,
-        "stats": 1, "acc_degree": 2, "acc_wedge": 1,
+        "stats": 1, "acc_degree": 2, "acc_wedge": 1, "has_edges": 2,
     }
     assert _traced_positions(calls) == (
         [("R32", 100), ("R41", 100), ("R42", 100)], ["R41", "R42"]

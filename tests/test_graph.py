@@ -19,10 +19,15 @@ from orbitsampler import (
     load_edge_list,
 )
 from orbitsampler import graph
-from orbitsampler.generators import gnp, preferential_attachment, sparse_random_graph
+from orbitsampler.generators import (
+    gnp,
+    gnp_directed,
+    preferential_attachment,
+    sparse_random_graph,
+)
 from orbitsampler.graph import IN, MAX_NODES, MUTUAL, OUT, AnchorContext
 
-from conftest import naive_node_stats
+from conftest import EIGHT_EDGES, all_directed_3node, complete_graph, naive_node_stats
 
 
 def test_load_triangle():
@@ -491,6 +496,23 @@ def _check_anchor_context(g: Graph, v: int) -> None:
         if ctx.code[x]:
             expect = g.direction_code(v, x) if g.directed else MUTUAL
             assert ctx.code[x] == expect, (v, x)
+    _check_pair_index(g, v)
+
+
+def _check_pair_index(g: Graph, v: int) -> None:
+    """Every entry of the anchor's pair index against the edge-key search,
+    and its build rule on either side of the boundary."""
+    ctx = AnchorContext(g, v)
+    d = len(ctx.nb)
+    size = d * d + 8 * (ctx.stats.two_paths + d)  # its bytes, with the gather
+    assert ctx.pair_index(g, (size - 1) // 24) is None
+    pairs = ctx.pair_index(g, -(-size // 24))
+    assert pairs.shape == (d, d) and pairs.dtype == np.int8
+    a, b = np.repeat(ctx.nb, d), np.tile(ctx.nb, d)
+    edge = g.has_edges(a, b)
+    want = np.zeros(d * d, dtype=np.int8)
+    want[edge] = g.direction_codes(a[edge], b[edge]) if g.directed else MUTUAL
+    assert pairs.reshape(-1).tolist() == want.tolist(), v
 
 
 @given(small_graphs())
@@ -507,6 +529,17 @@ def test_anchor_context_at_low_degree_anchors():
         assert g.degrees.tolist() == [0, 1, 2, 3, 2]
         for v in range(5):
             _check_anchor_context(g, v)
+
+
+def test_pair_index_matches_edge_searches():
+    # every entry at every anchor: a clique, two triangles with a square,
+    # a directed random graph, and each connected directed 3-node graph
+    graphs = [complete_graph(4), Graph.from_edges(EIGHT_EDGES)]
+    graphs += [gnp_directed(30, 0.2, seed=2)]
+    graphs += [g for _, g in all_directed_3node()]
+    for g in graphs:
+        for v in range(g.node_count):
+            _check_pair_index(g, v)
 
 
 def _check_batch_lookups(g: Graph, us: np.ndarray, vs: np.ndarray) -> None:

@@ -19,17 +19,22 @@ from orbitsampler import (
     CannotSampleError,
     METHOD_ORDER,
     bias_vector,
+    classify_directed3,
     classify_undirected,
     sample_members,
     tally_orbits,
 )
-from orbitsampler.generators import preferential_attachment
+from orbitsampler.generators import gnp, gnp_directed, preferential_attachment
 from orbitsampler.graph import Graph
 from orbitsampler.samplers import (
+    ROUTES,
     _second_step,
     _skip_one,
     _skip_two,
     _weighted_pick,
+    classify_chain_batch,
+    classify_quad_batch,
+    classify_wedge_batch,
     draw_batch,
 )
 
@@ -86,8 +91,12 @@ def enumerate_outcomes(fn):
 def draw_outcomes(g: Graph, v: int, method: str):
     """(probability, sorted member tuple) of every outcome of one draw."""
     ctx = AnchorContext(g, v)
+    size = ROUTES[method].size
     outcomes = enumerate_outcomes(lambda rng: draw_batch(g, ctx, method, 1, rng))
-    return [(p, tuple(sorted({v, *(int(c[0]) for c in cols)}))) for p, cols in outcomes]
+    return [
+        (p, tuple(sorted({v, *(int(c[0]) for c in cols[:size])})))
+        for p, cols in outcomes
+    ]
 
 
 def assert_exact_bias(g: Graph, v: int, method: str):
@@ -295,7 +304,7 @@ def _r43_per_draw_reference(g, ctx, k, rng):
             cuts[i] = np.concatenate((acc[:pos], acc[pos + 1 :] - block))
         j = _skip_one(int(np.searchsorted(cuts[i], rnd[n], side="left")), pos)
         w[n] = g.neighbors(x)[j]
-    return u, w, _second_step(g, w, g.pos_of_many(w, u), rng)
+    return u, w, g.indices[_second_step(g, w, g.pos_of_many(w, u), rng)]
 
 
 def test_r43_batched_draws_match_the_per_draw_loop():
@@ -355,16 +364,29 @@ def test_batch_never_hits_zero_probability_orbits(eight):
                     assert tally[orbit] == 0, (method, v, orbit)
 
 
+def _batch_labels(g, ctx, method, cols, directed=False):
+    """The route's batch classifier, fed every column draw_batch returned."""
+    if method == "R31":
+        return classify_wedge_batch(g, ctx, *cols, directed)
+    if method == "R32":
+        return classify_chain_batch(g, ctx, *cols, directed)
+    return classify_quad_batch(g, method, ctx, *cols)
+
+
+def _scalar_labels(g, v, method, cols, directed=False):
+    """Each draw's orbit by the scalar classifier, from the member columns."""
+    classify = classify_directed3 if directed else classify_undirected
+    members = cols[: ROUTES[method].size]
+    return [
+        classify(g, v, {v, *(int(c[row]) for c in members)})
+        for row in range(len(members[0]))
+    ]
+
+
 def test_batch_labels_match_scalar_classifier(eight):
     # the vectorized per-draw labeling must agree with the general
     # classifier on every single draw
-    from orbitsampler.samplers import (
-        classify_chain_batch,
-        classify_quad_batch,
-        classify_wedge_batch,
-        draw_batch,
-    )
-
+    degenerate = 0
     for v in (0, 1, 4):
         ctx = AnchorContext(eight, v)
         for method in METHOD_ORDER:
@@ -372,50 +394,84 @@ def test_batch_labels_match_scalar_classifier(eight):
                 cols = draw_batch(eight, ctx, method, 500, np.random.default_rng(v))
             except CannotSampleError:
                 continue
-            if method == "R31":
-                labels = classify_wedge_batch(eight, ctx, cols[0], cols[1], False)
-            elif method == "R32":
-                labels = classify_chain_batch(eight, ctx, cols[0], cols[1], False)
-            else:
-                labels = classify_quad_batch(eight, method, ctx, *cols)
-            for row in range(500):
-                members = {v, *(int(c[row]) for c in cols)}
-                assert classify_undirected(eight, v, members) == labels[row]
+            labels = _batch_labels(eight, ctx, method, cols)
+            assert labels.tolist() == _scalar_labels(eight, v, method, cols)
+            if method == "R41":
+                # R41's degenerate draws, w == r, are exactly its triangles
+                assert ((labels == 3) == (cols[1] == cols[2])).all()
+                degenerate += int((cols[1] == cols[2]).sum())
+    assert degenerate > 0
 
 
 def test_batch_directed_labels_match_scalar_classifier():
-    from orbitsampler.generators import gnp_directed
-    from orbitsampler.samplers import (
-        classify_chain_batch,
-        classify_wedge_batch,
-        draw_batch,
-    )
-    from orbitsampler import classify_directed3
-
     g = gnp_directed(20, 0.25, seed=6)
     v = int(np.argmax(g.degrees))
     ctx = AnchorContext(g, v)
-    for method, fn in (("R31", classify_wedge_batch), ("R32", classify_chain_batch)):
+    for method in ("R31", "R32"):
         cols = draw_batch(g, ctx, method, 500, np.random.default_rng(1))
-        labels = fn(g, ctx, cols[0], cols[1], True)
-        for row in range(500):
-            members = {v, int(cols[0][row]), int(cols[1][row])}
-            assert classify_directed3(g, v, members) == labels[row]
+        labels = _batch_labels(g, ctx, method, cols, True)
+        assert labels.tolist() == _scalar_labels(g, v, method, cols, True)
 
     # every connected directed 3-node graph, through each draw shape that
-    # reaches it: wedges (0; u, w) and chains 0 - u - w
+    # reaches it: wedges (0; u, w), fed the positions of u and w in N(0),
+    # and chains 0 - u - w, fed the adjacency index of w in N(u).  Wedges
+    # in a batch of 64 read the pair index; in a batch of one, the index
+    # (4 + 8 * (two_paths + 2) bytes) is over the build rule at every
+    # triangle, so those search the edge keys.
     seen = set()
     for _, g in all_directed_3node():
         ctx = AnchorContext(g, 0)
         want = classify_directed3(g, 0, (0, 1, 2))
+        triangle = g.edge_count == 3
         for u, w in ((1, 2), (2, 1)):
-            shapes = (
-                (classify_wedge_batch, g.has_edge(0, u) and g.has_edge(0, w)),
-                (classify_chain_batch, g.has_edge(0, u) and g.has_edge(u, w)),
-            )
-            for fn, drawable in shapes:
-                if drawable:
-                    got = fn(g, ctx, np.array([u]), np.array([w]), True)
-                    assert got.tolist() == [want], (fn.__name__, u, w)
+            for k in (1, 64):
+                assert (ctx.pair_index(g, k) is None) == (k == 1 and triangle)
+                shapes = []
+                if g.has_edge(0, u) and g.has_edge(0, w):
+                    at = (g.pos_of(0, u), g.pos_of(0, w))
+                    shapes.append((classify_wedge_batch, (u, w, *at)))
+                if g.has_edge(0, u) and g.has_edge(u, w):
+                    at = g.indptr[u] + g.pos_of(u, w)
+                    shapes.append((classify_chain_batch, (u, w, at)))
+                for fn, row in shapes:
+                    cols = [np.full(k, x) for x in row]
+                    got = fn(g, ctx, *cols, True)
+                    assert got.tolist() == [want] * k, (fn.__name__, u, w, k)
                     seen.add(want)
     assert seen == set(range(1, 31))
+
+
+# Per route that reads the pair index: its has_edges calls per batch when
+# the batch is below the build rule (the edge keys answer every pair) and
+# when it is at the rule (only pairs outside N(v) are searched).
+_SEARCHES = {"R31": (1, 0), "R41": (2, 1)}
+
+
+@pytest.mark.parametrize(
+    "method, directed", [("R31", False), ("R31", True), ("R41", False)]
+)
+def test_pair_index_build_rule_keeps_labels(method, directed, monkeypatch):
+    # The index is built only when it and its gather take no more bytes
+    # than three int64 columns of the batch.  A tally one draw below that
+    # size searches the edge keys, a tally at it reads the index, and both
+    # label every draw as the scalar classifiers do.
+    g = gnp_directed(40, 0.2, seed=3) if directed else gnp(40, 0.2, seed=3)
+    v = int(np.argmax(g.degrees))
+    d = g.degree(v)
+    size = d * d + 8 * (g.stats(v).two_paths + d)
+    searches = []
+    has_edges = Graph.has_edges
+
+    def counted(self, us, vs):
+        searches.append(len(us))
+        return has_edges(self, us, vs)
+
+    monkeypatch.setattr(Graph, "has_edges", counted)
+    ctx = AnchorContext(g, v)
+    for k, expect in zip(((size - 1) // 24, -(-size // 24)), _SEARCHES[method]):
+        searches.clear()
+        tally = tally_orbits(g, ctx, method, k, np.random.default_rng(k), directed)
+        assert len(searches) == expect, (k, searches)
+        cols = draw_batch(g, ctx, method, k, np.random.default_rng(k))
+        want = _scalar_labels(g, v, method, cols, directed)
+        assert tally.tolist() == np.bincount(want, minlength=len(tally)).tolist()
