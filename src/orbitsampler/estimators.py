@@ -231,10 +231,10 @@ def estimate_orbit_degrees(
         rows = cov.tolist()
         covariances = {(i, j): rows[i][j] for i, j in combinations(_COV_ORBITS, 2)}
     return OrbitReport(
-        node=v,
+        node=int(v),
         mode=mode,
         budgets=ks,
-        seed=seed,
+        seed=None if seed is None else int(seed),
         estimates=est,
         covariances=covariances,
     )

@@ -135,11 +135,11 @@ def run_experiment(
     ids = spec.orbits
     means = matrix.mean(axis=0)
     report = EvalReport(
-        node=v,
+        node=int(v),
         mode=mode,
         runs=runs,
         budgets=budget.resolve(spec.routes),
-        seed=seed,
+        seed=int(seed),
         mean_estimates={i: float(m) for i, m in zip(ids, means)},
         wall_clock_per_run=times if with_timings else None,
     )

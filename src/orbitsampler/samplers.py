@@ -35,16 +35,18 @@ with the anchor's orbit; :func:`tally_orbits` draws, labels and counts.
 Every step around the anchor reads the estimate's
 :class:`~orbitsampler.graph.AnchorContext`.  The route check reads its
 ``stats``, from which the weighted first steps build their cumulative
-arrays (R43's second step weighs the lists of the drawn u in one array).
-Each weighted pick draws one batch of integers in ``1..total`` and answers
-it through a guide table over the cumulative array: equal buckets of the
-value range, each with the answers at its two ends, so a draw whose bucket
-holds one answer is a gather and only the others are searched, in one
-``np.searchsorted``.  The answers are those of a search of every draw.  The
-routes keep the index ``iu`` of the neighbour they drew, so the position of
-v in the list of u is the gather ``back[iu]``, and the classifiers test
-pairs (v, x) by gathering the context's code array (nonzero = edge, and the
-direction code of (v, x) when directed).
+arrays.  R43 draws u and w in one pick over the entries of the anchor's
+neighbour lists: entry w of the list of u weighs d_w - 1, v's entries weigh
+0, and u is the list that holds the picked entry.  Each weighted pick draws
+one batch of integers in ``1..total`` and answers it through a guide table
+over the cumulative array: equal buckets of the value range, each with the
+answers at its two ends, so a draw whose bucket holds one answer is a
+gather and only the others are searched, in one ``np.searchsorted``.  The
+answers are those of a search of every draw.  The routes keep the index
+``iu`` of the neighbour they drew, so the position of v in the list of u is
+the gather ``back[iu]``, and the classifiers test pairs (v, x) by gathering
+the context's code array (nonzero = edge, and the direction code of (v, x)
+when directed).
 
 :func:`draw_batch` returns a route's member columns after the anchor
 (``Route.size`` of them), then the positions its classifier reads: R31 and
@@ -96,25 +98,21 @@ _GUIDE_PER_CANDIDATE = 16  # guide buckets per candidate, at most one per draw
 
 def _weighted_pick(acc: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """``k`` positions drawn in proportion to the weights whose cumulative
-    sums are ``acc``, from one ``rng.integers(1, total + 1, size=k)`` call."""
-    total = int(acc[-1]) if len(acc) else 0
-    if total <= 0:
-        raise CannotSampleError("all candidate weights are zero")
-    return _guided_search(acc, rng.integers(1, total + 1, size=k))
+    sums are ``acc``, from one ``rng.integers(1, total + 1, size=k)`` call.
 
-
-def _guided_search(acc: np.ndarray, rnd: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(acc, rnd, side="left")`` for draws ``rnd`` in
-    ``1..acc[-1]``, without a binary search of every draw over ``acc``.
-
+    The answers are ``np.searchsorted(acc, rnd, side="left")`` of those
+    draws ``rnd``, found without a binary search of every draw over ``acc``.
     A guide table (Chen & Asau 1974; Devroye 1986, III.2.4) splits
     ``1..total`` into equal buckets, at most one per draw, and finds the
     answers at every bucket's bottom and top by two sorted searches.  A
     draw whose bucket holds one answer is a gather; one ``searchsorted``
     answers the others.
     """
-    total = int(acc[-1])
-    width = -(-total // max(1, min(_GUIDE_PER_CANDIDATE * len(acc), len(rnd))))
+    total = int(acc[-1]) if len(acc) else 0
+    if total <= 0:
+        raise CannotSampleError("all candidate weights are zero")
+    rnd = rng.integers(1, total + 1, size=k)
+    width = -(-total // max(1, min(_GUIDE_PER_CANDIDATE * len(acc), k)))
     # Bucket b holds the values edge[b] + 1 ..= edge[b + 1]; every edge but
     # the last (total) is below total, so none passes int64.  The answer at
     # edge[b] + 1 is the count of acc <= edge[b].
@@ -174,26 +172,18 @@ def _batch_r42(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
 
 
 def _batch_r43(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
-    iu = _weighted_pick(g.acc_walk(ctx.stats), k, rng)
-    u = ctx.nb[iu]
-    if not k:
-        return u, u, u
-    # The second step picks w in N(u) - {v} weighted by (d_w - 1), whose
-    # total is u's (positive) walk weight.  The lists of the distinct drawn
-    # u, end to end with v's entry weighing 0, form one cumulative array
-    # (its total is at most three_walks, which acc_walk checked to fit);
-    # each draw's integer, shifted past the lists before its u's, lands in
-    # that list, so one search answers them all.
-    group, at = np.unique(iu, return_inverse=True)
-    x = ctx.nb[group]
-    entries, ends = g.list_entries(x)
-    cand = g.indices[entries]
+    # The first two steps are one pick over the entries of the anchor's
+    # neighbour lists: entry w of the list of u weighs d_w - 1, and v's
+    # entries weigh 0.  A list's weights sum to u's walk weight, so (u, w)
+    # comes with probability (d_w - 1) / three_walks, as in two steps.
+    at, ends = g.list_entries(ctx.nb)
+    cand = g.indices[at]
     weight = g.degrees[cand] - 1
-    weight[ends - g.degrees[x] + ctx.back[group]] = 0
-    acc = np.cumsum(weight)
-    top = acc[ends - 1]
-    walk = np.diff(top, prepend=0)
-    w = cand[_guided_search(acc, rng.integers(1, walk[at] + 1) + (top - walk)[at])]
+    weight[ends - g.degrees[ctx.nb] + ctx.back] = 0
+    acc = g._acc("walk", ctx.stats, weight, ctx.stats.three_walks)
+    pick = _weighted_pick(acc, k, rng)
+    u = ctx.nb[np.searchsorted(ends, pick, side="right")]
+    w = cand[pick]
     return u, w, g.indices[_second_step(g, w, g.pos_of_many(w, u), rng)]
 
 

@@ -17,9 +17,10 @@ from orbitsampler import (
     exact_orbit_degrees,
     pool_hits,
 )
-from orbitsampler.experiment import run_pipeline_matrix
+from orbitsampler.experiment import run_experiment, run_pipeline_matrix
 from orbitsampler.generators import gnp, sparse_random_graph
 from orbitsampler.graph import Graph
+from orbitsampler.report import dumps, report_to_dict
 
 from conftest import pooled_value
 
@@ -247,6 +248,24 @@ def test_pipeline_seed_determinism():
     assert any(
         r1.estimates[i].value != r3.estimates[i].value for i in range(1, 15)
     )
+
+
+def test_reports_store_numpy_ids_as_python_ints():
+    # A node id from np.argmax and a numpy seed give the same bytes as the
+    # same Python ints, in the estimate and in the evaluation report.
+    g = gnp(30, 0.2, seed=2)
+    v = np.argmax(g.degrees)
+    budget = BudgetConfig(total=600)
+
+    def estimate(v, seed):
+        report = estimate_orbit_degrees(g, v, "undirected", budget, seed=seed)
+        return dumps(report_to_dict(report))
+
+    def evaluate(v, seed):
+        return dumps(run_experiment(g, v, "undirected", budget, 2, seed).to_dict())
+
+    for build in (estimate, evaluate):
+        assert build(v, np.int64(5)) == build(int(v), 5)
 
 
 def test_directed_pipeline_forced():

@@ -542,6 +542,20 @@ def test_pair_index_matches_edge_searches():
             _check_pair_index(g, v)
 
 
+@given(small_graphs(), st.data())
+def test_list_entries_are_the_lists_end_to_end(g, data):
+    # the drawn nodes, then them again with every isolated node between
+    # (repeats and empty lists), then no node at all
+    node = st.integers(0, g.node_count - 1)
+    xs = np.array(data.draw(st.lists(node, max_size=12)), dtype=np.int64)
+    isolated = np.flatnonzero(g.degrees == 0)
+    for case in (xs, np.concatenate((xs, isolated, xs)), xs[:0]):
+        at, ends = g.list_entries(case)
+        want = [i for x in case.tolist() for i in range(g.indptr[x], g.indptr[x + 1])]
+        assert at.tolist() == want
+        assert ends.tolist() == np.cumsum(g.degrees[case]).tolist()
+
+
 def _check_batch_lookups(g: Graph, us: np.ndarray, vs: np.ndarray) -> None:
     pairs = list(zip(us.tolist(), vs.tolist()))
     assert g.has_edges(us, vs).tolist() == [g.has_edge(a, b) for a, b in pairs]

@@ -229,10 +229,10 @@ def test_weighted_pick_maps_every_draw():
 
 
 def test_r43_second_step_cuts_out_the_anchor_block():
-    # R43's second step: w in N(u) - {v} weighted by d_w - 1, drawn from the
-    # cumulative range with v's weight block cut out.  Anchor 2 sits between
-    # the neighbours of u = 1: N(1) = [0, 2, 3] with weights 3, 1, 1, and
-    # every walk-weighted first step lands on u.
+    # R43's first two steps are one pick over the entries of the anchor's
+    # neighbour lists, entry w weighing d_w - 1 and v's entries 0.  Anchor 2
+    # has N(2) = [1, 4]: N(1) = [0, 2, 3] weighs 3, 0, 1 and N(4) = [2]
+    # weighs 0, so the cumulative entry weights are 3, 3, 4, 4.
     g = Graph.from_edges(
         [(1, 0), (1, 2), (1, 3), (2, 4), (0, 5), (0, 6), (0, 7), (3, 8)]
     )
@@ -241,7 +241,7 @@ def test_r43_second_step_cuts_out_the_anchor_block():
     ctx = AnchorContext(g, 2)
     picks = []
     for r in range(1, 5):  # residual weight 3 + 1
-        u, w, _ = draw_batch(g, ctx, "R43", 1, _Probe([1, r, 0]))
+        u, w, _ = draw_batch(g, ctx, "R43", 1, _Probe([r, 0]))
         assert u[0] == 1
         picks.append(int(w[0]))
     assert picks == [0, 0, 0, 3]
@@ -287,23 +287,23 @@ def test_weighted_pick_equals_searchsorted_of_the_same_draws(case):
 
 
 def _r43_per_draw_reference(g, ctx, k, rng):
-    """R43 with a searchsorted per weighted pick: the second steps draw
-    their integers in one call, and each draw searches its u's list."""
-    acc_walk = g.acc_walk(ctx.stats)
-    rnd = rng.integers(1, int(acc_walk[-1]) + 1, size=k)
-    iu = np.searchsorted(acc_walk, rnd, side="left")
-    u = ctx.nb[iu]
-    rnd = rng.integers(1, np.diff(acc_walk, prepend=0)[iu] + 1)
-    cuts = {}
+    """R43 with a searchsorted per draw: one integers call over the
+    cumulative weights of the entries of the anchor's neighbour lists (d_w - 1
+    per entry w, 0 at v's entries), and u the list that holds each entry."""
+    lists, entries, weights = [], [], []
+    for x in ctx.nb.tolist():
+        for y in g.neighbors(x).tolist():
+            lists.append(x)
+            entries.append(y)
+            weights.append(0 if y == ctx.v else int(g.degrees[y]) - 1)
+    acc = np.cumsum(weights)
+    assert int(acc[-1]) == ctx.stats.three_walks
+    rnd = rng.integers(1, int(acc[-1]) + 1, size=k)
+    u = np.empty(k, dtype=np.int64)
     w = np.empty(k, dtype=np.int64)
-    for n, i in enumerate(iu.tolist()):
-        x, pos = int(ctx.nb[i]), int(ctx.back[i])
-        if i not in cuts:
-            acc = g.acc_degree(g.stats(x))
-            block = acc[pos] - (acc[pos - 1] if pos > 0 else 0)
-            cuts[i] = np.concatenate((acc[:pos], acc[pos + 1 :] - block))
-        j = _skip_one(int(np.searchsorted(cuts[i], rnd[n], side="left")), pos)
-        w[n] = g.neighbors(x)[j]
+    for n, r in enumerate(rnd.tolist()):
+        j = int(np.searchsorted(acc, r, side="left"))
+        u[n], w[n] = lists[j], entries[j]
     return u, w, g.indices[_second_step(g, w, g.pos_of_many(w, u), rng)]
 
 
