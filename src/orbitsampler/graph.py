@@ -12,10 +12,12 @@ the cumulative weight arrays from which the weighted first steps pick a
 neighbour (through a guide table, ``samplers._weighted_pick``).  Both are
 recomputed on every call, never kept on the graph, so memory stays flat
 however many anchors are estimated; an estimate computes its anchor's
-statistics once, in its :class:`AnchorContext`.  The
-graph is immutable after construction (its one lazily built array,
-``two_paths_all``, is set under a lock), so instances are safe to share
-across threads.
+statistics once, in its :class:`AnchorContext`.  A graph is complete and
+immutable once constructed: construction rejects a neighbour id outside
+``0..n-1`` and builds every array the graph will hold, the per-node
+two-path counts (``two_paths_all``) among them; :meth:`Graph.validate`
+checks the other invariants (sorted lists, no self loops, symmetry,
+labels).
 
 One int64 key orders the pairs: (row, col) has key ``row * n + col``, which
 fits while ``n**2`` is below 2**63 (``MAX_NODES``).  Loading merges repeated
@@ -40,7 +42,6 @@ input the grammar takes and alone raises :class:`ParseError`.
 from __future__ import annotations
 
 import io
-import threading
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,12 +149,20 @@ class Graph:
         self.original_ids = _freeze(np.asarray(original_ids, dtype=np.int64))
         self.summary = summary
         self.degrees = _freeze(np.diff(self.indptr))
+        # read as unsigned, a negative id is above every valid one
+        if self.indices.view(np.uint64).max() >= self.node_count:
+            raise GraphError("neighbour id out of range")
+        # Two-edge walks leaving each node: the degrees along its list, less
+        # its own.  Built, and its temporaries freed, before the edge keys,
+        # whose temporaries are larger, so the two peaks do not add up.
+        csum = np.zeros(len(self.indices) + 1, dtype=np.int64)
+        np.cumsum(self.degrees[self.indices], out=csum[1:])
+        self._two_paths_all = _freeze(np.diff(csum[self.indptr]) - self.degrees)
+        del csum
         # Sorted (row, neighbour) keys, one per adjacency entry, so a key's
         # index is the entry's index.  Every pair lookup searches them (_find).
         rows = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
         self._edge_keys = _freeze(rows * self.node_count + self.indices)
-        self._lock = threading.Lock()
-        self._two_paths_all: np.ndarray | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -318,15 +327,7 @@ class Graph:
     # -- statistics ---------------------------------------------------------
 
     def two_paths_all(self) -> np.ndarray:
-        """Two-edge walk counts for every node (int64, lazily built)."""
-        if self._two_paths_all is None:
-            with self._lock:
-                if self._two_paths_all is None:
-                    csum = np.concatenate(
-                        ([0], np.cumsum(self.degrees[self.indices], dtype=np.int64))
-                    )
-                    sums = csum[self.indptr[1:]] - csum[self.indptr[:-1]]
-                    self._two_paths_all = _freeze(sums - self.degrees)
+        """Two-edge walk counts for every node (int64, built with the graph)."""
         return self._two_paths_all
 
     def stats(self, v: int) -> NodeStats:
@@ -387,10 +388,7 @@ class Graph:
 
     def validate(self) -> None:
         """Check structural invariants; raises GraphError on violation."""
-        n = self.node_count
-        if np.any(self.indices < 0) or np.any(self.indices >= n):
-            raise GraphError("neighbour id out of range")
-        rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        rows = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
 
         def require(ok: np.ndarray, message: str) -> None:
             """Raise for the first adjacency entry (v, u) where ``ok`` fails."""
@@ -399,8 +397,8 @@ class Graph:
                 v, u = rows[bad[0]], self.indices[bad[0]]
                 raise GraphError(message.format(v=v, u=u))
 
-        # With ids in range, the keys increase strictly exactly when every
-        # neighbour list does.
+        # With ids in range (construction checks them), the keys increase
+        # strictly exactly when every neighbour list does.
         keys_up = np.diff(self._edge_keys, prepend=-1) > 0
         require(keys_up, "neighbour list of {v} not strictly increasing")
         require(self.indices != rows, "self loop at {v}")
@@ -421,7 +419,7 @@ class AnchorContext:
     """Lookups of every pair that contains one anchor ``v``.
 
     Built once per estimate and passed down to the routes and classifiers;
-    it is not cached on the graph (which is shared across threads, and a
+    it is not cached on the graph (which every estimate shares, and a
     sweep over many anchors would keep one node-sized array per anchor).
 
     ==========  ==========================================================

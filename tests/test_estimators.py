@@ -18,7 +18,7 @@ from orbitsampler import (
     pool_hits,
 )
 from orbitsampler.experiment import run_experiment, run_pipeline_matrix
-from orbitsampler.generators import gnp, sparse_random_graph
+from orbitsampler.generators import gnp, gnp_directed, sparse_random_graph
 from orbitsampler.graph import Graph
 from orbitsampler.report import dumps, report_to_dict
 
@@ -454,12 +454,27 @@ def _traced_positions(calls):
     return draws, quads
 
 
+def test_graph_is_complete_when_constructed():
+    # estimates, the oracle and experiments read the graph and never set
+    # or replace an attribute of it, not even on their first call
+    g = gnp_directed(30, 0.2, seed=9)
+    before = dict(vars(g))
+    v = int(np.argmax(g.degrees))
+    for mode in ("undirected", "directed3"):
+        estimate_orbit_degrees(g, v, mode, BudgetConfig(total=300), 0)
+        run_experiment(g, v, mode, BudgetConfig(total=300), runs=2, seed=0)
+    exact_orbit_degrees(g, v)
+    after = vars(g)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+
+
 def test_anchor_sweep_retains_no_per_anchor_state():
     # estimating many anchors of one graph is the normal traffic; nothing
     # computed for one anchor may stay behind on the shared graph
     g = sparse_random_graph(3000, 6.0, seed=4)
     budget = BudgetConfig(total=30)
-    estimate_orbit_degrees(g, 2999, "undirected", budget, 0)  # builds two_paths_all
+    estimate_orbit_degrees(g, 2999, "undirected", budget, 0)  # warm-up, uncounted
     gc.collect()
     tracemalloc.start()
     try:

@@ -655,9 +655,26 @@ def test_lookups_refuse_ids_out_of_range():
     ],
 )
 def test_validate_rejects_broken_invariant(indptr, indices, labels, message):
-    g = Graph(np.array(indptr), np.array(indices), labels)
+    # an id out of range fails at construction, every other case in validate
     with pytest.raises(GraphError, match=message):
-        g.validate()
+        Graph(np.array(indptr), np.array(indices), labels).validate()
+
+
+@pytest.mark.parametrize(
+    "indptr, indices",
+    [
+        ([0, 1, 2], [1, 2]),
+        ([0, 1, 2], [1, -1]),
+        ([0, 1, 2], [-(2**62), 0]),
+        # row 0's key 0 * 3 + 4 is the key of (1, 1): built unchecked, this
+        # graph would answer has_edges(1, 1) with True
+        ([0, 2, 3, 4], [1, 4, 2, 0]),
+    ],
+    ids=["id-too-large", "id-negative", "id-very-negative", "aliasing-key"],
+)
+def test_construction_rejects_ids_out_of_range(indptr, indices):
+    with pytest.raises(GraphError, match="neighbour id out of range"):
+        Graph(np.array(indptr), np.array(indices))
 
 
 def test_validate_accepts_hand_built_graph():
