@@ -35,6 +35,7 @@ to know of each mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -179,7 +180,9 @@ def covariance(pooled: PooledHits) -> np.ndarray:
     variances.
     """
     x = pooled.weights * pooled.values / np.sqrt(pooled.draws)[:, None]
-    cov = 0.0 - x.T @ x  # 0.0 - turns -0.0 into +0.0
+    # One fixed-order sum over the (at most three) route rows, not a BLAS
+    # product, whose kernels add in an order that depends on the CPU.
+    cov = 0.0 - (x[:, :, None] * x[:, None, :]).sum(axis=0)  # +0.0, not -0.0
     np.fill_diagonal(cov, pooled.variances)
     return cov
 
@@ -217,18 +220,16 @@ def estimate_orbit_degrees(
     est = pooled.estimates(spec.orbits)
     covariances = {}
     if not directed:
-        cov = covariance(pooled)
+        values, rows = pooled.values.tolist(), covariance(pooled).tolist()
         est[0] = Estimate(float(st.degree), 0.0, "exact")
         # Each identity row solved for its orbit, from its normalizer and
-        # other terms, with the variance of those terms.
+        # other terms, with the variance of those terms; fsum rounds each
+        # sum once, so neither depends on the order of its terms.
         for solved, name in ((2, "wedges"), (4, "three_walks"), (7, "triples")):
-            c = np.zeros(len(pooled.values))
-            for i, coef in IDENTITIES[name].items():
-                if i != solved:
-                    c[i] = coef
-            value = getattr(st, name) - float(c @ pooled.values)
-            est[solved] = Estimate(value, max(float(c @ cov @ c), 0.0), "identity")
-        rows = cov.tolist()
+            c = [(i, coef) for i, coef in IDENTITIES[name].items() if i != solved]
+            value = getattr(st, name) - math.fsum(a * values[i] for i, a in c)
+            var = math.fsum(a * rows[i][j] * b for i, a in c for j, b in c)
+            est[solved] = Estimate(value, max(var, 0.0), "identity")
         covariances = {(i, j): rows[i][j] for i, j in combinations(_COV_ORBITS, 2)}
     return OrbitReport(
         node=int(v),
