@@ -178,9 +178,8 @@ def measure_sample_time(
 ) -> float:
     """Seconds per draw of one route, from a warmed batch measurement.
 
-    The anchor context (and with it ``two_paths_all``) is built untimed, and
-    the draws are not classified.  The acceptance suite's throughput
-    criterion is its one caller.
+    The anchor context is built untimed, and the draws are not classified.
+    The acceptance suite's throughput criterion is its one caller.
     """
     ctx = AnchorContext(g, v)
     rng = np.random.default_rng(seed)

@@ -13,11 +13,9 @@ neighbour (through a guide table, ``samplers._weighted_pick``).  Both are
 recomputed on every call, never kept on the graph, so memory stays flat
 however many anchors are estimated; an estimate computes its anchor's
 statistics once, in its :class:`AnchorContext`.  A graph is complete and
-immutable once constructed: construction rejects a neighbour id outside
-``0..n-1`` and builds every array the graph will hold, the per-node
-two-path counts (``two_paths_all``) among them; :meth:`Graph.validate`
-checks the other invariants (sorted lists, no self loops, symmetry,
-labels).
+immutable once constructed, ``two_paths_all`` included; construction
+rejects neighbour ids outside ``0..n-1``, and :meth:`Graph.validate`
+checks the other invariants (sorted lists, no self loops, symmetry, labels).
 
 One int64 key orders the pairs: (row, col) has key ``row * n + col``, which
 fits while ``n**2`` is below 2**63 (``MAX_NODES``).  Loading merges repeated
@@ -152,9 +150,8 @@ class Graph:
         # read as unsigned, a negative id is above every valid one
         if self.indices.view(np.uint64).max() >= self.node_count:
             raise GraphError("neighbour id out of range")
-        # Two-edge walks leaving each node: the degrees along its list, less
-        # its own.  Built, and its temporaries freed, before the edge keys,
-        # whose temporaries are larger, so the two peaks do not add up.
+        # Two-edge walks leaving each node, built (and csum freed) before the
+        # edge keys, whose temporaries are larger, so the peaks do not add.
         csum = np.zeros(len(self.indices) + 1, dtype=np.int64)
         np.cumsum(self.degrees[self.indices], out=csum[1:])
         self._two_paths_all = _freeze(np.diff(csum[self.indptr]) - self.degrees)
