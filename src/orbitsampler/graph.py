@@ -14,7 +14,8 @@ recomputed on every call, never kept on the graph, so memory stays flat
 however many anchors are estimated; an estimate computes its anchor's
 statistics once, in its :class:`AnchorContext`.  A graph is complete and
 immutable once constructed, ``two_paths_all`` included; construction
-rejects neighbour ids outside ``0..n-1``, and :meth:`Graph.validate`
+rejects a malformed ``indptr`` and neighbour ids outside ``0..n-1``, and
+:meth:`Graph.validate`
 checks the other invariants (sorted lists, no self loops, symmetry, labels).
 
 One int64 key orders the pairs: (row, col) has key ``row * n + col``, which
@@ -147,6 +148,9 @@ class Graph:
         self.original_ids = _freeze(np.asarray(original_ids, dtype=np.int64))
         self.summary = summary
         self.degrees = _freeze(np.diff(self.indptr))
+        ends_ok = self.indptr[0] == 0 and self.indptr[-1] == len(self.indices)
+        if not ends_ok or self.degrees.min() < 0:
+            raise GraphError("indptr must rise from 0 to len(indices)")
         # read as unsigned, a negative id is above every valid one
         if self.indices.view(np.uint64).max() >= self.node_count:
             raise GraphError("neighbour id out of range")

@@ -661,19 +661,25 @@ def test_validate_rejects_broken_invariant(indptr, indices, labels, message):
 
 
 @pytest.mark.parametrize(
-    "indptr, indices",
+    "indptr, indices, message",
     [
-        ([0, 1, 2], [1, 2]),
-        ([0, 1, 2], [1, -1]),
-        ([0, 1, 2], [-(2**62), 0]),
+        ([0, 1, 2], [1, 2], "neighbour id out of range"),
+        ([0, 1, 2], [1, -1], "neighbour id out of range"),
+        ([0, 1, 2], [-(2**62), 0], "neighbour id out of range"),
         # row 0's key 0 * 3 + 4 is the key of (1, 1): built unchecked, this
         # graph would answer has_edges(1, 1) with True
-        ([0, 2, 3, 4], [1, 4, 2, 0]),
+        ([0, 2, 3, 4], [1, 4, 2, 0], "neighbour id out of range"),
+        ([0, 1, 3], [1, 0], "indptr must rise"),
+        ([1, 2, 3], [1, 0, 0], "indptr must rise"),
+        ([0, 2, 1, 2], [1, 0], "indptr must rise"),
     ],
-    ids=["id-too-large", "id-negative", "id-very-negative", "aliasing-key"],
+    ids=[
+        "id-too-large", "id-negative", "id-very-negative", "aliasing-key",
+        "indptr-past-end", "indptr-late-start", "indptr-falls",
+    ],
 )
-def test_construction_rejects_ids_out_of_range(indptr, indices):
-    with pytest.raises(GraphError, match="neighbour id out of range"):
+def test_construction_rejects_malformed_arrays(indptr, indices, message):
+    with pytest.raises(GraphError, match=message):
         Graph(np.array(indptr), np.array(indices))
 
 
