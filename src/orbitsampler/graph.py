@@ -15,8 +15,8 @@ however many anchors are estimated; an estimate computes its anchor's
 statistics once, in its :class:`AnchorContext`.  A graph is complete and
 immutable once constructed, ``two_paths_all`` included; construction
 rejects a malformed ``indptr`` and neighbour ids outside ``0..n-1``, and
-:meth:`Graph.validate`
-checks the other invariants (sorted lists, no self loops, symmetry, labels).
+:meth:`Graph.validate` checks the other invariants (sorted lists, no self
+loops, symmetry, labels).
 
 One int64 key orders the pairs: (row, col) has key ``row * n + col``, which
 fits while ``n**2`` is below 2**63 (``MAX_NODES``).  Loading merges repeated
