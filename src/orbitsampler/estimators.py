@@ -37,13 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .graph import AnchorContext, Graph, GraphError
 from .orbits import IDENTITIES, UNORBIT
-from .samplers import bias_vector, route_defined, tally_orbits
+from .samplers import ROUTES, tally_orbits
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,40 @@ def check_mode(g: Graph, mode: str) -> None:
         raise GraphError("mode directed3 needs a directed graph (--directed)")
 
 
+# Per mode and route, the numerators of the route's bias at each tally
+# index: its normalizer's identity row read at the index's shape orbit.
+# Divided by the normalizer they give ``samplers.bias_vector``'s values.
+_BIAS_ROWS = {
+    mode: {
+        m: tuple(IDENTITIES[ROUTES[m].normalizer].get(s, 0) for s in spec.shape)
+        for m in spec.routes
+    }
+    for mode, spec in MODES.items()
+}
+
 # The orbits R41 and R42 reach, whose pairwise covariances the undirected
-# report carries; they cover every term of the identities for 2, 4 and 7.
+# report carries (their flat indices into the 15 x 15 covariance matrix);
+# they cover every term of the identities for 2, 4 and 7.
 _COV_ORBITS = (3, 5, 6, 8, 9, 10, 11, 12, 13, 14)
+_COV_PAIRS = tuple(combinations(_COV_ORBITS, 2))
+_COV_FLAT = np.array([15 * i + j for i, j in _COV_PAIRS])
+
+
+def _solved_identities():
+    """Each identity row solved for its orbit, as (orbit, normalizer, the
+    other terms (i, a), the slice of its variance terms), and the variance
+    terms a * cov[i, j] * b over pairs of other terms: the flat index of
+    (i, j) in the 15 x 15 covariance matrix, a and b."""
+    solved, terms = [], []
+    for orbit, name in ((2, "wedges"), (4, "three_walks"), (7, "triples")):
+        c = tuple((i, a) for i, a in IDENTITIES[name].items() if i != orbit)
+        start = len(terms)
+        terms += [(15 * i + j, a, b) for i, a in c for j, b in c]
+        solved.append((orbit, name, c, slice(start, len(terms))))
+    return (tuple(solved), *(np.array(col) for col in zip(*terms)))
+
+
+_SOLVED, _VAR_FLAT, _VAR_A, _VAR_B = _solved_identities()
 
 
 @dataclass(frozen=True)
@@ -162,14 +194,22 @@ def pool_hits(
     """
     k = np.asarray(draws, dtype=float)[:, None]
     expected = k * probs
-    denom = expected.sum(axis=0)
+    denom = np.add.reduce(expected, axis=0)  # ndarray.sum, without its wrapper
     safe = np.where(denom > 0.0, denom, 1.0)
-    values = hits.sum(axis=0) / safe
+    values = np.add.reduce(hits, axis=0) / safe
     q = values * probs
-    variances = np.maximum((k * q * (1.0 - q)).sum(axis=0) / safe**2, 0.0)
-    reach = [[r for r, x in zip(routes, col) if x > 0.0] for col in expected.T.tolist()]
-    sources = [rs[0] if len(rs) == 1 else "combined" if rs else "exact" for rs in reach]
-    return PooledHits(values, variances, sources, expected / safe, k[:, 0])
+    variances = np.maximum(np.add.reduce(k * q * (1.0 - q), axis=0) / safe**2, 0.0)
+    reached = expected > 0.0
+    sources = _sources(tuple(routes), reached.tobytes(), reached.shape[1])
+    return PooledHits(values, variances, list(sources), expected / safe, k[:, 0])
+
+
+@lru_cache(maxsize=64)
+def _sources(routes: tuple[str, ...], reached: bytes, n: int) -> tuple[str, ...]:
+    """Per orbit id, the one route that reaches it, else ``combined`` or
+    ``exact``; ``reached`` is the route-by-orbit reach mask's bytes."""
+    reach = [[r for x, r in enumerate(routes) if reached[x * n + i]] for i in range(n)]
+    return tuple(rs[0] if len(rs) == 1 else "combined" if rs else "exact" for rs in reach)
 
 
 def covariance(pooled: PooledHits) -> np.ndarray:
@@ -182,8 +222,8 @@ def covariance(pooled: PooledHits) -> np.ndarray:
     x = pooled.weights * pooled.values / np.sqrt(pooled.draws)[:, None]
     # One fixed-order sum over the (at most three) route rows, not a BLAS
     # product, whose kernels add in an order that depends on the CPU.
-    cov = 0.0 - (x[:, :, None] * x[:, None, :]).sum(axis=0)  # +0.0, not -0.0
-    np.fill_diagonal(cov, pooled.variances)
+    cov = 0.0 - np.add.reduce(x[:, :, None] * x[:, None, :], axis=0)  # +0.0, not -0.0
+    cov.flat[:: len(cov) + 1] = pooled.variances
     return cov
 
 
@@ -208,29 +248,32 @@ def estimate_orbit_degrees(
     streams = np.random.SeedSequence(seed).spawn(len(spec.routes))
     routes, hits, probs = [], [], []
     for m, stream in zip(spec.routes, streams):
-        if route_defined(m, st):
+        denom = getattr(st, ROUTES[m].normalizer)
+        if denom > 0:  # the route is defined at v
             rng = np.random.default_rng(stream)
             hits.append(tally_orbits(g, ctx, m, ks[m], rng, directed))
-            bias = bias_vector(m, st)
-            probs.append([bias.get(s, 0.0) for s in spec.shape])
+            probs.append([c / denom for c in _BIAS_ROWS[mode][m]])
             routes.append(m)
     size = (len(routes), len(spec.shape))
     draws = np.array([ks[m] for m in routes])
-    pooled = pool_hits(routes, draws, np.reshape(hits, size), np.reshape(probs, size))
+    pooled = pool_hits(
+        routes, draws, np.array(hits).reshape(size), np.array(probs).reshape(size)
+    )
     est = pooled.estimates(spec.orbits)
     covariances = {}
     if not directed:
-        values, rows = pooled.values.tolist(), covariance(pooled).tolist()
+        values = pooled.values.tolist()
+        flat = covariance(pooled).ravel()
         est[0] = Estimate(float(st.degree), 0.0, "exact")
         # Each identity row solved for its orbit, from its normalizer and
         # other terms, with the variance of those terms; fsum rounds each
         # sum once, so neither depends on the order of its terms.
-        for solved, name in ((2, "wedges"), (4, "three_walks"), (7, "triples")):
-            c = [(i, coef) for i, coef in IDENTITIES[name].items() if i != solved]
+        var_terms = (_VAR_A * flat[_VAR_FLAT] * _VAR_B).tolist()
+        for solved, name, c, terms in _SOLVED:
             value = getattr(st, name) - math.fsum(a * values[i] for i, a in c)
-            var = math.fsum(a * rows[i][j] * b for i, a in c for j, b in c)
+            var = math.fsum(var_terms[terms])
             est[solved] = Estimate(value, max(var, 0.0), "identity")
-        covariances = {(i, j): rows[i][j] for i, j in combinations(_COV_ORBITS, 2)}
+        covariances = dict(zip(_COV_PAIRS, flat[_COV_FLAT].tolist()))
     return OrbitReport(
         node=int(v),
         mode=mode,

@@ -287,9 +287,6 @@ class Graph:
             a, b = (np.broadcast_to(x, found.shape)[i] for x in (a, b))
             raise NotANeighborError(f"{a} is not a neighbour of {b}")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.has_edges([u], [v])[0])
-
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized edge test for aligned node arrays."""
         return self._find(us, vs)[1]
@@ -303,22 +300,15 @@ class Graph:
         at += np.arange(len(at))
         return at, ends
 
-    def pos_of(self, v: int, u: int) -> int:
-        """Index of neighbour ``u`` inside the sorted list of ``v``."""
-        return int(self.pos_of_many([v], u)[0])
-
     def pos_of_many(self, vs: np.ndarray, u: int) -> np.ndarray:
         """Positions of node ``u`` in the neighbour lists of each ``v``."""
         idx, found = self._find(vs, u)
         self._require(found, u, vs)
         return idx - self.indptr[vs]
 
-    def direction_code(self, u: int, v: int) -> int:
-        """Direction of edge (u, v) as seen from ``u``: OUT, IN or MUTUAL."""
-        return int(self.direction_codes([u], [v])[0])
-
     def direction_codes(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`direction_code`; pairs must be edges."""
+        """Direction of each edge (u, v) as seen from ``u``: OUT, IN or
+        MUTUAL; the pairs must be edges."""
         if not self.directed:
             raise GraphError("graph carries no direction labels")
         idx, found = self._find(us, vs)

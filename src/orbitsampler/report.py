@@ -9,11 +9,25 @@ JSON layout::
 
 Serialization is byte-stable: keys are sorted and floats use their shortest
 round-trip representation, so identical reports dump to identical bytes.
+
+:func:`dumps` writes exactly the text of ``json.dumps(payload,
+sort_keys=True, indent=2)`` plus a newline, and raises the same
+``TypeError`` for what that cannot serialize.  Python before 3.13 runs
+``json.dumps`` with an ``indent`` in its pure-Python encoder, one generator
+step per value.  :func:`dumps` hands every flat container, and every table
+of flat rows such as ``orbits`` and ``covariances``, to one call of a
+public ``json.JSONEncoder`` without an ``indent``, which runs in C; its item
+separator carries the line break and the indent.  It uses neither
+``json.encoder.c_make_encoder``, which is private, nor an outside encoder
+such as orjson, which writes other bytes for small floats, NaN and
+non-ASCII text.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
+from itertools import chain
 
 from .estimators import OrbitReport
 
@@ -57,5 +71,83 @@ def report_rows(
 
 
 def dumps(payload: dict | list) -> str:
-    """Deterministic JSON text for any report payload."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text for any report payload: the bytes of
+    ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``, in a few
+    encoder calls (see the module docstring)."""
+    return _write(payload, 0) + "\n"
+
+
+# The value types a flat container holds.  Exact types, so that one set
+# lookup per value decides; anything else takes the recursive path.
+_FLAT = frozenset((str, int, float, bool, type(None)))
+
+
+@cache
+def _encode(depth: int):
+    """``encode`` of an encoder whose item separator breaks the line and
+    indents to ``depth`` levels; one encoder per depth."""
+    sep = ",\n" + "  " * depth
+    return json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
+
+
+def _flat(values) -> bool:
+    return _FLAT.issuperset(map(type, values))
+
+
+def _table(rows) -> bool:
+    """Whether ``rows`` are non-empty dicts of flat values."""
+    return (
+        {dict}.issuperset(map(type, rows))
+        and all(rows)
+        and _flat(chain.from_iterable(map(dict.values, rows)))
+    )
+
+
+def _key(k) -> str:
+    """A key of a dict that is not flat, converted as ``json.dumps`` does."""
+    if isinstance(k, str):
+        return _encode(0)(k)
+    if isinstance(k, (int, float)) or k is None:  # bool is an int
+        return '"' + _encode(0)(k) + '"'
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
+    )
+
+
+def _block(brackets: str, body: str, depth: int) -> str:
+    """``body``, indented one level past ``depth``, between ``brackets`` on
+    their own lines."""
+    return f"{brackets[0]}\n{'  ' * (depth + 1)}{body}\n{'  ' * depth}{brackets[1]}"
+
+
+def _write(o, depth: int) -> str:
+    """``o`` at ``depth`` levels of indent.
+
+    A flat container is one encoder call, whose brackets move to their own
+    lines.  A table is one call at its rows' item depth, and one
+    ``str.replace`` re-indents the row breaks: JSON escapes every newline
+    inside a string, so each raw newline is a separator, and only a row's
+    closing brace can precede one that ends a row.  The keys of flat
+    containers are converted by the encoder.
+    """
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if _flat(o):
+            return _block("[]", _encode(depth + 1)(o)[1:-1], depth)
+        if _table(o):
+            inner, deep = "  " * (depth + 1), "  " * (depth + 2)
+            rows = _encode(depth + 2)(o)[2:-2].replace(
+                "},\n" + deep + "{", "\n" + inner + "},\n" + inner + "{\n" + deep
+            )
+            return _block("[]", _block("{}", rows, depth + 1), depth)
+        items = [_write(x, depth + 1) for x in o]
+        return _block("[]", (",\n" + "  " * (depth + 1)).join(items), depth)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        if _flat(o.values()):
+            return _block("{}", _encode(depth + 1)(o)[1:-1], depth)
+        items = [_key(k) + ": " + _write(v, depth + 1) for k, v in sorted(o.items())]
+        return _block("{}", (",\n" + "  " * (depth + 1)).join(items), depth)
+    return _encode(depth)(o)  # a scalar, or the encoder's TypeError

@@ -42,7 +42,7 @@ def digraph_file(tmp_path):
         for v in range(g.node_count):
             for u in g.neighbors(v):
                 u = int(u)
-                code = g.direction_code(v, u)
+                code = g.direction_codes([v], [u])[0]
                 if code in (OUT, MUTUAL) and (code == OUT or v < u):
                     f.write(f"{v} {u}\n")
                 if code == MUTUAL and v < u:

@@ -37,7 +37,7 @@ def _write_directed(g: Graph, path: Path) -> None:
         for v in range(g.node_count):
             for u in g.neighbors(v):
                 u = int(u)
-                code = g.direction_code(v, u)
+                code = g.direction_codes([v], [u])[0]
                 if code == OUT or (code == MUTUAL and v < u):
                     f.write(f"{v} {u}\n")
                 if code == MUTUAL and v < u:

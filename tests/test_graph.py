@@ -39,8 +39,8 @@ def test_load_triangle():
 def test_load_directed_mutual_merge():
     g = load_edge_list(io.StringIO("0 1\n1 0\n"), directed=True)
     assert g.edge_count == 1
-    assert g.direction_code(0, 1) == MUTUAL
-    assert g.direction_code(1, 0) == MUTUAL
+    assert g.direction_codes([0], [1])[0] == MUTUAL
+    assert g.direction_codes([1], [0])[0] == MUTUAL
 
 
 def test_load_comment_and_duplicate():
@@ -101,10 +101,10 @@ def test_load_reads_every_line_ending_from_every_source(tmp_path):
 
 def test_load_directed_repeated_and_reciprocal_arcs():
     g = load_edge_list(io.StringIO("0 1\n0 1\n1 0\n1 0\n"), directed=True)
-    assert g.edge_count == 1 and g.direction_code(0, 1) == MUTUAL
+    assert g.edge_count == 1 and g.direction_codes([0], [1])[0] == MUTUAL
     assert g.summary.duplicates_merged == 2
     g = load_edge_list(io.StringIO("0 1\n1 0\n0 1\n"), directed=True)
-    assert g.direction_code(0, 1) == MUTUAL
+    assert g.direction_codes([0], [1])[0] == MUTUAL
     assert g.summary.duplicates_merged == 1
 
 
@@ -363,9 +363,9 @@ def test_id_compaction_and_map():
 
 def test_directed_arc_semantics():
     g = load_edge_list(io.StringIO("0 1\n2 1\n"), directed=True)
-    assert g.direction_code(0, 1) == OUT
-    assert g.direction_code(1, 0) == IN
-    assert g.direction_code(2, 1) == OUT
+    assert g.direction_codes([0], [1])[0] == OUT
+    assert g.direction_codes([1], [0])[0] == IN
+    assert g.direction_codes([2], [1])[0] == OUT
 
 
 def test_k4_stats(k4):
@@ -395,10 +395,10 @@ def test_degree_zero_node_stats():
 def test_pos_of():
     g = Graph.from_edges([(4, 2), (4, 5), (4, 9), (2, 5)], node_count=10)
     assert list(g.neighbors(4)) == [2, 5, 9]
-    assert g.pos_of(4, 5) == 1
-    assert g.pos_of(4, 9) == 2
+    assert g.pos_of_many([4], 5)[0] == 1
+    assert g.pos_of_many([4], 9)[0] == 2
     with pytest.raises(NotANeighborError):
-        g.pos_of(4, 7)
+        g.pos_of_many([4], 7)[0]
 
 
 def test_stats_match_naive_double_loop():
@@ -454,8 +454,8 @@ def test_directed_label_reversal():
     g = gnp_directed(25, 0.2, seed=3)
     g.validate()
     for v in range(g.node_count):
-        for u in g.neighbors(v):
-            a, b = g.direction_code(v, int(u)), g.direction_code(int(u), v)
+        for u in g.neighbors(v).tolist():
+            a, b = g.direction_codes([v], [u])[0], g.direction_codes([u], [v])[0]
             assert (a, b) in ((OUT, IN), (IN, OUT), (MUTUAL, MUTUAL))
 
 
@@ -470,8 +470,8 @@ def test_vectorized_edge_queries(eight):
     vs = np.array([1, 7, 7, 7, 4])
     assert list(eight.has_edges(us, vs)) == [True, False, True, True, False]
     assert eight.pos_of_many(np.array([0, 0]), 3).tolist() == [
-        eight.pos_of(0, 3),
-        eight.pos_of(0, 3),
+        eight.pos_of_many([0], 3)[0],
+        eight.pos_of_many([0], 3)[0],
     ]
 
 
@@ -489,12 +489,12 @@ def small_graphs(draw):
 def _check_anchor_context(g: Graph, v: int) -> None:
     ctx = AnchorContext(g, v)
     assert ctx.nb.tolist() == g.neighbors(v).tolist()
-    assert ctx.back.tolist() == [g.pos_of(int(u), v) for u in ctx.nb]
+    assert ctx.back.tolist() == [g.pos_of_many([int(u)], v)[0] for u in ctx.nb]
     assert ctx.code.dtype == np.int8 and len(ctx.code) == g.node_count
     for x in range(g.node_count):
-        assert bool(ctx.code[x]) == g.has_edge(v, x), (v, x)
+        assert bool(ctx.code[x]) == g.has_edges([v], [x])[0], (v, x)
         if ctx.code[x]:
-            expect = g.direction_code(v, x) if g.directed else MUTUAL
+            expect = g.direction_codes([v], [x])[0] if g.directed else MUTUAL
             assert ctx.code[x] == expect, (v, x)
     _check_pair_index(g, v)
 
@@ -558,18 +558,20 @@ def test_list_entries_are_the_lists_end_to_end(g, data):
 
 def _check_batch_lookups(g: Graph, us: np.ndarray, vs: np.ndarray) -> None:
     pairs = list(zip(us.tolist(), vs.tolist()))
-    assert g.has_edges(us, vs).tolist() == [g.has_edge(a, b) for a, b in pairs]
-    edge = np.array([g.has_edge(a, b) for a, b in pairs], dtype=bool)
+    assert g.has_edges(us, vs).tolist() == [g.has_edges([a], [b])[0] for a, b in pairs]
+    edge = np.array([g.has_edges([a], [b])[0] for a, b in pairs], dtype=bool)
     eu, ev = us[edge], vs[edge]
     assert g.pos_of_many(eu, ev).tolist() == [
-        g.pos_of(a, b) for a, b in zip(eu.tolist(), ev.tolist())
+        g.pos_of_many([a], b)[0] for a, b in zip(eu.tolist(), ev.tolist())
     ]
     for b in set(ev.tolist()):  # one node looked up in many lists
         rows = eu[ev == b]
-        assert g.pos_of_many(rows, b).tolist() == [g.pos_of(a, b) for a in rows]
+        assert g.pos_of_many(rows, b).tolist() == [
+            g.pos_of_many([a], b)[0] for a in rows
+        ]
     if g.directed:
         assert g.direction_codes(eu, ev).tolist() == [
-            g.direction_code(a, b) for a, b in zip(eu.tolist(), ev.tolist())
+            g.direction_codes([a], [b])[0] for a, b in zip(eu.tolist(), ev.tolist())
         ]
     if not edge.all():
         with pytest.raises(NotANeighborError):
@@ -627,8 +629,8 @@ def test_lookups_refuse_ids_out_of_range():
     g = Graph.from_edges([(1, 2)], node_count=3)
     path = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
     for lookup in (
-        lambda: g.has_edge(0, 5),
-        lambda: g.pos_of(0, 5),
+        lambda: g.has_edges([0], [5])[0],
+        lambda: g.pos_of_many([0], 5)[0],
         lambda: g.has_edges(np.array([1, -1]), np.array([2, 2])),
         lambda: classify_undirected(path, 0, [0, 1, 6]),
     ):

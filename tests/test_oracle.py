@@ -77,7 +77,7 @@ def _triangle_count(g: Graph) -> int:
         nb = [int(x) for x in g.neighbors(v)]
         for i, a in enumerate(nb):
             for b in nb[i + 1 :]:
-                if g.has_edge(a, b):
+                if g.has_edges([a], [b])[0]:
                     total += 1
     return total // 3
 
@@ -91,11 +91,13 @@ def _k4_count(g: Graph) -> int:
             if u < v:
                 continue
             common = [
-                int(x) for x in g.neighbors(v) if x != u and g.has_edge(int(x), u)
+                x
+                for x in g.neighbors(v).tolist()
+                if x != u and g.has_edges([x], [u])[0]
             ]
             for i, a in enumerate(common):
                 for b in common[i + 1 :]:
-                    if g.has_edge(a, b):
+                    if g.has_edges([a], [b])[0]:
                         total += 1
     return total // 6
 

@@ -427,11 +427,11 @@ def test_batch_directed_labels_match_scalar_classifier():
             for k in (1, 64):
                 assert (ctx.pair_index(g, k) is None) == (k == 1 and triangle)
                 shapes = []
-                if g.has_edge(0, u) and g.has_edge(0, w):
-                    at = (g.pos_of(0, u), g.pos_of(0, w))
+                if g.has_edges([0], [u])[0] and g.has_edges([0], [w])[0]:
+                    at = (g.pos_of_many([0], u)[0], g.pos_of_many([0], w)[0])
                     shapes.append((classify_wedge_batch, (u, w, *at)))
-                if g.has_edge(0, u) and g.has_edge(u, w):
-                    at = g.indptr[u] + g.pos_of(u, w)
+                if g.has_edges([0], [u])[0] and g.has_edges([u], [w])[0]:
+                    at = g.indptr[u] + g.pos_of_many([u], w)[0]
                     shapes.append((classify_chain_batch, (u, w, at)))
                 for fn, row in shapes:
                     cols = [np.full(k, x) for x in row]
