@@ -207,7 +207,9 @@ def pool_hits(
 @lru_cache(maxsize=64)
 def _sources(routes: tuple[str, ...], reached: bytes, n: int) -> tuple[str, ...]:
     """Per orbit id, the one route that reaches it, else ``combined`` or
-    ``exact``; ``reached`` is the route-by-orbit reach mask's bytes."""
+    ``exact``; ``reached`` is the route-by-orbit reach mask's bytes.  A mode
+    has few masks (they follow from which routes are defined at the node),
+    so the tags are built once per mask."""
     reach = [[r for x, r in enumerate(routes) if reached[x * n + i]] for i in range(n)]
     return tuple(rs[0] if len(rs) == 1 else "combined" if rs else "exact" for rs in reach)
 
