@@ -211,7 +211,9 @@ def _sources(routes: tuple[str, ...], reached: bytes, n: int) -> tuple[str, ...]
     has few masks (they follow from which routes are defined at the node),
     so the tags are built once per mask."""
     reach = [[r for x, r in enumerate(routes) if reached[x * n + i]] for i in range(n)]
-    return tuple(rs[0] if len(rs) == 1 else "combined" if rs else "exact" for rs in reach)
+    return tuple(
+        rs[0] if len(rs) == 1 else "combined" if rs else "exact" for rs in reach
+    )
 
 
 def covariance(pooled: PooledHits) -> np.ndarray:

@@ -11,16 +11,17 @@ Serialization is byte-stable: keys are sorted and floats use their shortest
 round-trip representation, so identical reports dump to identical bytes.
 
 :func:`dumps` writes exactly the text of ``json.dumps(payload,
-sort_keys=True, indent=2)`` plus a newline, and raises the same
-``TypeError`` for what that cannot serialize.  Python before 3.13 runs
+sort_keys=True, indent=2)`` plus a newline, and raises ``TypeError``
+where that does.  Python before 3.13 runs
 ``json.dumps`` with an ``indent`` in its pure-Python encoder, one generator
 step per value.  :func:`dumps` hands every flat container, and every table
 of flat rows such as ``orbits`` and ``covariances``, to one call of a
 public ``json.JSONEncoder`` without an ``indent``, which runs in C; its item
-separator carries the line break and the indent.  It uses neither
-``json.encoder.c_make_encoder``, which is private, nor an outside encoder
-such as orjson, which writes other bytes for small floats, NaN and
-non-ASCII text.
+separator carries the line break and the indent.  It does not call
+``json.encoder.c_make_encoder`` directly: that name is private, and it
+would save little over one ``encode`` call per container.  Nor does it use
+orjson, which is no dependency and writes other bytes: ``0.00001`` for
+``1e-05``, ``null`` for NaN and non-ASCII text unescaped.
 """
 
 from __future__ import annotations
@@ -71,9 +72,15 @@ def report_rows(
 
 
 def dumps(payload: dict | list) -> str:
-    """Deterministic JSON text for any report payload: the bytes of
-    ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``, in a few
-    encoder calls (see the module docstring)."""
+    """Deterministic JSON text for any report payload.
+
+    The text is exactly ``json.dumps(payload, sort_keys=True, indent=2)``
+    plus a newline, and a payload that cannot be serialized raises
+    ``TypeError``, as there.  It takes one C encoder call per flat
+    container or table rather than a pure-Python generator step per value;
+    the module docstring says why the private C encoder and orjson are not
+    used.
+    """
     return _write(payload, 0) + "\n"
 
 

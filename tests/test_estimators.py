@@ -12,6 +12,7 @@ from orbitsampler import (
     BudgetConfig,
     Estimate,
     PooledHits,
+    bias_vector,
     covariance,
     estimate_orbit_degrees,
     exact_orbit_degrees,
@@ -180,6 +181,33 @@ def test_pipeline_k4_deterministic(k4, route_tallies):
     assert vals[7] == pytest.approx(st_v.triples - vals[14])
     for i in (1, 5, 6, 8, 9, 10, 11, 12, 13):
         assert vals[i] == pytest.approx(0.0), i
+
+
+def test_pipeline_biases_are_bias_vectors(monkeypatch):
+    """Each route's probabilities in the pooled estimate are exactly
+    ``bias_vector``'s, read at every tally index's shape orbit."""
+    from orbitsampler import estimators
+
+    seen = []
+    pool = estimators.pool_hits
+
+    def spy(routes, draws, hits, probs):
+        seen.append((routes, probs.tolist()))
+        return pool(routes, draws, hits, probs)
+
+    monkeypatch.setattr(estimators, "pool_hits", spy)
+    cases = (gnp(30, 0.15, seed=2), "undirected"), (gnp_directed(30, 0.15, 2), "directed3")
+    for g, mode in cases:
+        spec, every_route = estimators.MODES[mode], 0
+        for v in range(g.node_count):
+            seen.clear()
+            estimate_orbit_degrees(g, v, mode, BudgetConfig(total=30), seed=v)
+            ((routes, probs),) = seen
+            st = g.stats(v)
+            want = [[bias_vector(m, st).get(s, 0.0) for s in spec.shape] for m in routes]
+            assert probs == want, v
+            every_route += tuple(routes) == spec.routes
+        assert every_route > 0
 
 
 def test_pipeline_star_center(star4):

@@ -38,7 +38,9 @@ _KEYS = st.sampled_from([_STRINGS, st.integers(), st.floats(), st.booleans(), st
 
 
 def _dicts(values, min_size: int = 0):
-    return _KEYS.flatmap(lambda k: st.dictionaries(k, values, min_size=min_size, max_size=5))
+    return _KEYS.flatmap(
+        lambda keys: st.dictionaries(keys, values, min_size=min_size, max_size=5)
+    )
 
 
 _TABLES = st.lists(_dicts(_SCALARS, min_size=1), min_size=1, max_size=4)
