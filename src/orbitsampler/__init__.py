@@ -18,7 +18,7 @@ from .estimators import (
     estimate_orbit_degrees,
     pool_hits,
 )
-from .experiment import EvalReport, measure_sample_time, run_experiment
+from .experiment import EvalReport, run_experiment
 from .graph import (
     AnchorContext,
     EmptyGraphError,
@@ -39,20 +39,8 @@ from .oracle import (
     exact_orbit_degrees,
     verify_identities,
 )
-from .orbits import (
-    NotACisError,
-    classify_directed3,
-    classify_undirected,
-    orbit_table,
-    unorbit,
-)
-from .samplers import (
-    CannotSampleError,
-    METHOD_ORDER,
-    bias_vector,
-    sample_members,
-    tally_orbits,
-)
+from .orbits import orbit_table, unorbit
+from .samplers import CannotSampleError, METHOD_ORDER, bias_vector, tally_orbits
 
 __version__ = "0.1.0"
 
@@ -70,27 +58,22 @@ __all__ = [
     "LoadSummary",
     "METHOD_ORDER",
     "NodeStats",
-    "NotACisError",
     "NotANeighborError",
     "OrbitCounts",
     "OrbitReport",
     "ParseError",
     "PooledHits",
     "bias_vector",
-    "classify_directed3",
-    "classify_undirected",
     "covariance",
     "enumerate_cises",
     "estimate_orbit_degrees",
     "exact_orbit_degrees",
     "l1_l2",
     "load_edge_list",
-    "measure_sample_time",
     "nrmse",
     "orbit_table",
     "pool_hits",
     "run_experiment",
-    "sample_members",
     "tally_orbits",
     "topk_detection",
     "unorbit",

@@ -17,10 +17,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .estimators import MODES, BudgetConfig, check_mode, estimate_orbit_degrees
-from .graph import AnchorContext, Graph
+from .graph import Graph
 from .metrics import l1_l2, nrmse, topk_detection
 from .oracle import DEFAULT_GUARD, GuardExceededError, exact_orbit_degrees
-from .samplers import draw_batch
 
 TOPK_LEVELS = (5, 10, 15)
 
@@ -172,18 +171,3 @@ def run_experiment(
             }
     return report
 
-
-def measure_sample_time(
-    g: Graph, v: int, method: str, draws: int = 10_000, seed: int = 0
-) -> float:
-    """Seconds per draw of one route, from a warmed batch measurement.
-
-    The anchor context is built untimed, and the draws are not classified.
-    The acceptance suite's throughput criterion is its one caller.
-    """
-    ctx = AnchorContext(g, v)
-    rng = np.random.default_rng(seed)
-    draw_batch(g, ctx, method, min(draws, 1000), rng)  # untimed warm-up
-    start = time.perf_counter()
-    draw_batch(g, ctx, method, draws, rng)
-    return (time.perf_counter() - start) / draws

@@ -133,6 +133,8 @@ class Graph:
     ):
         self.indptr = _freeze(np.asarray(indptr, dtype=np.int64))
         self.indices = _freeze(np.asarray(indices, dtype=np.int64))
+        if self.indptr.ndim != 1 or self.indices.ndim != 1:
+            raise GraphError("indptr and indices must be one-dimensional")
         if not len(self.indices):
             raise EmptyGraphError("a graph needs at least one edge")
         self.node_count = len(self.indptr) - 1
@@ -141,14 +143,18 @@ class Graph:
         self.labels = None
         if self.directed:
             self.labels = _freeze(np.asarray(labels, dtype=np.int8))
-            if len(self.labels) != len(self.indices):
+            if self.labels.shape != self.indices.shape:
                 raise GraphError("labels must align with adjacency entries")
         if original_ids is None:
             original_ids = np.arange(self.node_count, dtype=np.int64)
         self.original_ids = _freeze(np.asarray(original_ids, dtype=np.int64))
         self.summary = summary
         self.degrees = _freeze(np.diff(self.indptr))
-        ends_ok = self.indptr[0] == 0 and self.indptr[-1] == len(self.indices)
+        ends_ok = (
+            len(self.indptr) > 0
+            and self.indptr[0] == 0
+            and self.indptr[-1] == len(self.indices)
+        )
         if not ends_ok or self.degrees.min() < 0:
             raise GraphError("indptr must rise from 0 to len(indices)")
         # read as unsigned, a negative id is above every valid one

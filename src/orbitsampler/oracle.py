@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import MUTUAL, Graph, NodeStats
-from .orbits import DIR3, IDENTITIES, ORBIT3, ORBIT4, UNORBIT
+from .orbits import DIR3, IDENTITIES, ORBIT3, ORBIT4
 
 DEFAULT_GUARD = 10**6
 
@@ -176,12 +176,3 @@ def verify_identities(counts: OrbitCounts, stats: NodeStats) -> IdentityReport:
     }
     return IdentityReport(residuals, ok=not any(residuals.values()))
 
-
-def directed_partition_consistent(counts: OrbitCounts) -> bool:
-    """Directed orbit counts must sum per class to the undirected counts."""
-    if counts.directed3 is None:
-        raise ValueError("no directed counts present")
-    sums = {1: 0, 2: 0, 3: 0}
-    for i, n in counts.directed3.items():
-        sums[UNORBIT[i]] += n
-    return all(sums[j] == counts.undirected[j] for j in (1, 2, 3))

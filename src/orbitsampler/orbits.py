@@ -1,5 +1,5 @@
-"""What an orbit is: the orbit tables, the count identities and the
-scalar classifiers of 2-4 node connected induced subgraphs.
+"""What an orbit is: the orbit tables and the count identities of 2-4 node
+connected induced subgraphs.
 
 Undirected orbits use the standard 15-orbit numbering for the nine
 2-4 node graphlets (0 = plain edge, 14 = 4-clique).  Directed 3-node
@@ -23,11 +23,10 @@ canonical direction-code tuple (codes 1 = outgoing, 2 = incoming,
 The assignment is deterministic and, summed per class, consistent with the
 undirected orbit of the same subgraph.  ``orbit_table`` prints the full map.
 
-The scalar classifiers here, the batch classifiers of
-:mod:`orbitsampler.samplers` and the oracle index the same tables.
-A member tuple lists the anchor first; its edge *pattern* has bit ``i`` set
-when the pair ``PAIRS[i]`` is an edge.  The 3-node pairs come first, so a
-3-node pattern is the low three bits of a 4-node one.
+The batch classifiers of :mod:`orbitsampler.samplers` and the oracle index
+the same tables.  A member tuple lists the anchor first; its edge *pattern*
+has bit ``i`` set when the pair ``PAIRS[i]`` is an edge.  The 3-node pairs
+come first, so a 3-node pattern is the low three bits of a 4-node one.
 
 =======  ==============================================================
 ORBIT3   anchor's undirected orbit per 3-node pattern (-1: disconnected)
@@ -45,11 +44,10 @@ the undirected estimator solves three of them for orbits 2, 4 and 7.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable
 
 import numpy as np
 
-from .graph import MUTUAL, Graph
+from .graph import MUTUAL
 
 END_IDS = (2, 4, 5, 7, 9, 10, 12, 13, 15)
 CENTER_IDS = (1, 3, 6, 8, 11, 14)
@@ -70,10 +68,6 @@ IDENTITIES = {
 PAIRS = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
 
 
-class NotACisError(ValueError):
-    """Raised when a member set is not connected and induced around the anchor."""
-
-
 def unorbit(orbit_id: int) -> int:
     """Undirected orbit obtained by discarding edge directions."""
     try:
@@ -92,8 +86,6 @@ def _anchor_orbit(k: int, pattern: int) -> int:
         return -1
     deg = [sum(x in e for e in edges) for x in range(k)]
     m, da = len(edges), deg[0]
-    if k == 2:
-        return 0
     if k == 3:
         if m == 3:
             return 3
@@ -111,11 +103,10 @@ def _anchor_orbit(k: int, pattern: int) -> int:
     return 14
 
 
-_ORBITS = {
-    k: np.array([_anchor_orbit(k, p) for p in range(1 << k * (k - 1) // 2)])
-    for k in (2, 3, 4)
-}
-ORBIT3, ORBIT4 = _ORBITS[3], _ORBITS[4]
+ORBIT3, ORBIT4 = (
+    np.array([_anchor_orbit(k, p) for p in range(1 << k * (k - 1) // 2)])
+    for k in (3, 4)
+)
 
 
 def _reverse(code: int) -> int:
@@ -168,44 +159,3 @@ def _dir3() -> np.ndarray:
 
 
 DIR3 = _dir3()
-
-
-def _anchor_first(anchor: int, members: Iterable[int]) -> list[int]:
-    nodes = sorted(set(int(x) for x in members))
-    if anchor not in nodes:
-        raise NotACisError(f"anchor {anchor} not among members {nodes}")
-    nodes.remove(anchor)
-    return [anchor, *nodes]
-
-
-def classify_undirected(g: Graph, anchor: int, members: Iterable[int]) -> int:
-    """Orbit of ``anchor`` inside the induced subgraph on ``members``.
-
-    ``members`` must contain the anchor and induce a connected subgraph of
-    2 to 4 nodes; otherwise :class:`NotACisError` is raised.
-    """
-    nodes = _anchor_first(anchor, members)
-    k = len(nodes)
-    if k < 2 or k > 4:
-        raise NotACisError(f"member sets must have 2-4 nodes, got {k}")
-    a, b = np.array(nodes)[np.transpose(PAIRS[: k * (k - 1) // 2])]
-    pattern = sum(1 << i for i, edge in enumerate(g.has_edges(a, b).tolist()) if edge)
-    orbit = int(_ORBITS[k][pattern])
-    if orbit < 0:
-        raise NotACisError(f"members {nodes} are not connected")
-    return orbit
-
-
-def classify_directed3(g: Graph, anchor: int, members: Iterable[int]) -> int:
-    """Directed orbit (1..30) of ``anchor`` in a 3-node member set."""
-    nodes = _anchor_first(anchor, members)
-    if len(nodes) != 3:
-        raise NotACisError(f"directed classification needs 3 nodes, got {nodes}")
-    a, b = np.array(nodes)[np.transpose(PAIRS[:3])]
-    edge = g.has_edges(a, b)
-    codes = np.zeros(3, dtype=np.int8)
-    codes[edge] = g.direction_codes(a[edge], b[edge])
-    orbit = int(DIR3[tuple(codes)])
-    if orbit < 0:
-        raise NotACisError(f"members {nodes} are not connected")
-    return orbit

@@ -59,9 +59,8 @@ no more bytes than three int64 columns of the batch
 keys instead.  The other pairs without the anchor (R41's and R42's (w, r),
 R43's (u, r) and its step from w back past u, R44's three pairs) always
 search the edge keys.  The batch functions take the context in place of
-the anchor's id; :func:`sample_members` builds one from a node id and keeps
-the member columns, and :func:`tally_orbits` hands its caller's context to
-both the draws and the classification.
+the anchor's id, and :func:`tally_orbits` hands its caller's context to both
+the draws and the classification.
 """
 
 from __future__ import annotations
@@ -352,22 +351,6 @@ def draw_batch(
     them), then the positions its classifier reads."""
     _require_route(method, ctx.stats)
     return ROUTES[method].draw(g, ctx, k, rng)
-
-
-def sample_members(
-    g: Graph, v: int, method: str, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Member matrix of ``k`` draws: column 0 is the anchor.
-
-    Degenerate draws repeat a member; callers that need sets should
-    deduplicate per row.
-    """
-    cols = draw_batch(g, AnchorContext(g, v), method, k, rng)[: ROUTES[method].size]
-    out = np.empty((k, 1 + len(cols)), dtype=np.int64)
-    out[:, 0] = v
-    for i, c in enumerate(cols):
-        out[:, 1 + i] = c
-    return out
 
 
 def tally_orbits(

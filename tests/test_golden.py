@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 from orbitsampler.cli import main
-from orbitsampler.generators import gnp_directed, preferential_attachment
+from orbitsampler.generators import preferential_attachment
 from orbitsampler.graph import MUTUAL, OUT, Graph
+from support import gnp_directed
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -15,19 +15,14 @@ from orbitsampler import (
     LoadSummary,
     NotANeighborError,
     ParseError,
-    classify_undirected,
     load_edge_list,
 )
 from orbitsampler import graph
-from orbitsampler.generators import (
-    gnp,
-    gnp_directed,
-    preferential_attachment,
-    sparse_random_graph,
-)
+from orbitsampler.generators import gnp, preferential_attachment
 from orbitsampler.graph import IN, MAX_NODES, MUTUAL, OUT, AnchorContext
 
 from conftest import EIGHT_EDGES, all_directed_3node, complete_graph, naive_node_stats
+from support import classify_undirected, gnp_directed, sparse_random_graph
 
 
 def test_load_triangle():
@@ -449,8 +444,6 @@ def test_structural_invariants():
 
 
 def test_directed_label_reversal():
-    from orbitsampler.generators import gnp_directed
-
     g = gnp_directed(25, 0.2, seed=3)
     g.validate()
     for v in range(g.node_count):
@@ -663,26 +656,32 @@ def test_validate_rejects_broken_invariant(indptr, indices, labels, message):
 
 
 @pytest.mark.parametrize(
-    "indptr, indices, message",
+    "indptr, indices, labels, message",
     [
-        ([0, 1, 2], [1, 2], "neighbour id out of range"),
-        ([0, 1, 2], [1, -1], "neighbour id out of range"),
-        ([0, 1, 2], [-(2**62), 0], "neighbour id out of range"),
+        ([0, 1, 2], [1, 2], None, "neighbour id out of range"),
+        ([0, 1, 2], [1, -1], None, "neighbour id out of range"),
+        ([0, 1, 2], [-(2**62), 0], None, "neighbour id out of range"),
         # row 0's key 0 * 3 + 4 is the key of (1, 1): built unchecked, this
         # graph would answer has_edges(1, 1) with True
-        ([0, 2, 3, 4], [1, 4, 2, 0], "neighbour id out of range"),
-        ([0, 1, 3], [1, 0], "indptr must rise"),
-        ([1, 2, 3], [1, 0, 0], "indptr must rise"),
-        ([0, 2, 1, 2], [1, 0], "indptr must rise"),
+        ([0, 2, 3, 4], [1, 4, 2, 0], None, "neighbour id out of range"),
+        ([0, 1, 3], [1, 0], None, "indptr must rise"),
+        ([1, 2, 3], [1, 0, 0], None, "indptr must rise"),
+        ([0, 2, 1, 2], [1, 0], None, "indptr must rise"),
+        ([], [1], None, "indptr must rise"),
+        ([[0, 1, 2]], [1, 0], None, "one-dimensional"),
+        # built unchecked, this graph's edge keys would be a 2 x 2 matrix
+        ([0, 1, 2], [[1], [0]], None, "one-dimensional"),
+        ([0, 1, 2], [1, 0], [[OUT], [IN]], "labels must align"),
     ],
     ids=[
         "id-too-large", "id-negative", "id-very-negative", "aliasing-key",
         "indptr-past-end", "indptr-late-start", "indptr-falls",
+        "indptr-empty", "indptr-2d", "indices-2d", "labels-2d",
     ],
 )
-def test_construction_rejects_malformed_arrays(indptr, indices, message):
+def test_construction_rejects_malformed_arrays(indptr, indices, labels, message):
     with pytest.raises(GraphError, match=message):
-        Graph(np.array(indptr), np.array(indices))
+        Graph(np.array(indptr), np.array(indices), labels)
 
 
 def test_validate_accepts_hand_built_graph():

@@ -138,8 +138,7 @@ def test_guard():
 def test_oracle_counts_match_public_classifier():
     # the oracle's tallies by edge pattern and code triple must agree with
     # the classifiers applied to each member set, undirected and directed
-    from orbitsampler import classify_directed3, classify_undirected
-    from orbitsampler.generators import gnp_directed
+    from support import classify_directed3, classify_undirected, gnp_directed
 
     for seed in range(3):
         g = gnp_directed(16, 0.3, seed)

@@ -8,17 +8,20 @@ from orbitsampler import (
     EmptyGraphError,
     Graph,
     GraphError,
-    NotACisError,
-    classify_directed3,
-    classify_undirected,
     exact_orbit_degrees,
     orbit_table,
     unorbit,
 )
-from orbitsampler.generators import gnp, gnp_directed
+from orbitsampler.generators import gnp
 from orbitsampler.orbits import CENTER_IDS, DIR3, END_IDS, ORBIT3, ORBIT4, TRIANGLE_IDS
 
 from conftest import all_directed_3node, arc_graph, cycle_graph
+from support import (
+    NotACisError,
+    classify_directed3,
+    classify_undirected,
+    gnp_directed,
+)
 
 
 def test_paw_anchors(paw):

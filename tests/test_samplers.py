@@ -19,12 +19,10 @@ from orbitsampler import (
     CannotSampleError,
     METHOD_ORDER,
     bias_vector,
-    classify_directed3,
-    classify_undirected,
-    sample_members,
+    enumerate_cises,
     tally_orbits,
 )
-from orbitsampler.generators import gnp, gnp_directed, preferential_attachment
+from orbitsampler.generators import gnp, preferential_attachment
 from orbitsampler.graph import Graph
 from orbitsampler.samplers import (
     ROUTES,
@@ -39,6 +37,7 @@ from orbitsampler.samplers import (
 )
 
 from conftest import EIGHT_EDGES, all_directed_3node, complete_graph, star_graph
+from support import classify_directed3, classify_undirected, gnp_directed
 
 
 class _NeedMore(Exception):
@@ -346,8 +345,16 @@ def test_batch_determinism_and_members(eight):
         t2 = tally_orbits(eight, ctx, method, 5000, np.random.default_rng(9))
         assert (t1 == t2).all()
         assert t1.sum() == 5000
-        mem = sample_members(eight, 0, method, 200, np.random.default_rng(9))
-        assert (mem[:, 0] == 0).all()
+        # one seed draws the same members; each drawn set, with the anchor,
+        # is a connected induced subgraph (4-node routes may degenerate to 3)
+        size = ROUTES[method].size
+        m1 = draw_batch(eight, ctx, method, 200, np.random.default_rng(9))[:size]
+        m2 = draw_batch(eight, ctx, method, 200, np.random.default_rng(9))[:size]
+        assert all((a == b).all() for a, b in zip(m1, m2, strict=True))
+        masks = np.bitwise_or.reduce([1 << col for col in m1]) | 1  # anchor 0
+        sizes = (3,) if size == 2 else (3, 4)
+        cises = {sum(1 << x for x in c) for k in sizes for c in enumerate_cises(eight, 0, k)}
+        assert set(masks.tolist()) <= cises
 
 
 def test_batch_never_hits_zero_probability_orbits(eight):
