@@ -5,8 +5,9 @@ connected induced 3- and 4-node subgraphs touch it at each automorphism
 orbit (14 undirected orbits; 30 directed orbits for 3-node subgraphs).
 Draws come from six cheap biased sampling routes whose per-subgraph bias is
 known exactly, so tallies invert into unbiased estimates with closed-form
-variances.  A brute-force enumeration oracle provides ground truth for
-verification at small scale.
+variances.  An exact oracle, which counts 3-node subgraphs from one gather
+of the anchor's neighbour lists and enumerates 4-node ones, provides ground
+truth for verification.
 """
 
 from .estimators import (

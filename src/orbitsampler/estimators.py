@@ -49,12 +49,12 @@ from .samplers import ROUTES, tally_orbits
 
 @dataclass(frozen=True)
 class Mode:
-    """What one estimation mode draws, reports and enumerates."""
+    """What one estimation mode draws, reports and counts exactly."""
 
     routes: tuple[str, ...]  # in pipeline (and budget split) order
     orbits: tuple[int, ...]  # the orbit ids a report carries
     shape: tuple[int, ...]  # per tally index, the orbit whose bias applies
-    sizes: tuple[int, ...]  # the subgraph sizes the oracle enumerates
+    sizes: tuple[int, ...]  # the subgraph sizes the oracle counts
 
 
 MODES = {
@@ -177,9 +177,15 @@ class PooledHits:
     weights: np.ndarray  # w_r(i): one row per route
     draws: np.ndarray  # K_r, per route
 
-    def estimates(self, orbit_ids) -> dict[int, Estimate]:
+    def estimates(self, orbit_ids, given=None) -> dict[int, Estimate]:
+        """Per orbit id in order, its entry in ``given`` if it has one, else
+        its pooled estimate."""
+        given = given or {}
         values, variances = self.values.tolist(), self.variances.tolist()
-        return {i: Estimate(values[i], variances[i], self.sources[i]) for i in orbit_ids}
+        return {
+            i: given.get(i) or Estimate(values[i], variances[i], self.sources[i])
+            for i in orbit_ids
+        }
 
 
 def pool_hits(
@@ -263,12 +269,11 @@ def estimate_orbit_degrees(
     pooled = pool_hits(
         routes, draws, np.array(hits).reshape(size), np.array(probs).reshape(size)
     )
-    est = pooled.estimates(spec.orbits)
-    covariances = {}
+    covariances, given = {}, {}
     if not directed:
         values = pooled.values.tolist()
         flat = covariance(pooled).ravel()
-        est[0] = Estimate(float(st.degree), 0.0, "exact")
+        given[0] = Estimate(float(st.degree), 0.0, "exact")
         # Each identity row solved for its orbit, from its normalizer and
         # other terms, with the variance of those terms; fsum rounds each
         # sum once, so neither depends on the order of its terms.
@@ -276,13 +281,13 @@ def estimate_orbit_degrees(
         for solved, name, c, terms in _SOLVED:
             value = getattr(st, name) - math.fsum(a * values[i] for i, a in c)
             var = math.fsum(var_terms[terms])
-            est[solved] = Estimate(value, max(var, 0.0), "identity")
+            given[solved] = Estimate(value, max(var, 0.0), "identity")
         covariances = dict(zip(_COV_PAIRS, flat[_COV_FLAT].tolist()))
     return OrbitReport(
         node=int(v),
         mode=mode,
         budgets=ks,
         seed=None if seed is None else int(seed),
-        estimates=est,
+        estimates=pooled.estimates(spec.orbits, given),
         covariances=covariances,
     )

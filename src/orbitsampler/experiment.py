@@ -1,11 +1,12 @@
 """Repeated-run evaluation of the estimation pipelines against the oracle.
 
 ``run_experiment`` executes R independent pipeline runs (seeds ``seed + 0
-.. seed + R-1``), compares them with exact enumeration when feasible, and
-aggregates accuracy metrics.  Runs can be distributed over a process pool;
-results are merged in run order, so the report is identical for every pool
-size.  Wall-clock timings are collected only on request since they would
-break byte-for-byte reproducibility of the report.
+.. seed + R-1``), compares them with the oracle's exact counts when
+feasible, and aggregates accuracy metrics over the (runs x orbits) matrix.
+Runs can be distributed over a process pool; results are merged in run
+order, so the report is identical for every pool size.  Wall-clock
+timings are collected only on request since they would break byte-for-byte
+reproducibility of the report.
 """
 
 from __future__ import annotations
@@ -103,9 +104,9 @@ def run_pipeline_matrix(
 def exact_mode_counts(
     g: Graph, v: int, mode: str, guard: int | None
 ) -> dict[int, int]:
-    """Exact degrees of the mode's orbits at v, enumerating only the
-    subgraph sizes the mode reports; raises GuardExceededError when the
-    guard refuses the anchor."""
+    """Exact degrees of the mode's orbits at v, counting only the subgraph
+    sizes the mode reports; raises GuardExceededError when the guard
+    refuses the anchor."""
     check_mode(g, mode)
     counts = exact_orbit_degrees(g, v, guard=guard, sizes=MODES[mode].sizes)
     return counts.undirected if mode == "undirected" else counts.directed3
@@ -124,7 +125,7 @@ def run_experiment(
 ) -> EvalReport:
     """R pipeline runs with oracle-based accuracy metrics.
 
-    When the enumeration guard refuses the anchor, the report degrades to
+    When the oracle guard refuses the anchor, the report degrades to
     estimation-only (``exact`` and all metrics are None).
     """
     if runs < 2:
@@ -155,16 +156,13 @@ def run_experiment(
     if mode == "directed3":
         exact_vec = np.array([exact_map[i] for i in ids], dtype=float)
         if exact_vec.sum() > 0 and (matrix.sum(axis=1) > 0).all():
-            dists = np.array([l1_l2(row, exact_vec) for row in matrix])
             report.l1, report.l2 = (
                 {"mean": float(d.mean()), "variance": float(d.var(ddof=1))}
-                for d in dists.T
+                for d in l1_l2(matrix, exact_vec)
             )
         report.topk = {}
         for k in TOPK_LEVELS:
-            hits = np.array(
-                [topk_detection(row, exact_vec, k, orbit_ids=ids) for row in matrix]
-            )
+            hits = topk_detection(matrix, exact_vec, k, orbit_ids=ids)
             report.topk[k] = {
                 "mean_hits": float(hits.mean()),
                 "full_recovery_fraction": float((hits == k).mean()),

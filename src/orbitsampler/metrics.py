@@ -1,4 +1,8 @@
-"""Accuracy metrics comparing estimates against exact counts."""
+"""Accuracy metrics comparing estimates against exact counts.
+
+``l1_l2`` and ``topk_detection`` take either one estimate vector or a
+matrix with one run per row, and then return one result per row.
+"""
 
 from __future__ import annotations
 
@@ -19,39 +23,48 @@ def nrmse(values, exact: float) -> float | None:
     return float(np.sqrt(np.mean((arr - exact) ** 2)) / exact)
 
 
-def l1_l2(estimates, exact) -> tuple[float, float]:
+def l1_l2(estimates, exact):
     """L1 and L2 distances between the two normalized orbit-degree vectors.
 
-    Both vectors are scaled to sum to one first; a zero-sum vector has no
-    normalization and raises ValueError.
+    Both vectors are scaled to sum to one first; a zero-sum vector (or
+    estimate row) has no normalization and raises ValueError.  For a matrix
+    of estimates the two distances are arrays, one entry per row.
     """
     a = np.asarray(estimates, dtype=float)
     b = np.asarray(exact, dtype=float)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape:
         raise ValueError("vectors must have equal length")
-    sa, sb = a.sum(), b.sum()
-    if sa <= 0 or sb <= 0:
+    sa, sb = a.sum(axis=-1, keepdims=True), b.sum()
+    if (sa <= 0).any() or sb <= 0:
         raise ValueError("cannot normalize a zero-sum vector")
     delta = a / sa - b / sb
-    return float(np.abs(delta).sum()), float(np.sqrt((delta**2).sum()))
+    l1, l2 = np.abs(delta).sum(axis=-1), np.sqrt((delta**2).sum(axis=-1))
+    return (float(l1), float(l2)) if a.ndim == 1 else (l1, l2)
 
 
-def topk_detection(estimates, exact, k: int, orbit_ids=None) -> int:
+def topk_detection(estimates, exact, k: int, orbit_ids=None):
     """Overlap between the top-k orbits of the two vectors.
 
-    Ranking ties break towards the smaller orbit id in both vectors.
+    Ranking ties break towards the smaller orbit id in both vectors.  For a
+    matrix of estimates the overlaps are an int array, one entry per row.
     """
     a = np.asarray(estimates, dtype=float)
     b = np.asarray(exact, dtype=float)
-    if orbit_ids is None:
-        orbit_ids = list(range(1, len(a) + 1))
-    if not (len(a) == len(b) == len(orbit_ids)):
+    n = a.shape[-1]
+    ids = np.arange(1, n + 1) if orbit_ids is None else np.asarray(orbit_ids)
+    if not (b.shape == ids.shape == (n,)):
         raise ValueError("vectors and orbit ids must have equal length")
-    if k > len(a):
-        raise ValueError(f"k = {k} exceeds the {len(a)} orbits")
+    if k > n:
+        raise ValueError(f"k = {k} exceeds the {n} orbits")
+    # Columns in ascending id order, so a stable sort by value breaks ties
+    # towards the smaller id (-0.0 and 0.0 tie, as they compare equal).
+    by_id = np.argsort(ids, kind="stable")
 
-    def top(vec) -> set[int]:
-        order = sorted(zip(vec, orbit_ids), key=lambda t: (-t[0], t[1]))
-        return {oid for _, oid in order[:k]}
+    def top(vec: np.ndarray) -> np.ndarray:
+        order = np.argsort(-vec[..., by_id], axis=-1, kind="stable")
+        mask = np.zeros(vec.shape, dtype=bool)
+        np.put_along_axis(mask, order[..., :k], True, axis=-1)
+        return mask
 
-    return len(top(a) & top(b))
+    hits = np.count_nonzero(top(a) & top(b), axis=-1)
+    return int(hits) if a.ndim == 1 else hits

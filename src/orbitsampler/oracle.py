@@ -1,11 +1,15 @@
-"""Exact orbit degrees by brute-force enumeration.
+"""Exact orbit degrees: 3-node subgraphs counted, 4-node ones enumerated.
 
-Enumerates every connected induced 3- and 4-node subgraph containing a given
-anchor exactly once, classifies each through the orbit tables of
-:mod:`orbitsampler.orbits`, and checks the closed-form identities
-that tie orbit counts to the per-node normalizers.  This module is the ground
-truth for all statistical tests; it is deliberately simple and makes no
-attempt to compete with the sampling pipelines on speed.
+3-node subgraphs containing an anchor are counted, not listed: one gather
+of the anchor's neighbour lists (``two_paths + d`` entries, as ORCA counts
+them; Hočevar & Demšar, Bioinformatics 2014) tallies path ends and
+triangles by the direction codes of their pairs, and path centres follow
+from the number of neighbour pairs with each pair of codes.  Connected
+induced 4-node subgraphs are enumerated one at a time, each exactly once,
+and classified through the orbit tables of :mod:`orbitsampler.orbits`.
+The module also checks the closed-form identities that tie orbit counts to
+the per-node normalizers.  It is the ground truth for all statistical
+tests; its 4-node enumeration is deliberately simple and slow.
 
 Enumeration grows the member set one node at a time, extending only through
 "exclusive" neighbours (nodes not adjacent to the current set when they were
@@ -20,7 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import MUTUAL, Graph, NodeStats
+import numpy as np
+
+from .graph import MUTUAL, AnchorContext, Graph, NodeStats
 from .orbits import DIR3, IDENTITIES, ORBIT3, ORBIT4
 
 DEFAULT_GUARD = 10**6
@@ -75,19 +81,15 @@ def check_guard(
         )
 
 
-class _NeighbourCodes(dict):
-    """Per node, its neighbours mapped to the direction code of the pair seen
-    from the node (``MUTUAL`` when undirected), built on first lookup."""
+class _Neighbours(dict):
+    """Per node, the set of its neighbours, built on first lookup."""
 
     def __init__(self, g: Graph):
         super().__init__()
         self.g = g
 
-    def __missing__(self, u: int) -> dict[int, int]:
-        g = self.g
-        lo, hi = int(g.indptr[u]), int(g.indptr[u + 1])
-        codes = g.labels[lo:hi].tolist() if g.directed else [MUTUAL] * (hi - lo)
-        s = self[u] = dict(zip(g.indices[lo:hi].tolist(), codes))
+    def __missing__(self, u: int) -> set[int]:
+        s = self[u] = set(self.g.neighbors(u).tolist())
         return s
 
 
@@ -99,10 +101,10 @@ def enumerate_cises(g: Graph, v: int, k: int) -> Iterator[tuple[int, ...]]:
     """
     if k not in (3, 4):
         raise ValueError(f"subgraph size must be 3 or 4, got {k}")
-    return (tuple(sorted(m)) for m in _cises(_NeighbourCodes(g), v, k))
+    return (tuple(sorted(m)) for m in _cises(_Neighbours(g), v, k))
 
 
-def _cises(nbrs: _NeighbourCodes, v: int, k: int) -> Iterator[tuple[int, ...]]:
+def _cises(nbrs: _Neighbours, v: int, k: int) -> Iterator[tuple[int, ...]]:
     """Member tuples in growth order, the anchor first."""
     sub = [v]
 
@@ -120,6 +122,38 @@ def _cises(nbrs: _NeighbourCodes, v: int, k: int) -> Iterator[tuple[int, ...]]:
     yield from extend(sorted(nbrs[v]), {v, *nbrs[v]})
 
 
+def _codes3(g: Graph, v: int) -> list[int]:
+    """The 3-node subgraphs containing ``v``, tallied by the direction codes
+    (a, b, c) of the pairs (v, x), (v, y) and (x, y) at index 16a + 4b + c
+    (0 for no edge; every edge is ``MUTUAL`` on an undirected graph).
+
+    Every subgraph holds a neighbour x of v and a node y in x's list: a path
+    end when y lies outside N[v], a triangle when y is a neighbour too (read
+    from the smaller of x and y).  A path centre is a pair of neighbours
+    that closes no triangle.
+    """
+    ctx = AnchorContext(g, v)
+    # One gather of the neighbours' lists: an entry (x, y) per y in the list
+    # of each neighbour x, with the code c of (x, y).
+    at, _ = g.list_entries(ctx.nb)
+    x = np.repeat(ctx.nb, g.degrees[ctx.nb])
+    y = g.indices[at]
+    c = g.labels[at] if g.directed else MUTUAL
+    b = ctx.code[y]
+    keep = (y != v) & ((b == 0) | (x < y))
+    tally = np.bincount((16 * ctx.code[x] + 4 * b + c)[keep], minlength=64).tolist()
+    n = np.bincount(ctx.code[ctx.nb], minlength=4).tolist()  # neighbours per code
+    for p in (1, 2, 3):
+        for q in range(p, 4):
+            closed = sum(tally[16 * p + 4 * q + 1 : 16 * p + 4 * q + 4])
+            if p == q:
+                tally[16 * p + 4 * q] = n[p] * (n[p] - 1) // 2 - closed
+            else:
+                closed += sum(tally[16 * q + 4 * p + 1 : 16 * q + 4 * p + 4])
+                tally[16 * p + 4 * q] = n[p] * n[q] - closed
+    return tally
+
+
 def exact_orbit_degrees(
     g: Graph,
     v: int,
@@ -129,32 +163,31 @@ def exact_orbit_degrees(
     """Exact orbit-degree vector of ``v`` (orbit 0 is the plain degree).
 
     For directed graphs the 30-orbit directed vector is computed alongside.
-    ``sizes`` restricts which subgraph sizes are enumerated, and the guard
+    ``sizes`` restricts which subgraph sizes are counted, and the guard
     bounds only those (directed orbits only need size 3, see
     :data:`orbitsampler.estimators.MODES`).
 
-    Subgraphs are tallied by edge pattern (bit ``i`` for the member pair
-    ``orbits.PAIRS[i]``, anchor first) or, for 3 nodes, by the direction
-    codes of the three pairs; the orbit tables then map each tally.
+    3-node subgraphs are tallied by the direction codes of their three
+    pairs (:func:`_codes3`), 4-node ones by edge pattern (bit ``i`` for the
+    member pair ``orbits.PAIRS[i]``, anchor first); the orbit tables then
+    map each tally.  The counts are Python ints.
     """
     check_guard(g, v, guard, sizes)
-    nbrs = _NeighbourCodes(g)
-    nv = nbrs[v]
     und = {i: 0 for i in range(15)}
     und[0] = g.degree(v)
     dir3 = {i: 0 for i in range(1, 31)} if g.directed else None
 
     if 3 in sizes:
-        codes3 = Counter(
-            (nv.get(x, 0), nv.get(y, 0), nbrs[x].get(y, 0))
-            for _, x, y in _cises(nbrs, v, 3)
-        )
-        for (a, b, c), n in codes3.items():
-            und[int(ORBIT3[(a > 0) | (b > 0) << 1 | (c > 0) << 2])] += n
-            if dir3 is not None:
-                dir3[int(DIR3[a, b, c])] += n
+        for key, n in enumerate(_codes3(g, v)):
+            if n:
+                a, b, c = key >> 4, key >> 2 & 3, key & 3
+                und[int(ORBIT3[(a > 0) | (b > 0) << 1 | (c > 0) << 2])] += n
+                if dir3 is not None:
+                    dir3[int(DIR3[a, b, c])] += n
 
     if 4 in sizes:
+        nbrs = _Neighbours(g)
+        nv = nbrs[v]
         patterns = Counter(
             (x in nv) | (y in nv) << 1 | (y in nbrs[x]) << 2
             | (z in nv) << 3 | (z in nbrs[x]) << 4 | (z in nbrs[y]) << 5

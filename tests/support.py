@@ -2,7 +2,8 @@
 
 The scalar classifiers label one member set at a time through the graph's
 batch lookups and the orbit tables; the tests hold the batch classifiers of
-:mod:`orbitsampler.samplers` and the oracle against them.  The generators
+:mod:`orbitsampler.samplers` and the oracle against them, and through
+:func:`brute_force_orbits3` the oracle's 3-node counter.  The generators
 build the seeded fixture graphs: a directed G(n, p), and a large sparse
 uniform graph.
 
@@ -19,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from orbitsampler.graph import Graph
+from orbitsampler.oracle import enumerate_cises
 from orbitsampler.orbits import DIR3, ORBIT3, ORBIT4, PAIRS
 
 # The anchor's orbit per edge pattern, by member count; two members are a
@@ -69,6 +71,21 @@ def classify_directed3(g: Graph, anchor: int, members: Iterable[int]) -> int:
     if orbit < 0:
         raise NotACisError(f"members {nodes} are not connected")
     return orbit
+
+
+def brute_force_orbits3(
+    g: Graph, v: int
+) -> tuple[dict[int, int], dict[int, int] | None]:
+    """Undirected orbits 1-3 and, on a directed graph, directed orbits 1-30
+    of ``v``, tallied over its enumerated 3-node subgraphs one member set
+    at a time."""
+    und = dict.fromkeys((1, 2, 3), 0)
+    dir3 = dict.fromkeys(range(1, 31), 0) if g.directed else None
+    for mem in enumerate_cises(g, v, 3):
+        und[classify_undirected(g, v, mem)] += 1
+        if dir3 is not None:
+            dir3[classify_directed3(g, v, mem)] += 1
+    return und, dir3
 
 
 def gnp_directed(

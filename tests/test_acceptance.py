@@ -9,7 +9,8 @@ Criteria:
   1. sampler draw distributions match their stated biases (chi-square,
      1e6 draws per sampler/node, alpha = 0.001), in under 2 minutes;
   2. count identities hold exactly on 50 random graphs, directed class
-     sums on 20 random digraphs, in under 1 minute;
+     sums on 20 random digraphs, where the directed counts also equal a
+     brute-force tally at every node, in under 1 minute;
   3. estimator means over 2000 runs (2000 draws per route) sit within 4
      standard errors of enumeration for every nonzero orbit, undirected
      and directed, in under 5 minutes;
@@ -29,6 +30,7 @@ Criteria:
 import json
 import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,7 +54,12 @@ from orbitsampler.orbits import UNORBIT
 from orbitsampler.samplers import ROUTES, draw_batch
 
 from conftest import EIGHT_EDGES
-from support import classify_undirected, gnp_directed, sparse_random_graph
+from support import (
+    classify_directed3,
+    classify_undirected,
+    gnp_directed,
+    sparse_random_graph,
+)
 
 # Pinned statistical fixtures.  The graph seeds give the max-degree node
 # nonzero orbit counts that are well sampled at the pinned budgets, so the
@@ -163,13 +170,18 @@ def test_criterion_2_identities():
     for s in range(20):
         g = gnp_directed(40 + 4 * s, 0.1, seed=s)
         for v in range(g.node_count):
-            # the directed counts of each undirected class sum to its count
+            # the directed counts of each undirected class sum to its count,
+            # and they equal a tally of the enumerated member sets
             counts = exact_orbit_degrees(g, v, guard=None, sizes=(3,))
             sums = {1: 0, 2: 0, 3: 0}
             for i, n in counts.directed3.items():
                 sums[UNORBIT[i]] += n
             if any(sums[j] != counts.undirected[j] for j in (1, 2, 3)):
                 bad.append(("digraph", s, v))
+            members = enumerate_cises(g, v, 3)
+            tally = Counter(classify_directed3(g, v, m) for m in members)
+            if {i: n for i, n in counts.directed3.items() if n} != tally:
+                bad.append(("digraph brute force", s, v))
     elapsed = time.time() - start
     ok = not bad and elapsed < 60
     _report("2 identities", ok, f"({elapsed:.0f}s)")

@@ -254,6 +254,19 @@ def test_identity_closure_on_random_graph():
             assert e.clamped >= 0.0
 
 
+def test_report_estimates_in_orbit_order():
+    # the quick start prints the estimates in dict order; undirected mode
+    # also holds the exact degree and the identity-solved orbits 2, 4, 7
+    g = gnp_directed(30, 0.2, seed=2)
+    v = int(np.argmax(g.degrees))
+    for mode, ids in (("undirected", range(15)), ("directed3", range(1, 31))):
+        rep = estimate_orbit_degrees(g, v, mode, BudgetConfig(total=600), seed=1)
+        assert list(rep.estimates) == list(ids)
+        if mode == "undirected":
+            sources = [rep.estimates[i].source for i in (0, 2, 4, 7)]
+            assert sources == ["exact", "identity", "identity", "identity"]
+
+
 def test_report_covariance_pairs_complete():
     g = gnp(40, 0.15, seed=8)
     v = int(np.argmax(g.degrees))

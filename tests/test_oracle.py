@@ -1,6 +1,10 @@
 """Oracle tests: enumeration correctness, identities, and cross counters."""
 
+from itertools import combinations
+
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from orbitsampler import (
     CannotSampleError,
@@ -15,7 +19,15 @@ from orbitsampler.graph import Graph
 from orbitsampler.oracle import candidate_bound, check_guard
 from orbitsampler.samplers import METHOD_ORDER
 
-from conftest import EIGHT_EDGES, naive_cises, star_graph
+from conftest import (
+    EIGHT_EDGES,
+    all_directed_3node,
+    complete_graph,
+    naive_cises,
+    path_graph,
+    star_graph,
+)
+from support import brute_force_orbits3, gnp_directed
 
 
 def test_enumerate_k4_triangles(k4):
@@ -165,3 +177,64 @@ def test_identity_residuals_on_random_graphs():
         )
         for v in range(g.node_count):
             _assert_identities_hold(g, v)
+
+
+def _assert_counter_matches_brute_force(g: Graph) -> None:
+    """The 3-node counts at every node against a tally of the enumerated
+    member sets, each classified on its own."""
+    for v in range(g.node_count):
+        counts = exact_orbit_degrees(g, v, guard=None, sizes=(3,))
+        und, dir3 = brute_force_orbits3(g, v)
+        want = dict.fromkeys(range(15), 0)
+        want[0] = g.degree(v)
+        want.update(und)
+        assert counts.undirected == want, v
+        assert counts.directed3 == dir3, v
+
+
+def _coded_graph(n: int, codes, directed: bool) -> Graph:
+    """One code per node pair (i < j) in ``combinations`` order: 0 no edge,
+    1 the arc i -> j, 2 the arc j -> i, 3 both arcs (mutual)."""
+    arcs = []
+    for (i, j), c in zip(combinations(range(n), 2), codes):
+        if c & 1:
+            arcs.append((i, j))
+        if c & 2:
+            arcs.append((j, i))
+    return Graph.from_edges(arcs or [(0, 1)], directed=directed, node_count=n)
+
+
+@st.composite
+def coded_graphs(draw):
+    # up to 8 nodes; every pair absent, one arc either way, or mutual, so
+    # isolated nodes, leaves, mutual edges and complete digraphs all occur
+    n = draw(st.integers(2, 8))
+    pairs = n * (n - 1) // 2
+    codes = draw(st.lists(st.integers(0, 3), min_size=pairs, max_size=pairs))
+    return _coded_graph(n, codes, draw(st.booleans()))
+
+
+@given(coded_graphs())
+def test_three_node_counter_matches_brute_force(g):
+    _assert_counter_matches_brute_force(g)
+
+
+def test_three_node_counter_corner_cases():
+    rng = np.random.default_rng(7)
+    graphs = [
+        star_graph(5),  # neighbours with no other neighbour
+        path_graph(3),  # anchors of degree 1 and 2
+        Graph.from_edges([(1, 2)], node_count=4),  # isolated anchors
+        Graph.from_edges([(1, 2)], directed=True, node_count=4),
+        complete_graph(6),
+        gnp_directed(25, 0.3, seed=4),
+    ]
+    for n in (4, 6):
+        # complete digraphs: all mutual, a tournament, mixed codes
+        pairs = n * (n - 1) // 2
+        tournament, mixed = rng.integers(1, 3, pairs), rng.integers(1, 4, pairs)
+        for codes in ([3] * pairs, tournament, mixed):
+            graphs.append(_coded_graph(n, codes, directed=True))
+    graphs += [g for _, g in all_directed_3node()]
+    for g in graphs:
+        _assert_counter_matches_brute_force(g)
