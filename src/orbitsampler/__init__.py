@@ -5,9 +5,10 @@ connected induced 3- and 4-node subgraphs touch it at each automorphism
 orbit (14 undirected orbits; 30 directed orbits for 3-node subgraphs).
 Draws come from six cheap biased sampling routes whose per-subgraph bias is
 known exactly, so tallies invert into unbiased estimates with closed-form
-variances.  An exact oracle, which counts 3-node subgraphs from one gather
-of the anchor's neighbour lists and enumerates 4-node ones, provides ground
-truth for verification.
+variances.  An exact oracle provides ground truth for verification: it
+counts 3-node subgraphs from one gather of the anchor's neighbour lists,
+and 4-node ones by classifying every selection of two of the sampling
+routes once.
 """
 
 from .estimators import (
@@ -36,7 +37,6 @@ from .oracle import (
     GuardExceededError,
     IdentityReport,
     OrbitCounts,
-    enumerate_cises,
     exact_orbit_degrees,
     verify_identities,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "PooledHits",
     "bias_vector",
     "covariance",
-    "enumerate_cises",
     "estimate_orbit_degrees",
     "exact_orbit_degrees",
     "l1_l2",

@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
     p_exact = sub.add_parser(
         "exact",
         parents=[graph_opts, node_opts, mode_opts, out_opts],
-        help="exact orbit degrees: 3-node subgraphs counted, 4-node ones enumerated",
+        help="exact orbit degrees, counted from the anchor's neighbour lists",
     )
     p_exact.add_argument("--oracle-guard", type=int, default=DEFAULT_GUARD)
 

@@ -47,6 +47,7 @@ def topk_detection(estimates, exact, k: int, orbit_ids=None):
 
     Ranking ties break towards the smaller orbit id in both vectors.  For a
     matrix of estimates the overlaps are an int array, one entry per row.
+    Raises ``ValueError`` unless ``1 <= k <=`` the number of orbits.
     """
     a = np.asarray(estimates, dtype=float)
     b = np.asarray(exact, dtype=float)
@@ -54,8 +55,8 @@ def topk_detection(estimates, exact, k: int, orbit_ids=None):
     ids = np.arange(1, n + 1) if orbit_ids is None else np.asarray(orbit_ids)
     if not (b.shape == ids.shape == (n,)):
         raise ValueError("vectors and orbit ids must have equal length")
-    if k > n:
-        raise ValueError(f"k = {k} exceeds the {n} orbits")
+    if not 1 <= k <= n:
+        raise ValueError(f"k = {k} lies outside 1..{n}, the {n} orbits")
     # Columns in ascending id order, so a stable sort by value breaks ties
     # towards the smaller id (-0.0 and 0.0 tie, as they compare equal).
     by_id = np.argsort(ids, kind="stable")

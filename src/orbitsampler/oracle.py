@@ -1,33 +1,25 @@
-"""Exact orbit degrees: 3-node subgraphs counted, 4-node ones enumerated.
+"""Exact orbit degrees: 3- and 4-node subgraphs counted, none listed.
 
-3-node subgraphs containing an anchor are counted, not listed: one gather
-of the anchor's neighbour lists (``two_paths + d`` entries, as ORCA counts
-them; Hočevar & Demšar, Bioinformatics 2014) tallies path ends and
-triangles by the direction codes of their pairs, and path centres follow
-from the number of neighbour pairs with each pair of codes.  Connected
-induced 4-node subgraphs are enumerated one at a time, each exactly once,
-and classified through the orbit tables of :mod:`orbitsampler.orbits`.
-The module also checks the closed-form identities that tie orbit counts to
-the per-node normalizers.  It is the ground truth for all statistical
-tests; its 4-node enumeration is deliberately simple and slow.
-
-Enumeration grows the member set one node at a time, extending only through
-"exclusive" neighbours (nodes not adjacent to the current set when they were
-first exposed).  That discipline yields each subgraph exactly once without
-hashing previously seen sets.  Anchors whose neighbourhood implies too many
-candidate subgraphs are refused by a configurable guard.
+3-node subgraphs containing an anchor are counted from one gather of the
+anchor's neighbour lists (``two_paths + d`` entries, as ORCA counts them;
+Hočevar & Demšar, Bioinformatics 2014): path ends and triangles are tallied
+by the direction codes of their pairs, and path centres follow from the
+number of neighbour pairs with each pair of codes.  4-node subgraphs are
+counted by classifying every selection of the routes R41 and R42 once with
+their own classifier.  The module, the ground truth for all statistical
+tests, also checks the identities that tie orbit counts to the per-node
+normalizers.  A guard refuses anchors with too many candidate subgraphs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .graph import MUTUAL, AnchorContext, Graph, NodeStats
-from .orbits import DIR3, IDENTITIES, ORBIT3, ORBIT4
+from .orbits import DIR3, IDENTITIES, ORBIT3
+from .samplers import ROUTES, classify_quad_batch, quad_selections
 
 DEFAULT_GUARD = 10**6
 
@@ -70,7 +62,7 @@ def candidate_bound(stats: NodeStats, sizes: tuple[int, ...] = (3, 4)) -> int:
 def check_guard(
     g: Graph, v: int, limit: int | None = DEFAULT_GUARD, sizes: tuple[int, ...] = (3, 4)
 ) -> None:
-    """Raise :class:`GuardExceededError` when ``sizes`` look infeasible to enumerate."""
+    """Raise :class:`GuardExceededError` when ``sizes`` look too costly to count."""
     if limit is None:
         return
     bound = candidate_bound(g.stats(v), sizes)
@@ -81,48 +73,7 @@ def check_guard(
         )
 
 
-class _Neighbours(dict):
-    """Per node, the set of its neighbours, built on first lookup."""
-
-    def __init__(self, g: Graph):
-        super().__init__()
-        self.g = g
-
-    def __missing__(self, u: int) -> set[int]:
-        s = self[u] = set(self.g.neighbors(u).tolist())
-        return s
-
-
-def enumerate_cises(g: Graph, v: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield each connected induced ``k``-node subgraph containing ``v`` once.
-
-    Members are emitted as sorted tuples.  Expansion never leaves the
-    (k-1)-hop neighbourhood of the anchor by construction.
-    """
-    if k not in (3, 4):
-        raise ValueError(f"subgraph size must be 3 or 4, got {k}")
-    return (tuple(sorted(m)) for m in _cises(_Neighbours(g), v, k))
-
-
-def _cises(nbrs: _Neighbours, v: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Member tuples in growth order, the anchor first."""
-    sub = [v]
-
-    def extend(ext: list[int], forbidden: set[int]) -> Iterator[tuple[int, ...]]:
-        if len(sub) == k:
-            yield tuple(sub)
-            return
-        while ext:
-            w = ext.pop()
-            fresh = [x for x in nbrs[w] if x not in forbidden]
-            sub.append(w)
-            yield from extend(ext + fresh, forbidden | set(fresh))
-            sub.pop()
-
-    yield from extend(sorted(nbrs[v]), {v, *nbrs[v]})
-
-
-def _codes3(g: Graph, v: int) -> list[int]:
+def _codes3(g: Graph, ctx: AnchorContext) -> list[int]:
     """The 3-node subgraphs containing ``v``, tallied by the direction codes
     (a, b, c) of the pairs (v, x), (v, y) and (x, y) at index 16a + 4b + c
     (0 for no edge; every edge is ``MUTUAL`` on an undirected graph).
@@ -132,7 +83,6 @@ def _codes3(g: Graph, v: int) -> list[int]:
     from the smaller of x and y).  A path centre is a pair of neighbours
     that closes no triangle.
     """
-    ctx = AnchorContext(g, v)
     # One gather of the neighbours' lists: an entry (x, y) per y in the list
     # of each neighbour x, with the code c of (x, y).
     at, _ = g.list_entries(ctx.nb)
@@ -140,7 +90,7 @@ def _codes3(g: Graph, v: int) -> list[int]:
     y = g.indices[at]
     c = g.labels[at] if g.directed else MUTUAL
     b = ctx.code[y]
-    keep = (y != v) & ((b == 0) | (x < y))
+    keep = (y != ctx.v) & ((b == 0) | (x < y))
     tally = np.bincount((16 * ctx.code[x] + 4 * b + c)[keep], minlength=64).tolist()
     n = np.bincount(ctx.code[ctx.nb], minlength=4).tolist()  # neighbours per code
     for p in (1, 2, 3):
@@ -152,6 +102,30 @@ def _codes3(g: Graph, v: int) -> list[int]:
                 closed += sum(tally[16 * q + 4 * p + 1 : 16 * q + 4 * p + 4])
                 tally[16 * p + 4 * q] = n[p] * n[q] - closed
     return tally
+
+
+def _counts4(g: Graph, ctx: AnchorContext) -> dict[int, int]:
+    """Undirected orbits 4-14 of ``v`` from one tally of every selection of
+    R41 and R42 by :func:`~orbitsampler.samplers.classify_quad_batch`.
+
+    A route hits each subgraph at orbit i in exactly c_i of its selections,
+    c_i the orbit's coefficient in the route's identity row, so orbit i
+    counts hits / c_i (R41 gives 3 too, from its coincident draws).  Orbits
+    4 and 7 are solved from the ``three_walks`` and ``triples`` rows.
+    """
+    hits = {m: np.zeros(15, dtype=np.int64) for m in ("R41", "R42")}
+    for method, cols in quad_selections(g, ctx):
+        orbits = classify_quad_batch(g, method, ctx, *cols)
+        hits[method] += np.bincount(orbits, minlength=15)
+    count: dict[int, int] = {}
+    for method, h in hits.items():
+        for i, c in IDENTITIES[ROUTES[method].normalizer].items():
+            count.setdefault(i, int(h[i]) // c)
+    for name, i in (("three_walks", 4), ("triples", 7)):
+        row = IDENTITIES[name]
+        rest = sum(c * count[j] for j, c in row.items() if j != i)
+        count[i] = (getattr(ctx.stats, name) - rest) // row[i]
+    return {i: count[i] for i in range(4, 15)}
 
 
 def exact_orbit_degrees(
@@ -168,17 +142,19 @@ def exact_orbit_degrees(
     :data:`orbitsampler.estimators.MODES`).
 
     3-node subgraphs are tallied by the direction codes of their three
-    pairs (:func:`_codes3`), 4-node ones by edge pattern (bit ``i`` for the
-    member pair ``orbits.PAIRS[i]``, anchor first); the orbit tables then
-    map each tally.  The counts are Python ints.
+    pairs (:func:`_codes3`), 4-node ones by the selections of R41 and R42
+    (:func:`_counts4`).  The counts are Python ints.  ``sizes`` must hold
+    3, 4 or both, else ``ValueError``.
     """
+    if not sizes or set(sizes) - {3, 4}:
+        raise ValueError(f"sizes must hold 3, 4 or both, got {sizes!r}")
     check_guard(g, v, guard, sizes)
-    und = {i: 0 for i in range(15)}
-    und[0] = g.degree(v)
+    ctx = AnchorContext(g, v)
+    und = dict.fromkeys(range(15), 0) | {0: g.degree(v)}
     dir3 = {i: 0 for i in range(1, 31)} if g.directed else None
 
     if 3 in sizes:
-        for key, n in enumerate(_codes3(g, v)):
+        for key, n in enumerate(_codes3(g, ctx)):
             if n:
                 a, b, c = key >> 4, key >> 2 & 3, key & 3
                 und[int(ORBIT3[(a > 0) | (b > 0) << 1 | (c > 0) << 2])] += n
@@ -186,15 +162,7 @@ def exact_orbit_degrees(
                     dir3[int(DIR3[a, b, c])] += n
 
     if 4 in sizes:
-        nbrs = _Neighbours(g)
-        nv = nbrs[v]
-        patterns = Counter(
-            (x in nv) | (y in nv) << 1 | (y in nbrs[x]) << 2
-            | (z in nv) << 3 | (z in nbrs[x]) << 4 | (z in nbrs[y]) << 5
-            for _, x, y, z in _cises(nbrs, v, 4)
-        )
-        for p, n in patterns.items():
-            und[int(ORBIT4[p])] += n
+        und.update(_counts4(g, ctx))
 
     return OrbitCounts(node=v, undirected=und, directed3=dir3)
 

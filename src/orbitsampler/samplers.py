@@ -373,3 +373,34 @@ def tally_orbits(
             raise ValueError(f"{method} tallies are undirected only")
         orbits = classify_quad_batch(g, method, ctx, *cols)
     return np.bincount(orbits, minlength=_TALLY_LENGTH[directed])
+
+
+_SELECTION_CHUNK = 1 << 14  # rows per chunk of quad_selections
+
+
+def _expand(counts: np.ndarray):
+    """Per chunk of rows, each row's entry i and its rank below ``counts[i]``."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, _SELECTION_CHUNK):
+        row = np.arange(start, min(start + _SELECTION_CHUNK, total))
+        e = np.searchsorted(ends, row, side="right")
+        yield e, row - ends[e] + counts[e]
+
+
+def quad_selections(g: Graph, ctx: AnchorContext):
+    """Every selection of R41 and R42 once, as ``(method, columns)`` chunks
+    in :func:`draw_batch`'s column layout.  Both expand the ``two_paths``
+    entries (u, y != v) of the anchor's neighbour lists: R41 with every w in
+    N(v) - {u} (r = y), R42 with every later entry r of u's list (w = y).
+    """
+    y = g.indices[g.list_entries(ctx.nb)[0]]
+    iu = np.repeat(np.arange(len(ctx.nb)), g.degrees[ctx.nb])[y != ctx.v]
+    y = y[y != ctx.v]
+    for e, j in _expand(np.full(len(y), len(ctx.nb) - 1)):
+        iw = _skip_one(j, iu[e])
+        yield "R41", (ctx.nb[iu[e]], ctx.nb[iw], y[e], iu[e], iw)
+    # the entries after y in its list: the list's end minus y's place
+    later = np.cumsum(g.degrees[ctx.nb] - 1)[iu] - np.arange(len(y)) - 1
+    for e, j in _expand(later):
+        yield "R42", (ctx.nb[iu[e]], y[e], y[e + 1 + j])

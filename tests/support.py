@@ -2,10 +2,13 @@
 
 The scalar classifiers label one member set at a time through the graph's
 batch lookups and the orbit tables; the tests hold the batch classifiers of
-:mod:`orbitsampler.samplers` and the oracle against them, and through
-:func:`brute_force_orbits3` the oracle's 3-node counter.  The generators
-build the seeded fixture graphs: a directed G(n, p), and a large sparse
-uniform graph.
+:mod:`orbitsampler.samplers` and the oracle against them.
+:func:`enumerate_cises` lists every connected induced 3- or 4-node subgraph
+at an anchor, and the brute-force tallies over it are the reference of the
+oracle's counters: :func:`brute_force_orbits3` classifies each 3-node set on
+its own, :func:`brute_force_orbits4` tallies the 4-node sets by edge pattern
+over neighbour sets.  The generators build the seeded fixture graphs: a
+directed G(n, p), and a large sparse uniform graph.
 
 Its name must differ from every module of ``perfbench/``.  The tests import
 it by its bare name, and so do perfbench's tests their own modules; one
@@ -15,12 +18,12 @@ this module to perfbench's tests.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections import Counter
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from orbitsampler.graph import Graph
-from orbitsampler.oracle import enumerate_cises
 from orbitsampler.orbits import DIR3, ORBIT3, ORBIT4, PAIRS
 
 # The anchor's orbit per edge pattern, by member count; two members are a
@@ -73,6 +76,53 @@ def classify_directed3(g: Graph, anchor: int, members: Iterable[int]) -> int:
     return orbit
 
 
+class _Neighbours(dict):
+    """Per node, the set of its neighbours, built on first lookup."""
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, u: int) -> set[int]:
+        s = self[u] = set(self.g.neighbors(u).tolist())
+        return s
+
+
+def enumerate_cises(g: Graph, v: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Yield each connected induced ``k``-node subgraph containing ``v`` once.
+
+    Members are emitted as sorted tuples.  Expansion never leaves the
+    (k-1)-hop neighbourhood of the anchor by construction.
+    """
+    if k not in (3, 4):
+        raise ValueError(f"subgraph size must be 3 or 4, got {k}")
+    return (tuple(sorted(m)) for m in _cises(_Neighbours(g), v, k))
+
+
+def _cises(nbrs: _Neighbours, v: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Member tuples in growth order, the anchor first.
+
+    Enumeration grows the member set one node at a time, extending only
+    through "exclusive" neighbours (nodes not adjacent to the current set
+    when they were first exposed).  That discipline yields each subgraph
+    exactly once without hashing previously seen sets.
+    """
+    sub = [v]
+
+    def extend(ext: list[int], forbidden: set[int]) -> Iterator[tuple[int, ...]]:
+        if len(sub) == k:
+            yield tuple(sub)
+            return
+        while ext:
+            w = ext.pop()
+            fresh = [x for x in nbrs[w] if x not in forbidden]
+            sub.append(w)
+            yield from extend(ext + fresh, forbidden | set(fresh))
+            sub.pop()
+
+    yield from extend(sorted(nbrs[v]), {v, *nbrs[v]})
+
+
 def brute_force_orbits3(
     g: Graph, v: int
 ) -> tuple[dict[int, int], dict[int, int] | None]:
@@ -86,6 +136,23 @@ def brute_force_orbits3(
         if dir3 is not None:
             dir3[classify_directed3(g, v, mem)] += 1
     return und, dir3
+
+
+def brute_force_orbits4(g: Graph, v: int) -> dict[int, int]:
+    """Undirected orbits 4-14 of ``v``, tallied over its enumerated 4-node
+    subgraphs by edge pattern (bit ``i`` for the member pair ``PAIRS[i]``,
+    anchor first), tested on neighbour sets."""
+    nbrs = _Neighbours(g)
+    nv = nbrs[v]
+    patterns = Counter(
+        (x in nv) | (y in nv) << 1 | (y in nbrs[x]) << 2
+        | (z in nv) << 3 | (z in nbrs[x]) << 4 | (z in nbrs[y]) << 5
+        for _, x, y, z in _cises(nbrs, v, 4)
+    )
+    out = dict.fromkeys(range(4, 15), 0)
+    for p, n in patterns.items():
+        out[int(ORBIT4[p])] += n
+    return out
 
 
 def gnp_directed(

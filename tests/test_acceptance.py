@@ -8,9 +8,10 @@ configuration.
 Criteria:
   1. sampler draw distributions match their stated biases (chi-square,
      1e6 draws per sampler/node, alpha = 0.001), in under 2 minutes;
-  2. count identities hold exactly on 50 random graphs, directed class
-     sums on 20 random digraphs, where the directed counts also equal a
-     brute-force tally at every node, in under 1 minute;
+  2. count identities hold exactly on 50 random graphs, where all 15
+     undirected counts also equal a brute-force tally at every node, and
+     directed class sums on 20 random digraphs, where the directed counts
+     also equal a brute-force tally at every node, in under 1 minute;
   3. estimator means over 2000 runs (2000 draws per route) sit within 4
      standard errors of enumeration for every nonzero orbit, undirected
      and directed, in under 5 minutes;
@@ -41,7 +42,6 @@ from orbitsampler import (
     CannotSampleError,
     METHOD_ORDER,
     bias_vector,
-    enumerate_cises,
     exact_orbit_degrees,
     verify_identities,
 )
@@ -55,8 +55,11 @@ from orbitsampler.samplers import ROUTES, draw_batch
 
 from conftest import EIGHT_EDGES
 from support import (
+    brute_force_orbits3,
+    brute_force_orbits4,
     classify_directed3,
     classify_undirected,
+    enumerate_cises,
     gnp_directed,
     sparse_random_graph,
 )
@@ -153,20 +156,25 @@ def test_criterion_1_sampler_distributions():
 def test_criterion_2_identities():
     start = time.time()
     bad = []
+    graphs = []
     for s in range(25):
         n = 30 + 7 * s  # up to 198 nodes
-        g = gnp(n, 5.0 / n, seed=s)
-        for v in range(g.node_count):
-            rep = verify_identities(exact_orbit_degrees(g, v, guard=None), g.stats(v))
-            if not rep.ok:
-                bad.append(("gnp", s, v, rep))
+        graphs.append(("gnp", s, gnp(n, 5.0 / n, seed=s)))
     for s in range(25):
         n = 30 + 6 * s
-        g = preferential_attachment(n, 2 + s % 2, seed=100 + s)
+        graphs.append(("pa", s, preferential_attachment(n, 2 + s % 2, seed=100 + s)))
+    for kind, s, g in graphs:
         for v in range(g.node_count):
-            rep = verify_identities(exact_orbit_degrees(g, v, guard=None), g.stats(v))
+            # the identities hold, and all 15 orbits equal a tally of the
+            # enumerated member sets
+            counts = exact_orbit_degrees(g, v, guard=None)
+            rep = verify_identities(counts, g.stats(v))
             if not rep.ok:
-                bad.append(("pa", s, v, rep))
+                bad.append((kind, s, v, rep))
+            und, _ = brute_force_orbits3(g, v)
+            want = {0: g.degree(v), **und, **brute_force_orbits4(g, v)}
+            if counts.undirected != want:
+                bad.append((f"{kind} brute force", s, v))
     for s in range(20):
         g = gnp_directed(40 + 4 * s, 0.1, seed=s)
         for v in range(g.node_count):

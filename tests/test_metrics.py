@@ -43,6 +43,16 @@ def test_topk_examples():
         topk_detection(exact, exact, 31)
 
 
+def test_topk_rejects_k_below_one():
+    # a negative k would slice off the last orbits and count the rest
+    vec = [4, 3, 2, 1]
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"k = {k} lies outside 1..4"):
+            topk_detection(vec, vec, k)
+        with pytest.raises(ValueError):
+            topk_detection([vec, vec], vec, k)
+
+
 def test_topk_tie_breaks_by_orbit_id():
     # two tied values: the smaller orbit id wins the last slot in both
     # rankings, so identical vectors always agree
@@ -76,7 +86,7 @@ def scored_runs(draw):
     matrix = np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
     exact = np.array(draw(st.lists(value, min_size=n, max_size=n)))
     ids = draw(st.permutations(range(1, n + 1)))
-    return matrix, exact, ids, draw(st.integers(0, n))
+    return matrix, exact, ids, draw(st.integers(1, n))
 
 
 @given(scored_runs())

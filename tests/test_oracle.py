@@ -1,5 +1,6 @@
 """Oracle tests: enumeration correctness, identities, and cross counters."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -10,10 +11,10 @@ from orbitsampler import (
     CannotSampleError,
     GuardExceededError,
     bias_vector,
-    enumerate_cises,
     exact_orbit_degrees,
     verify_identities,
 )
+from orbitsampler import oracle, samplers
 from orbitsampler.generators import gnp, preferential_attachment
 from orbitsampler.graph import Graph
 from orbitsampler.oracle import candidate_bound, check_guard
@@ -27,7 +28,12 @@ from conftest import (
     path_graph,
     star_graph,
 )
-from support import brute_force_orbits3, gnp_directed
+from support import (
+    brute_force_orbits3,
+    brute_force_orbits4,
+    enumerate_cises,
+    gnp_directed,
+)
 
 
 def test_enumerate_k4_triangles(k4):
@@ -180,16 +186,17 @@ def test_identity_residuals_on_random_graphs():
 
 
 def _assert_counter_matches_brute_force(g: Graph) -> None:
-    """The 3-node counts at every node against a tally of the enumerated
-    member sets, each classified on its own."""
+    """The counts at every node, of 3-node subgraphs alone and of both
+    sizes, against tallies of the enumerated member sets: 3-node sets
+    classified one at a time, 4-node sets by edge pattern."""
     for v in range(g.node_count):
-        counts = exact_orbit_degrees(g, v, guard=None, sizes=(3,))
         und, dir3 = brute_force_orbits3(g, v)
-        want = dict.fromkeys(range(15), 0)
-        want[0] = g.degree(v)
-        want.update(und)
-        assert counts.undirected == want, v
-        assert counts.directed3 == dir3, v
+        three = {0: g.degree(v), **und, **dict.fromkeys(range(4, 15), 0)}
+        both = {**three, **brute_force_orbits4(g, v)}
+        for sizes, want in (((3,), three), ((3, 4), both)):
+            counts = exact_orbit_degrees(g, v, guard=None, sizes=sizes)
+            assert counts.undirected == want, (v, sizes)
+            assert counts.directed3 == dir3, (v, sizes)
 
 
 def _coded_graph(n: int, codes, directed: bool) -> Graph:
@@ -238,3 +245,59 @@ def test_three_node_counter_corner_cases():
     graphs += [g for _, g in all_directed_3node()]
     for g in graphs:
         _assert_counter_matches_brute_force(g)
+
+
+def test_counts_match_brute_force_in_small_chunks(monkeypatch):
+    # with a few rows per chunk both routes split across many chunks, and
+    # the chunks' boundaries fall inside lists and inside entries
+    monkeypatch.setattr(samplers, "_SELECTION_CHUNK", 5)
+    seen = []  # the method and row count of every chunk the oracle tallies
+
+    def spy(g, ctx):
+        for method, cols in samplers.quad_selections(g, ctx):
+            seen.append((method, len(cols[0])))
+            yield method, cols
+
+    monkeypatch.setattr(oracle, "quad_selections", spy)
+    graphs = (
+        Graph.from_edges(EIGHT_EDGES), gnp(18, 0.3, 2), preferential_attachment(25, 3, 4)
+    )
+    for g in graphs:
+        seen.clear()
+        _assert_counter_matches_brute_force(g)
+        stats = [g.stats(v) for v in range(g.node_count)]
+        for method, normalizer in (("R41", "forked_paths"), ("R42", "tail_wedges")):
+            rows = [n for m, n in seen if m == method]
+            assert sum(rows) == sum(getattr(st, normalizer) for st in stats), method
+            assert len(rows) > 10 and all(0 < n <= 5 for n in rows), method
+
+
+def test_four_node_counter_memory_stays_within_one_chunk():
+    # The peak is the gather of the anchor's lists, O(two_paths + d) with
+    # the node-sized code array, plus the temporaries of one chunk: about
+    # 120 bytes per row were measured.  Classifying all forked_paths
+    # selections at once would take some 16 MB here.
+    g = preferential_attachment(1500, 3, seed=1)
+    hub = int(np.argmax(g.degrees))
+    st = g.stats(hub)
+    chunk = samplers._SELECTION_CHUNK
+    assert st.forked_paths > 8 * chunk
+    exact_orbit_degrees(g, hub, guard=None)  # warm the graph's caches
+    tracemalloc.start()
+    try:
+        exact_orbit_degrees(g, hub, guard=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 64 * (st.two_paths + st.degree) + g.node_count + 160 * chunk
+    assert peak < bound, (peak, bound)
+
+
+def test_sizes_must_hold_three_or_four(paw):
+    for sizes in ((), (5,), (3, 5), (2,)):
+        with pytest.raises(ValueError, match="sizes must hold 3, 4 or both"):
+            exact_orbit_degrees(paw, 2, sizes=sizes)
+    whole = exact_orbit_degrees(paw, 2).undirected
+    for sizes, orbits in (((3,), range(1, 4)), ((4,), range(4, 15))):
+        part = exact_orbit_degrees(paw, 2, sizes=sizes).undirected
+        assert part == {i: whole[i] if i in orbits or i == 0 else 0 for i in range(15)}

@@ -8,7 +8,8 @@ orbit, subgraph by subgraph.
 """
 
 import copy
-from collections import defaultdict
+from collections import Counter, defaultdict
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from orbitsampler import (
     CannotSampleError,
     METHOD_ORDER,
     bias_vector,
-    enumerate_cises,
     tally_orbits,
 )
+from orbitsampler import samplers
 from orbitsampler.generators import gnp, preferential_attachment
 from orbitsampler.graph import Graph
 from orbitsampler.samplers import (
@@ -34,10 +35,16 @@ from orbitsampler.samplers import (
     classify_quad_batch,
     classify_wedge_batch,
     draw_batch,
+    quad_selections,
 )
 
 from conftest import EIGHT_EDGES, all_directed_3node, complete_graph, star_graph
-from support import classify_directed3, classify_undirected, gnp_directed
+from support import (
+    classify_directed3,
+    classify_undirected,
+    enumerate_cises,
+    gnp_directed,
+)
 
 
 class _NeedMore(Exception):
@@ -482,3 +489,28 @@ def test_pair_index_build_rule_keeps_labels(method, directed, monkeypatch):
         cols = draw_batch(g, ctx, method, k, np.random.default_rng(k))
         want = _scalar_labels(g, v, method, cols, directed)
         assert tally.tolist() == np.bincount(want, minlength=len(tally)).tolist()
+
+
+def test_quad_selections_list_every_selection_once(monkeypatch, eight):
+    # each R41 and R42 selection, as a Python loop lists it, comes once in
+    # draw_batch's column layout, also when the chunks split lists
+    for chunk in (1 << 14, 3):
+        monkeypatch.setattr(samplers, "_SELECTION_CHUNK", chunk)
+        for g in (eight, gnp(14, 0.35, seed=5)):
+            for v in range(g.node_count):
+                ctx = AnchorContext(g, v)
+                nb = ctx.nb.tolist()
+                want = {"R41": Counter(), "R42": Counter()}
+                for u in nb:
+                    rest = [x for x in g.neighbors(u).tolist() if x != v]
+                    want["R41"].update((u, w, r) for r in rest for w in nb if w != u)
+                    want["R42"].update((u, w, r) for w, r in combinations(rest, 2))
+                got = {"R41": Counter(), "R42": Counter()}
+                for method, cols in quad_selections(g, ctx):
+                    assert len(cols) == ROUTES[method].size + len(ROUTES[method].local)
+                    assert 0 < len(cols[0]) <= chunk
+                    got[method].update(zip(*(c.tolist() for c in cols[:3])))
+                    if method == "R41":
+                        assert (ctx.nb[cols[3]] == cols[0]).all()
+                        assert (ctx.nb[cols[4]] == cols[1]).all()
+                assert got == want, v
