@@ -137,6 +137,9 @@ class BudgetConfig:
     split: tuple[int, ...] | None = None
 
     def resolve(self, methods: tuple[str, ...]) -> dict[str, int]:
+        for k in (self.total, *(self.split or ())):
+            if k is not None and not isinstance(k, (int, np.integer)):
+                raise ValueError(f"budget counts must be integers, got {k!r}")
         if self.split is not None:
             if len(self.split) != len(methods):
                 raise ValueError(

@@ -24,13 +24,11 @@ lines by one sort of that key.  Pairs that contain the anchor of an estimate
 are answered by an :class:`AnchorContext`, built once per estimate and never
 cached on the graph: a gather from a per-node code array and from the
 anchor's back positions.  Pairs of two neighbours of the anchor, given by
-their positions in its list, are answered by the context's pair index, a
-d x d code matrix built from one gather of the neighbours' lists
-(``AnchorContext.pair_index``) when it and the gather take no more bytes
-than three int64 columns of the draws that ask.  Every other pair lookup,
-scalar or batched, is one search of the sorted edge keys (``Graph._find``),
-and a lookup that needs an edge raises :class:`NotANeighborError` for a
-pair that is not one.
+their positions in its list, are answered by the context too
+(:meth:`AnchorContext.pair_codes`, which states when it builds its d x d
+code matrix).  Every other pair lookup, scalar or batched, is one search
+of the sorted edge keys (``Graph._find``), and a lookup that needs an edge
+raises :class:`NotANeighborError` for a pair that is not one.
 
 An edge list whose every line fits a strict grammar (``_tokenize_edges``)
 is parsed by array operations over its bytes; any other input is read by
@@ -428,7 +426,7 @@ class AnchorContext:
     ==========  ==========================================================
 
     Pairs inside N(v) whose members a route drew by position in ``nb`` are
-    answered by :meth:`pair_index`.
+    answered by :meth:`pair_codes`.
     """
 
     def __init__(self, g: Graph, v: int):
@@ -441,29 +439,44 @@ class AnchorContext:
         else:
             self.code[self.nb] = MUTUAL
         self.back = g.pos_of_many(self.nb, v)
+        self._pairs: np.ndarray | None = None
 
-    def pair_index(self, g: Graph, draws: int) -> np.ndarray | None:
-        """The d x d int8 code matrix of the pairs inside N(v), or None.
+    def pair_codes(
+        self, g: Graph, a: np.ndarray, b: np.ndarray,
+        ia: np.ndarray, ib: np.ndarray, directed: bool,
+    ) -> np.ndarray:
+        """Per pair (a, b) of neighbours of v, at positions ``ia``, ``ib`` of
+        ``nb``: 0 for a non-edge, else nonzero, and the direction code of
+        (a, b) as seen from a when ``directed``.
 
-        Entry (i, j) is 0 when (nb[i], nb[j]) is no edge, else its direction
-        code as seen from nb[i], or ``MUTUAL`` when undirected.  It is built
-        from one gather of the neighbours' lists (``two_paths + d`` entries),
-        keeping those whose ``code`` is nonzero, and only when the matrix
-        and the gather take no more bytes than three int64 columns of the
-        ``draws`` draws it serves; otherwise None, and the caller searches
-        the edge keys.
+        The answers come from a d x d int8 code matrix over the positions in
+        ``nb`` (entry (i, j) is 0 for no edge, else the direction code of
+        (nb[i], nb[j]), or ``MUTUAL`` when undirected).  It is built from
+        one gather of the neighbours' lists (``two_paths + d`` entries),
+        keeping those whose ``code`` is nonzero, by the first batch for
+        which the matrix and the gather take no more bytes than three int64
+        columns of the batch: d**2 + 8 * (two_paths + d) <= 24 * len(a).
+        The context keeps it, and every later batch reads it, whatever its
+        size.  Until then the pairs search the graph's edge keys.
         """
         d = len(self.nb)
-        if d * d + 8 * (self.stats.two_paths + d) > 24 * draws:
-            return None
-        at, ends = g.list_entries(self.nb)
-        hit = np.flatnonzero(self.code[g.indices[at]])
-        at = at[hit]
-        pairs = np.zeros((d, d), dtype=np.int8)
-        i = np.searchsorted(ends, hit, side="right")
-        j = np.searchsorted(self.nb, g.indices[at])
-        pairs[i, j] = g.labels[at] if g.directed else MUTUAL
-        return pairs
+        size = d * d + 8 * (self.stats.two_paths + d)
+        if self._pairs is None and size <= 24 * len(a):
+            at, ends = g.list_entries(self.nb)
+            hit = np.flatnonzero(self.code[g.indices[at]])
+            at = at[hit]
+            self._pairs = np.zeros((d, d), dtype=np.int8)
+            i = np.searchsorted(ends, hit, side="right")
+            j = np.searchsorted(self.nb, g.indices[at])
+            self._pairs[i, j] = g.labels[at] if g.directed else MUTUAL
+        if self._pairs is not None:
+            return self._pairs[ia, ib]
+        edge = g.has_edges(a, b)
+        if not directed:
+            return edge
+        c = np.zeros(len(a), dtype=np.int8)
+        c[edge] = g.direction_codes(a[edge], b[edge])
+        return c
 
 
 # Byte classes of the edge-list fast path (_tokenize_edges): a byte of

@@ -164,7 +164,7 @@ def exact_orbit_degrees(
     if 4 in sizes:
         und.update(_counts4(g, ctx))
 
-    return OrbitCounts(node=v, undirected=und, directed3=dir3)
+    return OrbitCounts(node=int(v), undirected=und, directed3=dir3)
 
 
 def verify_identities(counts: OrbitCounts, stats: NodeStats) -> IdentityReport:

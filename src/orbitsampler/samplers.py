@@ -52,15 +52,14 @@ when directed).
 (``Route.size`` of them), then the positions its classifier reads: R31 and
 R41 the positions in N(v) of u and w (``Route.local``), R32 the adjacency
 index of its second step, whose direction code is ``g.labels`` there.  A
-pair of two such members is answered by the context's pair index (a d x d
-code matrix over the positions in N(v)), built when it and its gather take
-no more bytes than three int64 columns of the batch
-(``AnchorContext.pair_index``); a smaller batch searches the graph's edge
-keys instead.  The other pairs without the anchor (R41's and R42's (w, r),
-R43's (u, r) and its step from w back past u, R44's three pairs) always
-search the edge keys.  The batch functions take the context in place of
-the anchor's id, and :func:`tally_orbits` hands its caller's context to both
-the draws and the classification.
+pair of two such members is answered by the context
+(``AnchorContext.pair_codes``, which states when it builds its d x d code
+matrix and when it searches the edge keys instead).  The other pairs
+without the anchor (R41's and R42's (w, r), R43's (u, r) and its step from
+w back past u, R44's three pairs) always search the edge keys.  The batch
+functions take the context in place of the anchor's id, and
+:func:`tally_orbits` hands its caller's context to both the draws and the
+classification.
 """
 
 from __future__ import annotations
@@ -260,32 +259,13 @@ def bias_vector(method: str, stats: NodeStats) -> dict[int, float]:
 # -- batch classification ----------------------------------------------------
 
 
-def _local_codes(
-    g: Graph, ctx: AnchorContext, a: np.ndarray, b: np.ndarray,
-    ia: np.ndarray, ib: np.ndarray, directed: bool,
-) -> np.ndarray:
-    """Per pair (a, b) of neighbours of v, at positions ``ia``, ``ib`` of
-    ``ctx.nb``: 0 for a non-edge, else nonzero, and the direction code of
-    (a, b) when ``directed``.  The anchor's pair index answers when its
-    build rule admits the batch; otherwise the edge keys are searched."""
-    pairs = ctx.pair_index(g, len(a))
-    if pairs is not None:
-        return pairs[ia, ib]
-    edge = g.has_edges(a, b)
-    if not directed:
-        return edge
-    c = np.zeros(len(a), dtype=np.int8)
-    c[edge] = g.direction_codes(a[edge], b[edge])
-    return c
-
-
 def classify_wedge_batch(
     g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray,
     iu: np.ndarray, iw: np.ndarray, directed: bool,
 ) -> np.ndarray:
     """Orbits for draws of the form (v; u, w) with u, w both neighbours of
     v, drawn at positions ``iu``, ``iw`` of ``ctx.nb``."""
-    c = _local_codes(g, ctx, u, w, iu, iw, directed)
+    c = ctx.pair_codes(g, u, w, iu, iw, directed)
     if not directed:
         return ORBIT3[0b011 + 0b100 * (c != 0)]
     return DIR3[ctx.code[u], ctx.code[w], c]
@@ -328,7 +308,7 @@ def classify_quad_batch(
         elif a == "v":
             edge = ctx.code[cols[b]] != 0
         elif a in pos and b in pos:
-            codes = _local_codes(g, ctx, cols[a], cols[b], pos[a], pos[b], False)
+            codes = ctx.pair_codes(g, cols[a], cols[b], pos[a], pos[b], False)
             edge = codes != 0
         else:
             edge = g.has_edges(cols[a], cols[b])

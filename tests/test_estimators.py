@@ -116,6 +116,19 @@ def test_budget_even_split_with_remainder():
         BudgetConfig().resolve(("R31",))
 
 
+def test_budget_counts_must_be_integers():
+    # a fractional count is refused, not truncated; numpy integers are taken
+    for budget in (
+        BudgetConfig(total=10.9), BudgetConfig(total=np.float64(12)),
+        BudgetConfig(split=(1.9, 2, 3)), BudgetConfig(split=(5, 6, 7.0)),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            budget.resolve(("R32", "R41", "R42"))
+    ks = BudgetConfig(split=tuple(np.array([5, 6, 7]))).resolve(("R32", "R41", "R42"))
+    assert ks == {"R32": 5, "R41": 6, "R42": 7}
+    assert BudgetConfig(total=np.int32(7)).resolve(("R31", "R32")) == {"R31": 4, "R32": 3}
+
+
 def _pooled(values, weights, variances=None, draws=(1000, 1000, 1000)):
     """Pooled estimates over orbit ids 0..14 of the routes R32, R41 and
     R42, with the given weights per route (default 0) and values."""

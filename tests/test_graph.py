@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -489,23 +490,41 @@ def _check_anchor_context(g: Graph, v: int) -> None:
         if ctx.code[x]:
             expect = g.direction_codes([v], [x])[0] if g.directed else MUTUAL
             assert ctx.code[x] == expect, (v, x)
-    _check_pair_index(g, v)
+    _check_pair_codes(g, v)
 
 
-def _check_pair_index(g: Graph, v: int) -> None:
-    """Every entry of the anchor's pair index against the edge-key search,
-    and its build rule on either side of the boundary."""
+def _check_pair_codes(g: Graph, v: int) -> None:
+    """The anchor's pair codes against the edge-key search, and the build
+    rule of its matrix on either side of the boundary: a batch one draw
+    short of the rule searches the edge keys, the first batch the rule
+    admits builds the d x d matrix, and every later batch reads it (all d*d
+    entries, then a batch of one), with no search."""
     ctx = AnchorContext(g, v)
     d = len(ctx.nb)
-    size = d * d + 8 * (ctx.stats.two_paths + d)  # its bytes, with the gather
-    assert ctx.pair_index(g, (size - 1) // 24) is None
-    pairs = ctx.pair_index(g, -(-size // 24))
-    assert pairs.shape == (d, d) and pairs.dtype == np.int8
-    a, b = np.repeat(ctx.nb, d), np.tile(ctx.nb, d)
+    if not d:
+        return  # no pairs to ask about
+    ia, ib = np.repeat(np.arange(d), d), np.tile(np.arange(d), d)
+    a, b = ctx.nb[ia], ctx.nb[ib]
     edge = g.has_edges(a, b)
     want = np.zeros(d * d, dtype=np.int8)
     want[edge] = g.direction_codes(a[edge], b[edge]) if g.directed else MUTUAL
-    assert pairs.reshape(-1).tolist() == want.tolist(), v
+    size = d * d + 8 * (ctx.stats.two_paths + d)  # its bytes, with the gather
+    searches = []
+
+    def counted(us, vs):
+        searches.append(len(us))
+        return Graph.has_edges(g, us, vs)
+
+    batches = (((size - 1) // 24, 1), (-(-size // 24), 0), (d * d, 0), (1, 0))
+    with mock.patch.object(g, "has_edges", counted):
+        for k, searched in batches:
+            searches.clear()
+            rows = np.arange(k) % (d * d)
+            got = ctx.pair_codes(g, a[rows], b[rows], ia[rows], ib[rows], g.directed)
+            assert len(searches) == searched, (v, k)
+            assert (got != 0).tolist() == edge[rows].tolist(), (v, k)
+            if g.directed or not searched:  # an undirected search gives bools
+                assert got.tolist() == want[rows].tolist(), (v, k)
 
 
 @given(small_graphs())
@@ -532,7 +551,7 @@ def test_pair_index_matches_edge_searches():
     graphs += [g for _, g in all_directed_3node()]
     for g in graphs:
         for v in range(g.node_count):
-            _check_pair_index(g, v)
+            _check_pair_codes(g, v)
 
 
 @given(small_graphs(), st.data())

@@ -1,5 +1,7 @@
 """Oracle tests: enumeration correctness, identities, and cross counters."""
 
+import dataclasses
+import json
 import tracemalloc
 from itertools import combinations
 
@@ -68,6 +70,23 @@ def test_exact_degrees_paw(paw):
 def test_exact_degrees_k4(k4):
     c = exact_orbit_degrees(k4, 0).undirected
     assert {i: n for i, n in c.items() if n} == {0: 3, 3: 3, 14: 1}
+
+
+def test_eight_covers_every_orbit():
+    # conftest's EIGHT_EDGES claims an instance of every undirected orbit
+    g = Graph.from_edges(EIGHT_EDGES)
+    seen = set()
+    for v in range(g.node_count):
+        und, _ = brute_force_orbits3(g, v)
+        seen |= {i for i, n in (und | brute_force_orbits4(g, v)).items() if n}
+    assert seen == set(range(1, 15))
+
+
+def test_exact_counts_serialize_for_a_numpy_node_id():
+    g = preferential_attachment(40, 2, seed=3)
+    counts = exact_orbit_degrees(g, np.argmax(g.degrees))
+    assert type(counts.node) is int
+    assert json.loads(json.dumps(dataclasses.asdict(counts)))["node"] == counts.node
 
 
 NORMALIZERS = (
@@ -291,6 +310,25 @@ def test_four_node_counter_memory_stays_within_one_chunk():
         tracemalloc.stop()
     bound = 64 * (st.two_paths + st.degree) + g.node_count + 160 * chunk
     assert peak < bound, (peak, bound)
+
+
+def test_counter_gathers_the_lists_once_per_use(monkeypatch):
+    # at a hub whose R41 selections span many chunks: one gather for the
+    # 3-node counter, one for the selections, one for the pair matrix that
+    # every chunk reads
+    g = preferential_attachment(1500, 3, seed=1)
+    hub = int(np.argmax(g.degrees))
+    want = exact_orbit_degrees(g, hub, guard=None)
+    gathers = []
+    list_entries = Graph.list_entries
+
+    def counted(self, xs):
+        gathers.append(len(xs))
+        return list_entries(self, xs)
+
+    monkeypatch.setattr(Graph, "list_entries", counted)
+    assert exact_orbit_degrees(g, hub, guard=None) == want
+    assert gathers == [g.degree(hub)] * 3
 
 
 def test_sizes_must_hold_three_or_four(paw):

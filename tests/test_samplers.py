@@ -417,7 +417,7 @@ def test_batch_labels_match_scalar_classifier(eight):
     assert degenerate > 0
 
 
-def test_batch_directed_labels_match_scalar_classifier():
+def test_batch_directed_labels_match_scalar_classifier(monkeypatch):
     g = gnp_directed(20, 0.25, seed=6)
     v = int(np.argmax(g.degrees))
     ctx = AnchorContext(g, v)
@@ -428,18 +428,25 @@ def test_batch_directed_labels_match_scalar_classifier():
 
     # every connected directed 3-node graph, through each draw shape that
     # reaches it: wedges (0; u, w), fed the positions of u and w in N(0),
-    # and chains 0 - u - w, fed the adjacency index of w in N(u).  Wedges
-    # in a batch of 64 read the pair index; in a batch of one, the index
-    # (4 + 8 * (two_paths + 2) bytes) is over the build rule at every
-    # triangle, so those search the edge keys.
+    # and chains 0 - u - w, fed the adjacency index of w in N(u).  Each
+    # batch gets a fresh context.  Wedges in a batch of 64 read the pair
+    # matrix; in a batch of one, the matrix (4 + 8 * (two_paths + 2) bytes)
+    # is over the build rule at every triangle, so those search the edge
+    # keys, once per batch.
+    searches = []
+    has_edges = Graph.has_edges
+
+    def counted(self, us, vs):
+        searches.append(len(us))
+        return has_edges(self, us, vs)
+
+    monkeypatch.setattr(Graph, "has_edges", counted)
     seen = set()
     for _, g in all_directed_3node():
-        ctx = AnchorContext(g, 0)
         want = classify_directed3(g, 0, (0, 1, 2))
         triangle = g.edge_count == 3
         for u, w in ((1, 2), (2, 1)):
             for k in (1, 64):
-                assert (ctx.pair_index(g, k) is None) == (k == 1 and triangle)
                 shapes = []
                 if g.has_edges([0], [u])[0] and g.has_edges([0], [w])[0]:
                     at = (g.pos_of_many([0], u)[0], g.pos_of_many([0], w)[0])
@@ -448,9 +455,13 @@ def test_batch_directed_labels_match_scalar_classifier():
                     at = g.indptr[u] + g.pos_of_many([u], w)[0]
                     shapes.append((classify_chain_batch, (u, w, at)))
                 for fn, row in shapes:
+                    ctx = AnchorContext(g, 0)
                     cols = [np.full(k, x) for x in row]
+                    searches.clear()
                     got = fn(g, ctx, *cols, True)
                     assert got.tolist() == [want] * k, (fn.__name__, u, w, k)
+                    searched = fn is classify_wedge_batch and k == 1 and triangle
+                    assert searches == ([k] if searched else []), (fn.__name__, k)
                     seen.add(want)
     assert seen == set(range(1, 31))
 
@@ -489,6 +500,26 @@ def test_pair_index_build_rule_keeps_labels(method, directed, monkeypatch):
         cols = draw_batch(g, ctx, method, k, np.random.default_rng(k))
         want = _scalar_labels(g, v, method, cols, directed)
         assert tally.tolist() == np.bincount(want, minlength=len(tally)).tolist()
+
+
+def test_pair_matrix_is_gathered_once_per_context(monkeypatch):
+    # the first batch that the build rule admits gathers the neighbours'
+    # lists for the pair matrix; a later batch on that context reads it
+    g = gnp(40, 0.2, seed=3)
+    ctx = AnchorContext(g, int(np.argmax(g.degrees)))
+    gathers = []
+    list_entries = Graph.list_entries
+
+    def counted(self, xs):
+        gathers.append(len(xs))
+        return list_entries(self, xs)
+
+    monkeypatch.setattr(Graph, "list_entries", counted)
+    for seed in (1, 2):
+        cols = draw_batch(g, ctx, "R31", 1000, np.random.default_rng(seed))
+        want = _scalar_labels(g, ctx.v, "R31", cols)
+        assert classify_wedge_batch(g, ctx, *cols, False).tolist() == want
+    assert gathers == [len(ctx.nb)]
 
 
 def test_quad_selections_list_every_selection_once(monkeypatch, eight):
