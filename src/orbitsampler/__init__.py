@@ -6,9 +6,8 @@ orbit (14 undirected orbits; 30 directed orbits for 3-node subgraphs).
 Draws come from six cheap biased sampling routes whose per-subgraph bias is
 known exactly, so tallies invert into unbiased estimates with closed-form
 variances.  An exact oracle provides ground truth for verification: it
-counts 3-node subgraphs from one gather of the anchor's neighbour lists,
-and 4-node ones by classifying every selection of two of the sampling
-routes once.
+classifies every selection of three of the sampling routes once and
+inverts the hits through the same bias rows, with no sampling.
 """
 
 from .estimators import (

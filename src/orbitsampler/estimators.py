@@ -49,23 +49,19 @@ from .samplers import ROUTES, tally_orbits
 
 @dataclass(frozen=True)
 class Mode:
-    """What one estimation mode draws, reports and counts exactly."""
+    """What one estimation mode draws and reports."""
 
     routes: tuple[str, ...]  # in pipeline (and budget split) order
     orbits: tuple[int, ...]  # the orbit ids a report carries
     shape: tuple[int, ...]  # per tally index, the orbit whose bias applies
-    sizes: tuple[int, ...]  # the subgraph sizes the oracle counts
 
 
 MODES = {
-    "undirected": Mode(
-        ("R32", "R41", "R42"), tuple(range(15)), tuple(range(15)), (3, 4)
-    ),
+    "undirected": Mode(("R32", "R41", "R42"), tuple(range(15)), tuple(range(15))),
     "directed3": Mode(
         ("R31", "R32"),
         tuple(range(1, 31)),
         (0,) + tuple(UNORBIT[i] for i in range(1, 31)),
-        (3,),
     ),
 }
 
@@ -138,7 +134,7 @@ class BudgetConfig:
 
     def resolve(self, methods: tuple[str, ...]) -> dict[str, int]:
         for k in (self.total, *(self.split or ())):
-            if k is not None and not isinstance(k, (int, np.integer)):
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer, type(None))):
                 raise ValueError(f"budget counts must be integers, got {k!r}")
         if self.split is not None:
             if len(self.split) != len(methods):

@@ -21,6 +21,7 @@ from .estimators import MODES, BudgetConfig, check_mode, estimate_orbit_degrees
 from .graph import Graph
 from .metrics import l1_l2, nrmse, topk_detection
 from .oracle import DEFAULT_GUARD, GuardExceededError, exact_orbit_degrees
+from .samplers import ROUTES
 
 TOPK_LEVELS = (5, 10, 15)
 
@@ -108,7 +109,8 @@ def exact_mode_counts(
     sizes the mode reports; raises GuardExceededError when the guard
     refuses the anchor."""
     check_mode(g, mode)
-    counts = exact_orbit_degrees(g, v, guard=guard, sizes=MODES[mode].sizes)
+    sizes = tuple({ROUTES[m].size + 1 for m in MODES[mode].routes})
+    counts = exact_orbit_degrees(g, v, guard=guard, sizes=sizes)
     return counts.undirected if mode == "undirected" else counts.directed3
 
 

@@ -183,7 +183,7 @@ class Graph:
         For ``directed=True`` each pair is an arc; a reciprocal pair yields a
         mutual edge.  Self loops and duplicates are dropped silently.
         """
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        pairs = np.array(list(edges)).reshape(-1, 2)
         return cls.from_arrays(pairs[:, 0], pairs[:, 1], directed, node_count)
 
     @classmethod
@@ -207,10 +207,13 @@ class Graph:
 
         One sort of the adjacency keys ``row * n + col`` merges repeats and
         orders the CSR, so more than ``MAX_NODES`` nodes raise
-        :class:`GraphError`, before any build.
+        :class:`GraphError`, before any build, and so do endpoints of a
+        non-integer dtype (bool too), which a cast would truncate.
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        u, v = np.asarray(u), np.asarray(v)
+        if any(a.size and a.dtype.kind not in "iu" for a in (u, v)):
+            raise GraphError(f"node ids must be integers, got {u.dtype} and {v.dtype}")
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
         keep = u != v
         m = int(keep.sum())
         loops = len(u) - m
@@ -327,6 +330,8 @@ class Graph:
 
     def stats(self, v: int) -> NodeStats:
         """Exact normalizers of node ``v``."""
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise GraphError(f"node id must be an integer, got {v!r}")
         if not 0 <= v < self.node_count:
             raise GraphError(f"node {v} out of range")
         d = self.degree(v)

@@ -1,14 +1,14 @@
 """Exact orbit degrees: 3- and 4-node subgraphs counted, none listed.
 
-3-node subgraphs containing an anchor are counted from one gather of the
-anchor's neighbour lists (``two_paths + d`` entries, as ORCA counts them;
-Hočevar & Demšar, Bioinformatics 2014): path ends and triangles are tallied
-by the direction codes of their pairs, and path centres follow from the
-number of neighbour pairs with each pair of codes.  4-node subgraphs are
-counted by classifying every selection of the routes R41 and R42 once with
-their own classifier.  The module, the ground truth for all statistical
-tests, also checks the identities that tie orbit counts to the per-node
-normalizers.  A guard refuses anchors with too many candidate subgraphs.
+A route hits each subgraph at orbit i in exactly c_i of its selections, c_i
+the orbit's coefficient in its normalizer's identity row, so the oracle
+classifies every selection of R32, R41 and R42 once with the route's own
+classifier and divides the hits by c_i.  Orbits none of them reaches follow
+from identities: undirected 2, 4 and 7 from the rows the estimator solves,
+and each directed path centre from the neighbour pairs with its two codes
+less the triangles with those codes at the anchor.  The module, the ground
+truth for all statistical tests, also checks the count identities.  A guard
+refuses anchors with too many candidate subgraphs.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MUTUAL, AnchorContext, Graph, NodeStats
-from .orbits import DIR3, IDENTITIES, ORBIT3
-from .samplers import ROUTES, classify_quad_batch, quad_selections
+from .estimators import _BIAS_ROWS, _SOLVED, MODES
+from .graph import AnchorContext, Graph, NodeStats
+from .orbits import CENTER_IDS, IDENTITIES, TRIANGLE_IDS, UNORBIT, orbit_table
+from .samplers import ROUTES, classify_batch, route_defined, selections
 
 DEFAULT_GUARD = 10**6
 
@@ -73,59 +74,32 @@ def check_guard(
         )
 
 
-def _codes3(g: Graph, ctx: AnchorContext) -> list[int]:
-    """The 3-node subgraphs containing ``v``, tallied by the direction codes
-    (a, b, c) of the pairs (v, x), (v, y) and (x, y) at index 16a + 4b + c
-    (0 for no edge; every edge is ``MUTUAL`` on an undirected graph).
-
-    Every subgraph holds a neighbour x of v and a node y in x's list: a path
-    end when y lies outside N[v], a triangle when y is a neighbour too (read
-    from the smaller of x and y).  A path centre is a pair of neighbours
-    that closes no triangle.
-    """
-    # One gather of the neighbours' lists: an entry (x, y) per y in the list
-    # of each neighbour x, with the code c of (x, y).
-    at, _ = g.list_entries(ctx.nb)
-    x = np.repeat(ctx.nb, g.degrees[ctx.nb])
-    y = g.indices[at]
-    c = g.labels[at] if g.directed else MUTUAL
-    b = ctx.code[y]
-    keep = (y != ctx.v) & ((b == 0) | (x < y))
-    tally = np.bincount((16 * ctx.code[x] + 4 * b + c)[keep], minlength=64).tolist()
-    n = np.bincount(ctx.code[ctx.nb], minlength=4).tolist()  # neighbours per code
-    for p in (1, 2, 3):
-        for q in range(p, 4):
-            closed = sum(tally[16 * p + 4 * q + 1 : 16 * p + 4 * q + 4])
-            if p == q:
-                tally[16 * p + 4 * q] = n[p] * (n[p] - 1) // 2 - closed
-            else:
-                closed += sum(tally[16 * q + 4 * p + 1 : 16 * q + 4 * p + 4])
-                tally[16 * p + 4 * q] = n[p] * n[q] - closed
-    return tally
+# Per directed path centre: orbit, anchor codes (p, q), triangles with those codes.
+_AT_ANCHOR = {row["orbit"]: tuple(sorted(row["codes"][:2])) for row in orbit_table()}
+_CENTRES = [
+    (c, *_AT_ANCHOR[c], [t for t in TRIANGLE_IDS if _AT_ANCHOR[t] == _AT_ANCHOR[c]])
+    for c in CENTER_IDS
+]
 
 
-def _counts4(g: Graph, ctx: AnchorContext) -> dict[int, int]:
-    """Undirected orbits 4-14 of ``v`` from one tally of every selection of
-    R41 and R42 by :func:`~orbitsampler.samplers.classify_quad_batch`.
-
-    A route hits each subgraph at orbit i in exactly c_i of its selections,
-    c_i the orbit's coefficient in the route's identity row, so orbit i
-    counts hits / c_i (R41 gives 3 too, from its coincident draws).  Orbits
-    4 and 7 are solved from the ``three_walks`` and ``triples`` rows.
-    """
-    hits = {m: np.zeros(15, dtype=np.int64) for m in ("R41", "R42")}
-    for method, cols in quad_selections(g, ctx):
-        orbits = classify_quad_batch(g, method, ctx, *cols)
-        hits[method] += np.bincount(orbits, minlength=15)
-    count: dict[int, int] = {}
-    for method, h in hits.items():
-        for i, c in IDENTITIES[ROUTES[method].normalizer].items():
-            count.setdefault(i, int(h[i]) // c)
-    for name, i in (("three_walks", 4), ("triples", 7)):
-        row = IDENTITIES[name]
-        rest = sum(c * count[j] for j, c in row.items() if j != i)
-        count[i] = (getattr(ctx.stats, name) - rest) // row[i]
-    return {i: count[i] for i in range(4, 15)}
+def _count(g: Graph, ctx: AnchorContext, routes) -> dict[str, dict[int, int]]:
+    """Per mode, the counts at the tally indices that ``routes`` (of R32,
+    R41 and R42) reach: the first reaching route's hits over every
+    selection, divided by its bias-row numerator.  On a directed graph a
+    3-node subgraph is classified once, by its direction codes."""
+    modes = {m: "directed3" if g.directed and ROUTES[m].size == 2 else "undirected"
+             for m in routes}
+    hits = {m: np.zeros(len(MODES[modes[m]].shape), dtype=np.int64) for m in routes}
+    for m, cols in selections(g, ctx, routes):
+        orbits = classify_batch(g, ctx, m, cols, modes[m] == "directed3")
+        hits[m] += np.bincount(orbits, minlength=len(hits[m]))
+    count = {mode: {} for mode in MODES}
+    for m, mode in modes.items():
+        h = hits[m].tolist()
+        for i, c in enumerate(_BIAS_ROWS[mode][m]):
+            if c:
+                count[mode].setdefault(i, h[i] // c)
+    return count
 
 
 def exact_orbit_degrees(
@@ -136,34 +110,32 @@ def exact_orbit_degrees(
 ) -> OrbitCounts:
     """Exact orbit-degree vector of ``v`` (orbit 0 is the plain degree).
 
-    For directed graphs the 30-orbit directed vector is computed alongside.
-    ``sizes`` restricts which subgraph sizes are counted, and the guard
-    bounds only those (directed orbits only need size 3, see
-    :data:`orbitsampler.estimators.MODES`).
-
-    3-node subgraphs are tallied by the direction codes of their three
-    pairs (:func:`_codes3`), 4-node ones by the selections of R41 and R42
-    (:func:`_counts4`).  The counts are Python ints.  ``sizes`` must hold
-    3, 4 or both, else ``ValueError``.
+    For directed graphs the 30-orbit directed vector is computed alongside,
+    and undirected orbits 1 and 3 are its class sums.  ``sizes`` restricts
+    which subgraph sizes are counted, and the guard bounds only those
+    (directed orbits only need size 3, see
+    :data:`orbitsampler.estimators.MODES`).  The counts are Python ints.
+    ``sizes`` must hold 3, 4 or both, else ``ValueError``.
     """
     if not sizes or set(sizes) - {3, 4}:
         raise ValueError(f"sizes must hold 3, 4 or both, got {sizes!r}")
     check_guard(g, v, guard, sizes)
     ctx = AnchorContext(g, v)
-    und = dict.fromkeys(range(15), 0) | {0: g.degree(v)}
-    dir3 = {i: 0 for i in range(1, 31)} if g.directed else None
-
-    if 3 in sizes:
-        for key, n in enumerate(_codes3(g, ctx)):
-            if n:
-                a, b, c = key >> 4, key >> 2 & 3, key & 3
-                und[int(ORBIT3[(a > 0) | (b > 0) << 1 | (c > 0) << 2])] += n
-                if dir3 is not None:
-                    dir3[int(DIR3[a, b, c])] += n
-
-    if 4 in sizes:
-        und.update(_counts4(g, ctx))
-
+    routes = [m for m in MODES["undirected"].routes if ROUTES[m].size + 1 in sizes]
+    count = _count(g, ctx, [m for m in routes if route_defined(m, ctx.stats)])
+    und = dict.fromkeys(range(15), 0) | count["undirected"] | {0: g.degree(v)}
+    dir3 = dict.fromkeys(range(1, 31), 0) if g.directed else None
+    if dir3 is not None and 3 in sizes:
+        dir3 |= count["directed3"]
+        n = np.bincount(ctx.code[ctx.nb], minlength=4).tolist()  # neighbours per code
+        for centre, p, q, closed in _CENTRES:
+            pairs = n[p] * (n[p] - 1) // 2 if p == q else n[p] * n[q]
+            dir3[centre] = pairs - sum(dir3[t] for t in closed)
+        und |= {j: sum(k for i, k in dir3.items() if UNORBIT[i] == j) for j in (1, 3)}
+    for orbit, name, terms, _ in _SOLVED:
+        und[orbit] = getattr(ctx.stats, name) - sum(a * und[i] for i, a in terms)
+    # orbits of a size not counted are 0 (R41 reaches 3; 2, 4 and 7 are solved)
+    und |= {i: 0 for i in range(1, 15) if (3 if i < 4 else 4) not in sizes}
     return OrbitCounts(node=int(v), undirected=und, directed3=dir3)
 
 

@@ -30,7 +30,9 @@ degree >= 3.
 :func:`draw_batch` draws ``k`` subgraphs of one route at once with vectorized
 arithmetic and consumes a ``numpy.random.Generator``, so identical seeds give
 identical draw sequences.  The ``classify_*_batch`` functions label draws
-with the anchor's orbit; :func:`tally_orbits` draws, labels and counts.
+with the anchor's orbit, :func:`classify_batch` by route; :func:`tally_orbits`
+draws, labels and counts, and :func:`selections` lists what R32, R41 and
+R42 can draw, each once, for :mod:`orbitsampler.oracle`.
 
 Every step around the anchor reads the estimate's
 :class:`~orbitsampler.graph.AnchorContext`.  The route check reads its
@@ -258,6 +260,10 @@ def bias_vector(method: str, stats: NodeStats) -> dict[int, float]:
 
 # -- batch classification ----------------------------------------------------
 
+# DIR3 at 16a + 4b + c: one gather, cheaper than a three-array index.
+_DIR3_FLAT = DIR3.ravel()
+
+
 
 def classify_wedge_batch(
     g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray,
@@ -268,7 +274,7 @@ def classify_wedge_batch(
     c = ctx.pair_codes(g, u, w, iu, iw, directed)
     if not directed:
         return ORBIT3[0b011 + 0b100 * (c != 0)]
-    return DIR3[ctx.code[u], ctx.code[w], c]
+    return _DIR3_FLAT[16 * ctx.code[u] + 4 * ctx.code[w] + c]
 
 
 def classify_chain_batch(
@@ -280,7 +286,7 @@ def classify_chain_batch(
     b = ctx.code[w]
     if not directed:
         return ORBIT3[0b101 + 0b010 * (b != 0)]
-    return DIR3[ctx.code[u], b, g.labels[at]]
+    return _DIR3_FLAT[16 * ctx.code[u] + 4 * b + g.labels[at]]
 
 
 # The bit of each member pair (v, u, w, r) in a 4-node edge pattern.
@@ -320,6 +326,21 @@ def classify_quad_batch(
     return out
 
 
+def classify_batch(
+    g: Graph, ctx: AnchorContext, method: str, cols, directed: bool = False
+) -> np.ndarray:
+    """Orbits of one route's subgraphs in :func:`draw_batch`'s layout, by the
+    route's classifier (looked up on this module at each call); directed
+    orbits, which only 3-node routes give, when ``directed``."""
+    if method == "R31":
+        return classify_wedge_batch(g, ctx, *cols, directed)
+    if method == "R32":
+        return classify_chain_batch(g, ctx, *cols, directed)
+    if directed:
+        raise ValueError(f"{method} tallies are undirected only")
+    return classify_quad_batch(g, method, ctx, *cols)
+
+
 # -- draws and tallies ---------------------------------------------------------
 
 
@@ -344,18 +365,11 @@ def tally_orbits(
     classification share the anchor context ``ctx``.
     """
     cols = draw_batch(g, ctx, method, k, rng)
-    if method == "R31":
-        orbits = classify_wedge_batch(g, ctx, *cols, directed)
-    elif method == "R32":
-        orbits = classify_chain_batch(g, ctx, *cols, directed)
-    else:
-        if directed:
-            raise ValueError(f"{method} tallies are undirected only")
-        orbits = classify_quad_batch(g, method, ctx, *cols)
+    orbits = classify_batch(g, ctx, method, cols, directed)
     return np.bincount(orbits, minlength=_TALLY_LENGTH[directed])
 
 
-_SELECTION_CHUNK = 1 << 14  # rows per chunk of quad_selections
+_SELECTION_CHUNK = 1 << 14  # rows per batch of R41's and R42's selections
 
 
 def _expand(counts: np.ndarray):
@@ -368,19 +382,29 @@ def _expand(counts: np.ndarray):
         yield e, row - ends[e] + counts[e]
 
 
-def quad_selections(g: Graph, ctx: AnchorContext):
-    """Every selection of R41 and R42 once, as ``(method, columns)`` chunks
-    in :func:`draw_batch`'s column layout.  Both expand the ``two_paths``
-    entries (u, y != v) of the anchor's neighbour lists: R41 with every w in
-    N(v) - {u} (r = y), R42 with every later entry r of u's list (w = y).
-    """
-    y = g.indices[g.list_entries(ctx.nb)[0]]
-    iu = np.repeat(np.arange(len(ctx.nb)), g.degrees[ctx.nb])[y != ctx.v]
-    y = y[y != ctx.v]
-    for e, j in _expand(np.full(len(y), len(ctx.nb) - 1)):
-        iw = _skip_one(j, iu[e])
-        yield "R41", (ctx.nb[iu[e]], ctx.nb[iw], y[e], iu[e], iw)
-    # the entries after y in its list: the list's end minus y's place
-    later = np.cumsum(g.degrees[ctx.nb] - 1)[iu] - np.arange(len(y)) - 1
-    for e, j in _expand(later):
-        yield "R42", (ctx.nb[iu[e]], y[e], y[e + 1 + j])
+def selections(g: Graph, ctx: AnchorContext, methods):
+    """Every selection of the routes ``methods`` (of R32, R41 and R42) once,
+    as ``(method, columns)`` batches in :func:`draw_batch`'s column layout.
+    All expand one gather's ``two_paths`` entries (u, y != v) of the
+    anchor's neighbour lists, made only when a route is listed: R32 takes
+    each entry (w = y), in one batch; R41 adds every w in N(v) - {u}
+    (r = y), R42 every later entry r of u's list (w = y), in chunks of at
+    most ``_SELECTION_CHUNK`` rows."""
+    if not methods:
+        return
+    at = g.list_entries(ctx.nb)[0]
+    y = g.indices[at]
+    keep = y != ctx.v
+    iu = np.repeat(np.arange(len(ctx.nb)), g.degrees[ctx.nb])[keep]
+    y = y[keep]
+    if "R32" in methods:
+        yield "R32", (ctx.nb[iu], y, at[keep])
+    if "R41" in methods:
+        for e, j in _expand(np.full(len(y), len(ctx.nb) - 1)):
+            iw = _skip_one(j, iu[e])
+            yield "R41", (ctx.nb[iu[e]], ctx.nb[iw], y[e], iu[e], iw)
+    if "R42" in methods:
+        # the entries after y in its list: the list's end minus y's place
+        later = np.cumsum(g.degrees[ctx.nb] - 1)[iu] - np.arange(len(y)) - 1
+        for e, j in _expand(later):
+            yield "R42", (ctx.nb[iu[e]], y[e], y[e + 1 + j])

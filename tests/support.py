@@ -5,10 +5,12 @@ batch lookups and the orbit tables; the tests hold the batch classifiers of
 :mod:`orbitsampler.samplers` and the oracle against them.
 :func:`enumerate_cises` lists every connected induced 3- or 4-node subgraph
 at an anchor, and the brute-force tallies over it are the reference of the
-oracle's counters: :func:`brute_force_orbits3` classifies each 3-node set on
-its own, :func:`brute_force_orbits4` tallies the 4-node sets by edge pattern
-over neighbour sets.  The generators build the seeded fixture graphs: a
-directed G(n, p), and a large sparse uniform graph.
+oracle's counters: :func:`brute_force_orbits3` tallies the 3-node sets by
+the direction codes of their pairs, :func:`brute_force_orbits4` the 4-node
+sets by edge pattern, both read from neighbour dicts built once per call.
+The generators build the seeded fixture graphs: a directed G(n, p), a large
+sparse uniform graph, and small graphs with every pair's code drawn by
+hypothesis.
 
 Its name must differ from every module of ``perfbench/``.  The tests import
 it by its bare name, and so do perfbench's tests their own modules; one
@@ -19,11 +21,13 @@ this module to perfbench's tests.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
+from hypothesis import strategies as st
 
-from orbitsampler.graph import Graph
+from orbitsampler.graph import MUTUAL, Graph
 from orbitsampler.orbits import DIR3, ORBIT3, ORBIT4, PAIRS
 
 # The anchor's orbit per edge pattern, by member count; two members are a
@@ -77,14 +81,21 @@ def classify_directed3(g: Graph, anchor: int, members: Iterable[int]) -> int:
 
 
 class _Neighbours(dict):
-    """Per node, the set of its neighbours, built on first lookup."""
+    """Per node u, its neighbours x, each with the direction code of (u, x)
+    (``MUTUAL`` on an undirected graph), built on first lookup."""
 
     def __init__(self, g: Graph):
         super().__init__()
         self.g = g
 
-    def __missing__(self, u: int) -> set[int]:
-        s = self[u] = set(self.g.neighbors(u).tolist())
+    def __missing__(self, u: int) -> dict[int, int]:
+        g = self.g
+        nb = g.neighbors(u).tolist()
+        if g.directed:
+            s = dict(zip(nb, g.labels[g.indptr[u] : g.indptr[u + 1]].tolist()))
+        else:
+            s = dict.fromkeys(nb, MUTUAL)
+        self[u] = s
         return s
 
 
@@ -127,14 +138,21 @@ def brute_force_orbits3(
     g: Graph, v: int
 ) -> tuple[dict[int, int], dict[int, int] | None]:
     """Undirected orbits 1-3 and, on a directed graph, directed orbits 1-30
-    of ``v``, tallied over its enumerated 3-node subgraphs one member set
-    at a time."""
+    of ``v``, tallied over its enumerated 3-node subgraphs by the direction
+    codes (a, b, c) of the member pairs (v, x), (v, y) and (x, y), 0 for no
+    edge, read from neighbour-code dicts."""
+    nbrs = _Neighbours(g)
+    nv = nbrs[v]
+    codes = Counter(
+        (nv.get(x, 0), nv.get(y, 0), nbrs[x].get(y, 0))
+        for _, x, y in _cises(nbrs, v, 3)
+    )
     und = dict.fromkeys((1, 2, 3), 0)
     dir3 = dict.fromkeys(range(1, 31), 0) if g.directed else None
-    for mem in enumerate_cises(g, v, 3):
-        und[classify_undirected(g, v, mem)] += 1
+    for (a, b, c), n in codes.items():
+        und[int(ORBIT3[(a > 0) | (b > 0) << 1 | (c > 0) << 2])] += n
         if dir3 is not None:
-            dir3[classify_directed3(g, v, mem)] += 1
+            dir3[int(DIR3[a, b, c])] += n
     return und, dir3
 
 
@@ -153,6 +171,29 @@ def brute_force_orbits4(g: Graph, v: int) -> dict[int, int]:
     for p, n in patterns.items():
         out[int(ORBIT4[p])] += n
     return out
+
+
+def coded_graph(n: int, codes, directed: bool) -> Graph:
+    """One code per node pair (i < j) in ``combinations`` order: 0 no edge,
+    1 the arc i -> j, 2 the arc j -> i, 3 both arcs (mutual)."""
+    arcs = []
+    for (i, j), c in zip(combinations(range(n), 2), codes):
+        if c & 1:
+            arcs.append((i, j))
+        if c & 2:
+            arcs.append((j, i))
+    return Graph.from_edges(arcs or [(0, 1)], directed=directed, node_count=n)
+
+
+@st.composite
+def coded_graphs(draw):
+    """Graphs of up to 8 nodes, directed or not, with every pair absent, one
+    arc either way, or mutual, so isolated nodes, leaves, mutual edges and
+    complete digraphs all occur."""
+    n = draw(st.integers(2, 8))
+    pairs = n * (n - 1) // 2
+    codes = draw(st.lists(st.integers(0, 3), min_size=pairs, max_size=pairs))
+    return coded_graph(n, codes, draw(st.booleans()))
 
 
 def gnp_directed(

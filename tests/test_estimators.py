@@ -117,10 +117,12 @@ def test_budget_even_split_with_remainder():
 
 
 def test_budget_counts_must_be_integers():
-    # a fractional count is refused, not truncated; numpy integers are taken
+    # a fractional or bool count is refused, not truncated or read as 1;
+    # numpy integers are taken
     for budget in (
         BudgetConfig(total=10.9), BudgetConfig(total=np.float64(12)),
         BudgetConfig(split=(1.9, 2, 3)), BudgetConfig(split=(5, 6, 7.0)),
+        BudgetConfig(split=(True, 2, 3)), BudgetConfig(total=True),
     ):
         with pytest.raises(ValueError, match="integer"):
             budget.resolve(("R32", "R41", "R42"))

@@ -340,6 +340,23 @@ def test_from_edges_rejects_out_of_range_ids():
         Graph.from_edges([(-2, 1)])
 
 
+def test_non_integer_ids_are_refused_not_truncated():
+    # a cast to int64 would read 1.7 as 1 and True as 1
+    for u, v in (([0, 1], [1.7, 2]), ([0, 1], [True, False]), ([0.0, 1.0], [1, 2])):
+        with pytest.raises(GraphError, match="integers"):
+            Graph.from_arrays(np.array(u), np.array(v))
+    with pytest.raises(GraphError, match="integers"):
+        Graph.from_edges([(0, 1.7), (1, 2)])
+    with pytest.raises(EmptyGraphError):
+        Graph.from_edges([])
+    g = Graph.from_arrays(np.array([0, 1], np.uint8), np.array([1, 2], np.int32))
+    assert g.edge_count == 2
+    for v in (3.0, 1.0, True, "1", None):
+        with pytest.raises(GraphError, match="integer"):
+            g.stats(v)
+    assert g.stats(np.int32(1)) == g.stats(1)
+
+
 def test_sparse_random_graph_rejects_impossible_edge_counts():
     # more edges than node pairs, or no pair at all: rejection never ends
     for n, avg_degree in ((4, 10.0), (1, 10.0), (1, 0.0)):

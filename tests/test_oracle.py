@@ -3,11 +3,10 @@
 import dataclasses
 import json
 import tracemalloc
-from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from orbitsampler import (
     CannotSampleError,
@@ -33,6 +32,8 @@ from conftest import (
 from support import (
     brute_force_orbits3,
     brute_force_orbits4,
+    coded_graph,
+    coded_graphs,
     enumerate_cises,
     gnp_directed,
 )
@@ -218,28 +219,6 @@ def _assert_counter_matches_brute_force(g: Graph) -> None:
             assert counts.directed3 == dir3, (v, sizes)
 
 
-def _coded_graph(n: int, codes, directed: bool) -> Graph:
-    """One code per node pair (i < j) in ``combinations`` order: 0 no edge,
-    1 the arc i -> j, 2 the arc j -> i, 3 both arcs (mutual)."""
-    arcs = []
-    for (i, j), c in zip(combinations(range(n), 2), codes):
-        if c & 1:
-            arcs.append((i, j))
-        if c & 2:
-            arcs.append((j, i))
-    return Graph.from_edges(arcs or [(0, 1)], directed=directed, node_count=n)
-
-
-@st.composite
-def coded_graphs(draw):
-    # up to 8 nodes; every pair absent, one arc either way, or mutual, so
-    # isolated nodes, leaves, mutual edges and complete digraphs all occur
-    n = draw(st.integers(2, 8))
-    pairs = n * (n - 1) // 2
-    codes = draw(st.lists(st.integers(0, 3), min_size=pairs, max_size=pairs))
-    return _coded_graph(n, codes, draw(st.booleans()))
-
-
 @given(coded_graphs())
 def test_three_node_counter_matches_brute_force(g):
     _assert_counter_matches_brute_force(g)
@@ -260,24 +239,25 @@ def test_three_node_counter_corner_cases():
         pairs = n * (n - 1) // 2
         tournament, mixed = rng.integers(1, 3, pairs), rng.integers(1, 4, pairs)
         for codes in ([3] * pairs, tournament, mixed):
-            graphs.append(_coded_graph(n, codes, directed=True))
+            graphs.append(coded_graph(n, codes, directed=True))
     graphs += [g for _, g in all_directed_3node()]
     for g in graphs:
         _assert_counter_matches_brute_force(g)
 
 
 def test_counts_match_brute_force_in_small_chunks(monkeypatch):
-    # with a few rows per chunk both routes split across many chunks, and
-    # the chunks' boundaries fall inside lists and inside entries
+    # with a few rows per chunk R41 and R42 split across many chunks, and
+    # the chunks' boundaries fall inside lists and inside entries; R32's
+    # selections are the gather's entries, in one batch
     monkeypatch.setattr(samplers, "_SELECTION_CHUNK", 5)
-    seen = []  # the method and row count of every chunk the oracle tallies
+    seen = []  # the method and row count of every batch the oracle tallies
 
-    def spy(g, ctx):
-        for method, cols in samplers.quad_selections(g, ctx):
+    def spy(g, ctx, methods):
+        for method, cols in samplers.selections(g, ctx, methods):
             seen.append((method, len(cols[0])))
             yield method, cols
 
-    monkeypatch.setattr(oracle, "quad_selections", spy)
+    monkeypatch.setattr(oracle, "selections", spy)
     graphs = (
         Graph.from_edges(EIGHT_EDGES), gnp(18, 0.3, 2), preferential_attachment(25, 3, 4)
     )
@@ -285,10 +265,17 @@ def test_counts_match_brute_force_in_small_chunks(monkeypatch):
         seen.clear()
         _assert_counter_matches_brute_force(g)
         stats = [g.stats(v) for v in range(g.node_count)]
-        for method, normalizer in (("R41", "forked_paths"), ("R42", "tail_wedges")):
+        # R32 is listed at both sizes the check counts, R41 and R42 at one
+        for method, normalizer, calls in (
+            ("R32", "two_paths", 2), ("R41", "forked_paths", 1), ("R42", "tail_wedges", 1)
+        ):
             rows = [n for m, n in seen if m == method]
-            assert sum(rows) == sum(getattr(st, normalizer) for st in stats), method
-            assert len(rows) > 10 and all(0 < n <= 5 for n in rows), method
+            total = sum(getattr(st, normalizer) for st in stats)
+            assert sum(rows) == calls * total, method
+            if method == "R32":
+                assert len(rows) == calls * sum(st.two_paths > 0 for st in stats)
+            else:
+                assert len(rows) > 10 and all(0 < n <= 5 for n in rows), method
 
 
 def test_four_node_counter_memory_stays_within_one_chunk():
@@ -314,8 +301,8 @@ def test_four_node_counter_memory_stays_within_one_chunk():
 
 def test_counter_gathers_the_lists_once_per_use(monkeypatch):
     # at a hub whose R41 selections span many chunks: one gather for the
-    # 3-node counter, one for the selections, one for the pair matrix that
-    # every chunk reads
+    # selections of all three routes, one for the pair matrix that every
+    # R41 chunk reads
     g = preferential_attachment(1500, 3, seed=1)
     hub = int(np.argmax(g.degrees))
     want = exact_orbit_degrees(g, hub, guard=None)
@@ -328,7 +315,33 @@ def test_counter_gathers_the_lists_once_per_use(monkeypatch):
 
     monkeypatch.setattr(Graph, "list_entries", counted)
     assert exact_orbit_degrees(g, hub, guard=None) == want
-    assert gathers == [g.degree(hub)] * 3
+    assert gathers == [g.degree(hub)] * 2
+
+
+def test_directed_counter_classifies_through_the_module(monkeypatch):
+    # a directed graph's 3-node subgraphs: one gather of the lists, and each
+    # entry classified once by the chain classifier, looked up on samplers
+    # at the call (as a wrapper set there sees it)
+    g = gnp_directed(40, 0.2, seed=3)
+    v = int(np.argmax(g.degrees))
+    want = exact_orbit_degrees(g, v, guard=None, sizes=(3,))
+    gathers, rows = [], []
+    list_entries = Graph.list_entries
+    chain = samplers.classify_chain_batch
+
+    def counted(self, xs):
+        gathers.append(len(xs))
+        return list_entries(self, xs)
+
+    def spy(g, ctx, u, w, at, directed):
+        rows.append((len(u), directed))
+        return chain(g, ctx, u, w, at, directed)
+
+    monkeypatch.setattr(Graph, "list_entries", counted)
+    monkeypatch.setattr(samplers, "classify_chain_batch", spy)
+    assert exact_orbit_degrees(g, v, guard=None, sizes=(3,)) == want
+    assert gathers == [g.degree(v)]
+    assert rows == [(g.stats(v).two_paths, True)]
 
 
 def test_sizes_must_hold_three_or_four(paw):

@@ -35,7 +35,7 @@ from orbitsampler.samplers import (
     classify_quad_batch,
     classify_wedge_batch,
     draw_batch,
-    quad_selections,
+    selections,
 )
 
 from conftest import EIGHT_EDGES, all_directed_3node, complete_graph, star_graph
@@ -522,26 +522,40 @@ def test_pair_matrix_is_gathered_once_per_context(monkeypatch):
     assert gathers == [len(ctx.nb)]
 
 
-def test_quad_selections_list_every_selection_once(monkeypatch, eight):
-    # each R41 and R42 selection, as a Python loop lists it, comes once in
-    # draw_batch's column layout, also when the chunks split lists
+def test_selections_list_every_selection_once(monkeypatch, eight):
+    # each R32, R41 and R42 selection, as a Python loop lists it, comes once
+    # in draw_batch's column layout; R32's in one batch, R41's and R42's in
+    # chunks, also when the chunks split lists
+    methods = ("R32", "R41", "R42")
     for chunk in (1 << 14, 3):
         monkeypatch.setattr(samplers, "_SELECTION_CHUNK", chunk)
         for g in (eight, gnp(14, 0.35, seed=5)):
             for v in range(g.node_count):
                 ctx = AnchorContext(g, v)
                 nb = ctx.nb.tolist()
-                want = {"R41": Counter(), "R42": Counter()}
+                want = {m: Counter() for m in methods}
                 for u in nb:
                     rest = [x for x in g.neighbors(u).tolist() if x != v]
+                    want["R32"].update((u, w) for w in rest)
                     want["R41"].update((u, w, r) for r in rest for w in nb if w != u)
                     want["R42"].update((u, w, r) for w, r in combinations(rest, 2))
-                got = {"R41": Counter(), "R42": Counter()}
-                for method, cols in quad_selections(g, ctx):
-                    assert len(cols) == ROUTES[method].size + len(ROUTES[method].local)
-                    assert 0 < len(cols[0]) <= chunk
-                    got[method].update(zip(*(c.tolist() for c in cols[:3])))
+                got = {m: Counter() for m in methods}
+                batches = Counter()
+                for method, cols in selections(g, ctx, methods):
+                    drawn = draw_batch(g, ctx, method, 1, np.random.default_rng(0))
+                    assert len(cols) == len(drawn)
+                    assert len(cols[0]) > 0
+                    batches[method] += 1
+                    size = ROUTES[method].size
+                    got[method].update(zip(*(c.tolist() for c in cols[:size])))
+                    if method == "R32":
+                        assert (g.indices[cols[2]] == cols[1]).all()
+                        assert (g.indptr[cols[0]] <= cols[2]).all()
+                        assert (cols[2] < g.indptr[cols[0] + 1]).all()
+                    else:
+                        assert len(cols[0]) <= chunk
                     if method == "R41":
                         assert (ctx.nb[cols[3]] == cols[0]).all()
                         assert (ctx.nb[cols[4]] == cols[1]).all()
                 assert got == want, v
+                assert batches["R32"] == (g.stats(v).two_paths > 0)

@@ -1,8 +1,9 @@
 """The split between the package and the tests' reference code.
 
 The fixture generators of ``support`` build the same graphs, array for
-array, as they did inside the package; and the package imports and runs its
-commands without ``support`` or any test-only dependency.
+array, as they did inside the package; its fast brute-force tally agrees
+with its scalar classifiers; and the package imports and runs its commands
+without ``support`` or any test-only dependency.
 """
 
 import hashlib
@@ -12,8 +13,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
-from support import gnp_directed, sparse_random_graph
+from support import (
+    brute_force_orbits3,
+    classify_directed3,
+    classify_undirected,
+    coded_graphs,
+    enumerate_cises,
+    gnp_directed,
+    sparse_random_graph,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -102,6 +112,18 @@ def test_fixture_generators_build_pinned_graphs(make, digest):
             if a is not None:
                 h.update(a.tobytes())
     assert h.hexdigest() == digest
+
+
+@given(coded_graphs())
+def test_three_node_tally_matches_the_scalar_classifiers(g):
+    for v in range(g.node_count):
+        und = dict.fromkeys((1, 2, 3), 0)
+        dir3 = dict.fromkeys(range(1, 31), 0) if g.directed else None
+        for mem in enumerate_cises(g, v, 3):
+            und[classify_undirected(g, v, mem)] += 1
+            if dir3 is not None:
+                dir3[classify_directed3(g, v, mem)] += 1
+        assert brute_force_orbits3(g, v) == (und, dir3), v
 
 
 def test_package_runs_without_test_code(tmp_path):
