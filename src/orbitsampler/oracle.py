@@ -87,8 +87,10 @@ def _count(g: Graph, ctx: AnchorContext, routes) -> dict[str, dict[int, int]]:
     R41 and R42) reach: the first reaching route's hits over every
     selection, divided by its bias-row numerator.  On a directed graph a
     3-node subgraph is classified once, by its direction codes."""
-    modes = {m: "directed3" if g.directed and ROUTES[m].size == 2 else "undirected"
-             for m in routes}
+    modes = {
+        m: "directed3" if g.directed and ROUTES[m].size == 2 else "undirected"
+        for m in routes
+    }
     hits = {m: np.zeros(len(MODES[modes[m]].shape), dtype=np.int64) for m in routes}
     for m, cols in selections(g, ctx, routes):
         orbits = classify_batch(g, ctx, m, cols, modes[m] == "directed3")

@@ -264,7 +264,6 @@ def bias_vector(method: str, stats: NodeStats) -> dict[int, float]:
 _DIR3_FLAT = DIR3.ravel()
 
 
-
 def classify_wedge_batch(
     g: Graph, ctx: AnchorContext, u: np.ndarray, w: np.ndarray,
     iu: np.ndarray, iw: np.ndarray, directed: bool,
