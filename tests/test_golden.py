@@ -104,6 +104,21 @@ CASES = {
             "--workers", "1", "--format", "csv",
         ],
     ),
+    # undirected mode on a directed graph: the oracle classifies R32 by
+    # direction codes and sums orbits 1 and 3 from the directed classes
+    "estimate_undirected_digraph.json": (
+        "digraph", ["estimate", "--directed", *_HUB, "--budget", "4000"]
+    ),
+    "exact_undirected_digraph.json": (
+        "digraph", ["exact", "--directed", "--max-degree-node"]
+    ),
+    "evaluate_undirected_digraph.json": (
+        "digraph",
+        [
+            "evaluate", "--directed", *_HUB, "--budget", "3000", "--runs", "4",
+            "--workers", "1",
+        ],
+    ),
     "orbit_table.txt": (None, ["orbit-table"]),
     "orbit_table.csv": (None, ["orbit-table", "--format", "csv"]),
     "orbit_table.json": (None, ["orbit-table", "--format", "json"]),
