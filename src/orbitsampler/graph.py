@@ -260,10 +260,20 @@ class Graph:
 
     # -- adjacency queries --------------------------------------------------
 
+    def _check_node(self, v) -> None:
+        """Raise GraphError unless ``v`` is an integer id in ``0..n-1``; a
+        numpy index would answer -1 with another node's entry."""
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise GraphError(f"node id must be an integer, got {v!r}")
+        if not 0 <= v < self.node_count:
+            raise GraphError(f"node {v} out of range")
+
     def neighbors(self, v: int) -> np.ndarray:
+        self._check_node(v)
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def degree(self, v: int) -> int:
+        self._check_node(v)
         return int(self.degrees[v])
 
     def _find(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
@@ -330,12 +340,8 @@ class Graph:
 
     def stats(self, v: int) -> NodeStats:
         """Exact normalizers of node ``v``."""
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise GraphError(f"node id must be an integer, got {v!r}")
-        if not 0 <= v < self.node_count:
-            raise GraphError(f"node {v} out of range")
-        d = self.degree(v)
         nb = self.neighbors(v)
+        d = len(nb)
         nbr_deg = self.degrees[nb].tolist()
         two_paths = sum(nbr_deg) - d
         return NodeStats(
@@ -376,6 +382,7 @@ class Graph:
     # -- id mapping -----------------------------------------------------------
 
     def to_original(self, v: int) -> int:
+        self._check_node(v)
         return int(self.original_ids[v])
 
     def to_dense(self, original: int) -> int:

@@ -357,6 +357,19 @@ def test_non_integer_ids_are_refused_not_truncated():
     assert g.stats(np.int32(1)) == g.stats(1)
 
 
+def test_node_queries_refuse_ids_outside_the_graph():
+    # a numpy index answers -1 with the last node's entry
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    for query in (g.degree, g.neighbors, g.to_original, g.stats):
+        for v, message in (
+            (-1, "out of range"), (3, "out of range"), (1.5, "integer"), (True, "integer")
+        ):
+            with pytest.raises(GraphError, match=message):
+                query(v)
+    assert g.degree(np.int64(1)) == 2 and g.to_original(2) == 2
+    assert g.neighbors(1).tolist() == [0, 2]
+
+
 def test_sparse_random_graph_rejects_impossible_edge_counts():
     # more edges than node pairs, or no pair at all: rejection never ends
     for n, avg_degree in ((4, 10.0), (1, 10.0), (1, 0.0)):
