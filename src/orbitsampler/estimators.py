@@ -30,7 +30,8 @@ normalizers.  Those keep their raw, possibly negative value;
 mode runs R31 and R32 for the thirty 3-node directed orbits; a route's
 probability for a directed orbit is its probability for the orbit's
 undirected shape.  :data:`MODES` holds what the rest of the package needs
-to know of each mode.
+to know of each mode.  Bias numerators and solved rows are read from
+:mod:`orbitsampler.orbits` (``IDENTITIES`` and ``SOLVED``).
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .graph import AnchorContext, Graph, GraphError
-from .orbits import IDENTITIES, UNORBIT
+from .orbits import IDENTITIES, SOLVED, UNORBIT
 from .samplers import ROUTES, tally_orbits
 
 
@@ -75,40 +76,20 @@ def check_mode(g: Graph, mode: str) -> None:
         raise GraphError("mode directed3 needs a directed graph (--directed)")
 
 
-# Per mode and route, the numerators of the route's bias at each tally
-# index: its normalizer's identity row read at the index's shape orbit.
-# Divided by the normalizer they give ``samplers.bias_vector``'s values.
-_BIAS_ROWS = {
-    mode: {
-        m: tuple(IDENTITIES[ROUTES[m].normalizer].get(s, 0) for s in spec.shape)
-        for m in spec.routes
-    }
-    for mode, spec in MODES.items()
-}
-
-# The orbits R41 and R42 reach, whose pairwise covariances the undirected
-# report carries (their flat indices into the 15 x 15 covariance matrix);
-# they cover every term of the identities for 2, 4 and 7.
-_COV_ORBITS = (3, 5, 6, 8, 9, 10, 11, 12, 13, 14)
+# The orbits R41 and R42 reach (those of their rows), whose pairwise
+# covariances the undirected report carries (their flat indices into the
+# 15 x 15 covariance matrix); they cover every term of the identities for
+# 2, 4 and 7.
+_COV_ORBITS = tuple(sorted({*IDENTITIES["forked_paths"], *IDENTITIES["tail_wedges"]}))
 _COV_PAIRS = tuple(combinations(_COV_ORBITS, 2))
 _COV_FLAT = np.array([15 * i + j for i, j in _COV_PAIRS])
 
 
-def _solved_identities():
-    """Each identity row solved for its orbit, as (orbit, normalizer, the
-    other terms (i, a), the slice of its variance terms), and the variance
-    terms a * cov[i, j] * b over pairs of other terms: the flat index of
-    (i, j) in the 15 x 15 covariance matrix, a and b."""
-    solved, terms = [], []
-    for orbit, name in ((2, "wedges"), (4, "three_walks"), (7, "triples")):
-        c = tuple((i, a) for i, a in IDENTITIES[name].items() if i != orbit)
-        start = len(terms)
-        terms += [(15 * i + j, a, b) for i, a in c for j, b in c]
-        solved.append((orbit, name, c, slice(start, len(terms))))
-    return (tuple(solved), *(np.array(col) for col in zip(*terms)))
-
-
-_SOLVED, _VAR_FLAT, _VAR_A, _VAR_B = _solved_identities()
+# Row after row of SOLVED, the variance terms a * cov[i, j] * b over pairs
+# of the row's n other terms (n * n of them): the flat index of (i, j) in
+# the 15 x 15 covariance matrix, a and b.
+_VAR_TERMS = [(15 * i + j, a, b) for _, _, c in SOLVED for i, a in c for j, b in c]
+_VAR_FLAT, _VAR_A, _VAR_B = (np.array(col) for col in zip(*_VAR_TERMS))
 
 
 @dataclass(frozen=True)
@@ -257,11 +238,12 @@ def estimate_orbit_degrees(
     streams = np.random.SeedSequence(seed).spawn(len(spec.routes))
     routes, hits, probs = [], [], []
     for m, stream in zip(spec.routes, streams):
-        denom = getattr(st, ROUTES[m].normalizer)
+        name = ROUTES[m].normalizer
+        denom, row = getattr(st, name), IDENTITIES[name]
         if denom > 0:  # the route is defined at v
             rng = np.random.default_rng(stream)
             hits.append(tally_orbits(g, ctx, m, ks[m], rng, directed))
-            probs.append([c / denom for c in _BIAS_ROWS[mode][m]])
+            probs.append([row.get(s, 0) / denom for s in spec.shape])
             routes.append(m)
     size = (len(routes), len(spec.shape))
     draws = np.array([ks[m] for m in routes])
@@ -276,10 +258,10 @@ def estimate_orbit_degrees(
         # Each identity row solved for its orbit, from its normalizer and
         # other terms, with the variance of those terms; fsum rounds each
         # sum once, so neither depends on the order of its terms.
-        var_terms = (_VAR_A * flat[_VAR_FLAT] * _VAR_B).tolist()
-        for solved, name, c, terms in _SOLVED:
+        var_terms = iter((_VAR_A * flat[_VAR_FLAT] * _VAR_B).tolist())
+        for solved, name, c in SOLVED:
             value = getattr(st, name) - math.fsum(a * values[i] for i, a in c)
-            var = math.fsum(var_terms[terms])
+            var = math.fsum(islice(var_terms, len(c) ** 2))
             given[solved] = Estimate(value, max(var, 0.0), "identity")
         covariances = dict(zip(_COV_PAIRS, flat[_COV_FLAT].tolist()))
     return OrbitReport(

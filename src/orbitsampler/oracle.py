@@ -4,7 +4,7 @@ A route hits each subgraph at orbit i in exactly c_i of its selections, c_i
 the orbit's coefficient in its normalizer's identity row, so the oracle
 classifies every selection of R32, R41 and R42 once with the route's own
 classifier and divides the hits by c_i.  Orbits none of them reaches follow
-from identities: undirected 2, 4 and 7 from the rows the estimator solves,
+from identities: undirected 2, 4 and 7 from the rows of ``orbits.SOLVED``,
 and each directed path centre from the neighbour pairs with its two codes
 less the triangles with those codes at the anchor.  The module, the ground
 truth for all statistical tests, also checks the count identities.  A guard
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _BIAS_ROWS, _SOLVED, MODES
+from .estimators import MODES
 from .graph import AnchorContext, Graph, NodeStats
-from .orbits import CENTER_IDS, IDENTITIES, TRIANGLE_IDS, UNORBIT, orbit_table
+from .orbits import CENTER_IDS, IDENTITIES, SOLVED, TRIANGLE_IDS, UNORBIT, orbit_table
 from .samplers import ROUTES, classify_batch, route_defined, selections
 
 DEFAULT_GUARD = 10**6
@@ -85,8 +85,9 @@ _CENTRES = [
 def _count(g: Graph, ctx: AnchorContext, routes) -> dict[str, dict[int, int]]:
     """Per mode, the counts at the tally indices that ``routes`` (of R32,
     R41 and R42) reach: the first reaching route's hits over every
-    selection, divided by its bias-row numerator.  On a directed graph a
-    3-node subgraph is classified once, by its direction codes."""
+    selection, divided by the coefficient of the index's shape orbit in the
+    route's identity row.  On a directed graph a 3-node subgraph is
+    classified once, by its direction codes."""
     modes = {
         m: "directed3" if g.directed and ROUTES[m].size == 2 else "undirected"
         for m in routes
@@ -97,9 +98,9 @@ def _count(g: Graph, ctx: AnchorContext, routes) -> dict[str, dict[int, int]]:
         hits[m] += np.bincount(orbits, minlength=len(hits[m]))
     count = {mode: {} for mode in MODES}
     for m, mode in modes.items():
-        h = hits[m].tolist()
-        for i, c in enumerate(_BIAS_ROWS[mode][m]):
-            if c:
+        h, row = hits[m].tolist(), IDENTITIES[ROUTES[m].normalizer]
+        for i, s in enumerate(MODES[mode].shape):
+            if c := row.get(s, 0):
                 count[mode].setdefault(i, h[i] // c)
     return count
 
@@ -134,7 +135,7 @@ def exact_orbit_degrees(
             pairs = n[p] * (n[p] - 1) // 2 if p == q else n[p] * n[q]
             dir3[centre] = pairs - sum(dir3[t] for t in closed)
         und |= {j: sum(k for i, k in dir3.items() if UNORBIT[i] == j) for j in (1, 3)}
-    for orbit, name, terms, _ in _SOLVED:
+    for orbit, name, terms in SOLVED:
         und[orbit] = getattr(ctx.stats, name) - sum(a * und[i] for i, a in terms)
     # orbits of a size not counted are 0 (R41 reaches 3; 2, 4 and 7 are solved)
     und |= {i: 0 for i in range(1, 15) if (3 if i < 4 else 4) not in sizes}

@@ -35,10 +35,11 @@ DIR3     ``DIR3[a, b, c]``: directed orbit for the codes of (v, x),
          (v, y) and (x, y), with 0 for no edge (-1: disconnected)
 =======  ==============================================================
 
-``IDENTITIES`` ties the undirected orbit degrees to the per-node
-normalizers.  Each row is the bias row of the sampling route that draws
-uniformly from what its normalizer counts; the oracle checks every row, and
-the undirected estimator solves three of them for orbits 2, 4 and 7.
+``IDENTITIES``, the package's one copy of the count identities, ties the
+undirected orbit degrees to the per-node normalizers.  Each row is the bias
+row of the sampling route that draws uniformly from what its normalizer
+counts; the oracle checks every row, and the undirected estimator and the
+oracle solve the rows of ``SOLVED`` for orbits 2, 4 and 7.
 """
 
 from __future__ import annotations
@@ -63,6 +64,13 @@ IDENTITIES = {
     "three_walks": {3: 2, 4: 1, 8: 2, 9: 2, 10: 1, 12: 4, 13: 2, 14: 6},
     "triples": {7: 1, 11: 1, 13: 1, 14: 1},
 }
+
+# Per orbit that none of R32, R41 and R42 reaches: (orbit, the normalizer
+# whose row is solved for it, whose c is 1 there, the row's other terms).
+SOLVED = tuple(
+    (orbit, name, tuple((i, c) for i, c in IDENTITIES[name].items() if i != orbit))
+    for orbit, name in ((2, "wedges"), (4, "three_walks"), (7, "triples"))
+)
 
 # Member pairs by position, anchor at 0, ordered by their larger position.
 PAIRS = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))

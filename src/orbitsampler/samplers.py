@@ -202,7 +202,6 @@ class Route:
     # (g, ctx, k, rng) -> the member columns after the anchor, then the
     # positions its classifier reads
     draw: Callable
-    max_orbit: int  # the highest undirected orbit id it reaches
     # 4-node routes, members named "vuwr": the pairs that are edges by
     # construction, and the two members whose coincidence is a triangle
     known: tuple[str, ...] = ()
@@ -214,16 +213,16 @@ class Route:
     @property
     def size(self) -> int:
         """The number of member columns: the members after the anchor."""
-        return 2 if self.max_orbit == 3 else 3
+        return 2 if max(IDENTITIES[self.normalizer]) == 3 else 3
 
 
 ROUTES = {
-    "R31": Route("wedges", _batch_r31, 3, local="uw"),
-    "R32": Route("two_paths", _batch_r32, 3),
-    "R41": Route("forked_paths", _batch_r41, 14, ("vu", "vw", "ur"), "wr", "uw"),
-    "R42": Route("tail_wedges", _batch_r42, 14, ("vu", "uw", "ur")),
-    "R43": Route("three_walks", _batch_r43, 14, ("vu", "uw", "wr"), "vr"),
-    "R44": Route("triples", _batch_r44, 14, ("vu", "vw", "vr")),
+    "R31": Route("wedges", _batch_r31, local="uw"),
+    "R32": Route("two_paths", _batch_r32),
+    "R41": Route("forked_paths", _batch_r41, ("vu", "vw", "ur"), "wr", "uw"),
+    "R42": Route("tail_wedges", _batch_r42, ("vu", "uw", "ur")),
+    "R43": Route("three_walks", _batch_r43, ("vu", "uw", "wr"), "vr"),
+    "R44": Route("triples", _batch_r44, ("vu", "vw", "vr")),
 }
 METHOD_ORDER = tuple(ROUTES)
 
@@ -248,14 +247,15 @@ def _require_route(method: str, stats: NodeStats) -> None:
 def bias_vector(method: str, stats: NodeStats) -> dict[int, float]:
     """Per-orbit probability of one draw hitting any fixed subgraph there.
 
-    Orbits the route cannot reach carry an exact 0.  Raises
-    :class:`CannotSampleError` when the route's normalizer vanishes.
+    Orbits 1 up to the top of the route's identity row; those the route
+    cannot reach carry an exact 0.  Raises :class:`CannotSampleError` when
+    the route's normalizer vanishes.
     """
     _require_route(method, stats)
     route = ROUTES[method]
     row = IDENTITIES[route.normalizer]
     denom = getattr(stats, route.normalizer)
-    return {i: row.get(i, 0) / denom for i in range(1, route.max_orbit + 1)}
+    return {i: row.get(i, 0) / denom for i in range(1, max(row) + 1)}
 
 
 # -- batch classification ----------------------------------------------------
