@@ -66,7 +66,7 @@ IDENTITIES = {
 }
 
 # Per orbit that none of R32, R41 and R42 reaches: (orbit, the normalizer
-# whose row is solved for it, whose c is 1 there, the row's other terms).
+# whose row is solved for it (the orbit's c is 1), the row's other terms).
 SOLVED = tuple(
     (orbit, name, tuple((i, c) for i, c in IDENTITIES[name].items() if i != orbit))
     for orbit, name in ((2, "wedges"), (4, "three_walks"), (7, "triples"))

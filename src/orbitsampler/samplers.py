@@ -247,9 +247,9 @@ def _require_route(method: str, stats: NodeStats) -> None:
 def bias_vector(method: str, stats: NodeStats) -> dict[int, float]:
     """Per-orbit probability of one draw hitting any fixed subgraph there.
 
-    Orbits 1 up to the top of the route's identity row; those the route
-    cannot reach carry an exact 0.  Raises :class:`CannotSampleError` when
-    the route's normalizer vanishes.
+    Keyed by orbit 1 up to the top orbit of the route's identity row; those
+    the route cannot reach carry an exact 0.  Raises
+    :class:`CannotSampleError` when the route's normalizer vanishes.
     """
     _require_route(method, stats)
     route = ROUTES[method]
