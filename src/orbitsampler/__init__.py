@@ -3,7 +3,7 @@
 The package estimates, for one anchor node of a large graph, how many
 connected induced 3- and 4-node subgraphs touch it at each automorphism
 orbit (14 undirected orbits; 30 directed orbits for 3-node subgraphs).
-Draws come from six cheap biased sampling routes whose per-subgraph bias is
+Draws come from five cheap biased sampling routes whose per-subgraph bias is
 known exactly, so tallies invert into unbiased estimates with closed-form
 variances.  An exact oracle provides ground truth for verification: it
 classifies every selection of three of the sampling routes once and

@@ -1,6 +1,6 @@
 """Orbit-degree estimates of one node by biased subgraph sampling.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 enumeration guard
+Exit codes: 0 success, 1 usage error, 2 data error, 3 oracle guard
 exceeded.
 """
 
@@ -226,7 +226,7 @@ def _cmd_evaluate(args) -> int:
     )
     if report.exact is None:
         print(
-            "enumeration guard exceeded; emitting estimation-only report",
+            "oracle guard exceeded; emitting estimation-only report",
             file=sys.stderr,
         )
     node = g.to_original(v)

@@ -260,11 +260,17 @@ class Graph:
 
     # -- adjacency queries --------------------------------------------------
 
+    @staticmethod
+    def _check_integer(v) -> None:
+        """Raise GraphError unless ``v`` is an integer; a bool or a float
+        would compare equal to an integer id."""
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise GraphError(f"node id must be an integer, got {v!r}")
+
     def _check_node(self, v) -> None:
         """Raise GraphError unless ``v`` is an integer id in ``0..n-1``; a
         numpy index would answer -1 with another node's entry."""
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise GraphError(f"node id must be an integer, got {v!r}")
+        self._check_integer(v)
         if not 0 <= v < self.node_count:
             raise GraphError(f"node {v} out of range")
 
@@ -386,6 +392,7 @@ class Graph:
         return int(self.original_ids[v])
 
     def to_dense(self, original: int) -> int:
+        self._check_integer(original)
         i = int(np.searchsorted(self.original_ids, original))
         if i >= self.node_count or self.original_ids[i] != original:
             raise GraphError(f"unknown node id {original}")

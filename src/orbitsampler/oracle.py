@@ -49,9 +49,12 @@ class IdentityReport:
 def candidate_bound(stats: NodeStats, sizes: tuple[int, ...] = (3, 4)) -> int:
     """Upper bound on the number of subgraphs of the given sizes at a node.
 
-    Every subgraph containing the node is reachable by at least one sampling
-    route of its size, so the sum of those routes' selection counts bounds
-    the total.
+    The 3-node term sums the selection counts of R31 and R32, which reach
+    every 3-node subgraph at the node.  The 4-node term is at least
+    ``forked_paths + tail_wedges``, the selections of R41 and R42, which
+    reach every 4-node subgraph at the node, so it bounds their number too.
+    The benchmark's independent reference picks its anchors by this same
+    formula, so the two change together.
     """
     bound = stats.wedges + stats.two_paths if 3 in sizes else 0
     if 4 in sizes:

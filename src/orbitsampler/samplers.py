@@ -16,7 +16,6 @@ R42      u: neighbour weighted by (d_u-1)(d_u-2)/2; w, r: distinct
          uniform in N(u) - {v}
 R43      u: neighbour weighted by (two_paths_u - d_v + 1); w: in
          N(u) - {v} weighted by (d_w - 1); r: uniform in N(w) - {u}
-R44      u, w, r: three distinct uniform neighbours of v
 =======  ============================================================
 
 R41 and R43 may produce a coincidence (w == r, resp. r == v); the draw then
@@ -24,8 +23,7 @@ degenerates to a 3-node triangle and is kept as such --- resampling would
 bias the estimates.
 
 A route can draw at a node exactly where its normalizer is positive
-(:func:`route_defined`): ``wedges > 0`` means degree >= 2 and ``triples > 0``
-degree >= 3.
+(:func:`route_defined`): ``wedges > 0`` means degree >= 2.
 
 :func:`draw_batch` draws ``k`` subgraphs of one route at once with vectorized
 arithmetic and consumes a ``numpy.random.Generator``, so identical seeds give
@@ -58,10 +56,9 @@ pair of two such members is answered by the context
 (``AnchorContext.pair_codes``, which states when it builds its d x d code
 matrix and when it searches the edge keys instead).  The other pairs
 without the anchor (R41's and R42's (w, r), R43's (u, r) and its step from
-w back past u, R44's three pairs) always search the edge keys.  The batch
-functions take the context in place of the anchor's id, and
-:func:`tally_orbits` hands its caller's context to both the draws and the
-classification.
+w back past u) always search the edge keys.  The batch functions take the
+context in place of the anchor's id, and :func:`tally_orbits` hands its
+caller's context to both the draws and the classification.
 """
 
 from __future__ import annotations
@@ -134,14 +131,10 @@ def _second_step(
     return g.indptr[u] + _skip_one(rng.integers(0, g.degrees[u] - 1), pos_v)
 
 
-def _distinct_pair(d: int, k: int, rng: np.random.Generator):
-    """Two distinct uniform positions out of ``d`` per draw."""
-    iu = rng.integers(0, d, size=k)
-    return iu, _skip_one(rng.integers(0, d - 1, size=k), iu)
-
-
 def _batch_r31(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
-    iu, iw = _distinct_pair(len(ctx.nb), k, rng)
+    d = len(ctx.nb)
+    iu = rng.integers(0, d, size=k)
+    iw = _skip_one(rng.integers(0, d - 1, size=k), iu)
     return ctx.nb[iu], ctx.nb[iw], iu, iw
 
 
@@ -187,13 +180,6 @@ def _batch_r43(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
     return u, w, g.indices[_second_step(g, w, g.pos_of_many(w, u), rng)]
 
 
-def _batch_r44(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
-    d = len(ctx.nb)
-    iu, iw = _distinct_pair(d, k, rng)
-    ir = _skip_two(rng.integers(0, d - 2, size=k), iu, iw)
-    return ctx.nb[iu], ctx.nb[iw], ctx.nb[ir]
-
-
 @dataclass(frozen=True)
 class Route:
     """What one sampling route draws, and what its draws are."""
@@ -222,7 +208,6 @@ ROUTES = {
     "R41": Route("forked_paths", _batch_r41, ("vu", "vw", "ur"), "wr", "uw"),
     "R42": Route("tail_wedges", _batch_r42, ("vu", "uw", "ur")),
     "R43": Route("three_walks", _batch_r43, ("vu", "uw", "wr"), "vr"),
-    "R44": Route("triples", _batch_r44, ("vu", "vw", "vr")),
 }
 METHOD_ORDER = tuple(ROUTES)
 

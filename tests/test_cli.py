@@ -190,6 +190,8 @@ def test_usage_errors(graph_file, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
     assert main(est + ["--mode", "directed3", "--budget-split", "5,5,5"]) == 1
     assert main(["evaluate", *est[1:], "--budget", "300", "--runs", "1"]) == 1
+    with pytest.raises(ValueError, match="two runs"):  # and so does the library
+        run_experiment(complete_graph(4), 0, "undirected", BudgetConfig(total=30), 1, 0)
     ev = ["evaluate", *est[1:], "--budget", "300", "--runs", "2"]
     assert main(ev + ["--workers", "0"]) == 1
     assert main(ev + ["--workers", "-2"]) == 1

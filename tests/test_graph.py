@@ -376,6 +376,9 @@ def test_sparse_random_graph_rejects_impossible_edge_counts():
         with pytest.raises(ValueError, match="need 2 or more nodes"):
             sparse_random_graph(n, avg_degree, seed=0)
     assert sparse_random_graph(4, 3.0, seed=0).degrees.tolist() == [3, 3, 3, 3]
+    # nor can its seed star give m links per step to fewer than m + 1 nodes
+    with pytest.raises(ValueError, match="more nodes than links"):
+        preferential_attachment(3, 3, seed=0)
 
 
 def test_id_compaction_and_map():
@@ -383,8 +386,13 @@ def test_id_compaction_and_map():
     assert g.node_count == 3
     assert list(g.original_ids) == [7, 100, 250]
     assert g.to_dense(100) == 1 and g.to_original(1) == 100
+    assert g.to_dense(np.int32(7)) == 0
     with pytest.raises(GraphError):
         g.to_dense(8)
+    # a bool or a float equal to an original id is not that id
+    for original in (True, 7.0, np.float64(100.0), "7"):
+        with pytest.raises(GraphError, match="integer"):
+            g.to_dense(original)
 
 
 def test_directed_arc_semantics():

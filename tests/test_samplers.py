@@ -156,6 +156,8 @@ def test_r31_examples(paw, star4, k3):
     # star centre: every draw is a path with the centre in the middle
     for p, s in draw_outcomes(star4, 0, "R31"):
         assert classify_undirected(star4, 0, s) == 2
+    # ... and the centre of the whole star, which no route draws, is orbit 7
+    assert classify_undirected(star4, 0, (0, 1, 2, 3)) == 7
     # triangle graph: always the whole triangle
     for p, s in draw_outcomes(k3, 0, "R31"):
         assert s == (0, 1, 2)
@@ -199,13 +201,6 @@ def test_r43_examples(k4, path4, star4):
     p3 = sum(p for p, s in draw_outcomes(k4, 0, "R43") if len(s) == 3)
     assert abs(p3 - 0.5) < 1e-12
     _cannot_sample(star4, 0, "R43")
-
-
-def test_r44_examples(k4, star4, path4):
-    assert all(s == (0, 1, 2, 3) for _, s in draw_outcomes(star4, 0, "R44"))
-    assert classify_undirected(star4, 0, (0, 1, 2, 3)) == 7
-    assert all(s == (0, 1, 2, 3) for _, s in draw_outcomes(k4, 0, "R44"))
-    _cannot_sample(path4, 1, "R44")
 
 
 def test_skip_one_and_skip_two_map_every_index():
@@ -337,9 +332,6 @@ def test_bias_vector_values(paw, k4):
     p = bias_vector("R42", k4.stats(0))
     assert p[6] == p[9] == p[10] == p[13] == pytest.approx(1 / 3)
     assert p[12] == pytest.approx(2 / 3) and p[14] == pytest.approx(1.0)
-    st3 = complete_graph(4).stats(0)
-    p = bias_vector("R44", st3)
-    assert p[7] == p[11] == p[13] == p[14] == 1.0
     undefined = r"R32 cannot draw at node 0 \(two_paths = 0\)"
     with pytest.raises(CannotSampleError, match=undefined):
         bias_vector("R32", star_graph(3).stats(0))
@@ -425,6 +417,10 @@ def test_batch_directed_labels_match_scalar_classifier(monkeypatch):
         cols = draw_batch(g, ctx, method, 500, np.random.default_rng(1))
         labels = _batch_labels(g, ctx, method, cols, True)
         assert labels.tolist() == _scalar_labels(g, v, method, cols, True)
+    # 4-node draws have no directed orbits
+    for method in ("R41", "R42", "R43"):
+        with pytest.raises(ValueError, match="undirected only"):
+            tally_orbits(g, ctx, method, 10, np.random.default_rng(1), directed=True)
 
     # every connected directed 3-node graph, through each draw shape that
     # reaches it: wedges (0; u, w), fed the positions of u and w in N(0),
