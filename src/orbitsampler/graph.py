@@ -19,12 +19,16 @@ rejects a malformed ``indptr`` and neighbour ids outside ``0..n-1``, and
 loops, symmetry, labels).
 
 One int64 key orders the pairs: (row, col) has key ``row * n + col``, which
-fits while ``n**2`` is below 2**63 (``MAX_NODES``).  Loading merges repeated
-lines by one sort of that key.  Pairs that contain the anchor of an estimate
-are answered by an :class:`AnchorContext`, built once per estimate and never
-cached on the graph: a gather from a per-node code array and from the
-anchor's back positions.  Pairs of two neighbours of the anchor, given by
-their positions in its list, are answered by the context too
+fits while ``n**2`` is below 2**63 (``MAX_NODES``).  Loading maps the ids
+to ``0..n-1`` through a presence array over their span when the span is
+below the endpoint count, else by ``np.unique``; then one value sort (no
+argsort) of the uint64 keys ``(row * n + col) << 1 | reverse`` merges
+repeated lines, orders the CSR and gives the direction labels.  Pairs that
+contain the anchor of an estimate are answered by an
+:class:`AnchorContext`, built once per estimate and never cached on the
+graph: a gather from a per-node code array and from the anchor's back
+positions.  Pairs of two neighbours of the anchor, given by their positions
+in its list, are answered by the context too
 (:meth:`AnchorContext.pair_codes`, which states when it builds its d x d
 code matrix).  Every other pair lookup, scalar or batched, is one search
 of the sorted edge keys (``Graph._find``), and a lookup that needs an edge
@@ -41,6 +45,7 @@ from __future__ import annotations
 import io
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -115,6 +120,26 @@ class NodeStats:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _compact_ids(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids of ``ends`` in ascending order, and the rank of
+    each endpoint among them.
+
+    While the ids span fewer values than there are endpoints, a presence
+    array over the span and its running count give the ranks in linear
+    time; ids spread wider (up to 2**63) take the sort of ``np.unique``.
+    """
+    lo = int(ends.min())
+    span = int(ends.max()) - lo + 1
+    if span >= len(ends):
+        return np.unique(ends, return_inverse=True)
+    ends = ends - lo
+    present = np.zeros(span, dtype=bool)
+    present[ends] = True
+    rank = np.cumsum(present, dtype=np.int64)
+    rank -= 1
+    return np.flatnonzero(present) + lo, rank[ends]
 
 
 class Graph:
@@ -205,10 +230,16 @@ class Graph:
         ``compact`` maps the distinct ids to ``0..n-1`` and keeps them as
         ``original_ids``.  The counts land in the graph's :class:`LoadSummary`.
 
-        One sort of the adjacency keys ``row * n + col`` merges repeats and
-        orders the CSR, so more than ``MAX_NODES`` nodes raise
-        :class:`GraphError`, before any build, and so do endpoints of a
-        non-integer dtype (bool too), which a cast would truncate.
+        ``compact`` ranks the ids through a presence array over their span
+        and its running count when the span is below the endpoint count,
+        and by ``np.unique`` otherwise (:func:`_compact_ids`).  Each line
+        gives two adjacency entries, and one value sort of their uint64 keys
+        ``(row * n + col) << 1 | reverse`` merges repeats and orders the
+        CSR: a run of equal ``key >> 1`` is one edge, and the low bits at
+        its ends are its direction.  The pair key must stay below 2**63, so
+        more than ``MAX_NODES`` nodes raise :class:`GraphError`, before any
+        build, and so do endpoints of a non-integer dtype (bool too), which
+        a cast would truncate.
         """
         u, v = np.asarray(u), np.asarray(v)
         if any(a.size and a.dtype.kind not in "iu" for a in (u, v)):
@@ -222,7 +253,7 @@ class Graph:
         ends = np.concatenate((u[keep], v[keep]))
         original_ids = None
         if compact:
-            original_ids, ends = np.unique(ends, return_inverse=True)
+            original_ids, ends = _compact_ids(ends)
             node_count = len(original_ids)
         if node_count is None:
             node_count = 1 + int(ends.max())
@@ -231,28 +262,43 @@ class Graph:
         if node_count > MAX_NODES:
             raise GraphError(f"{node_count} nodes: edge keys need n**2 below 2**63")
         # Line i gives the entries (u_i, v_i) at i and (v_i, u_i) at m + i.
-        # One sort of their keys groups repeated lines and orders the CSR.
-        rows, cols = ends, np.roll(ends, m)
-        key = rows * node_count + cols
-        order = np.argsort(key)
-        key = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        first = order[starts]
+        # Each entry's uint64 key is its pair key row * n + col shifted left
+        # over one bit, set on the reverse entries (2 * n**2 < 2**64).  One
+        # value sort of the keys groups repeated lines and orders the CSR.
+        key = ends * node_count
+        key[:m] += ends[m:]
+        key[m:] += ends[:m]
+        del ends
+        key = key.view(np.uint64)
+        key <<= 1
+        key[m:] |= 1
+        key.sort()
+        # an entry opens a run where its pair key differs from the last one
+        opens = np.empty(len(key), dtype=bool)
+        opens[0] = True
+        np.greater(key[1:] ^ key[:-1], 1, out=opens[1:])
+        starts = np.flatnonzero(opens)
+        del opens
+        first = key[starts]
         edges = distinct = len(starts) // 2
         labels = None
         if directed:
-            # Entry i < m sets OUT and entry m + i sets IN, so the merged bits
-            # of a run are its direction code, and each distinct arc sets OUT
-            # at exactly one entry, its tail's.
-            bits = np.repeat(np.array([OUT, IN], dtype=np.int8), m)
-            labels = np.bitwise_or.reduceat(bits[order], starts)
+            # A run's forward entries (bit 0) sort before its reverse ones
+            # (bit 1): the row has an arc out when the run's first bit is 0
+            # and an arc in when its last bit is 1.  Each distinct arc is
+            # OUT at exactly one entry, its tail's.
+            last = key[np.append(starts[1:], len(key)) - 1]
+            labels = np.int8(OUT) * ((first & 1) == 0) + np.int8(IN) * ((last & 1) == 1)
             distinct = np.count_nonzero(labels & OUT)
+        del key
+        pair = (first >> 1).view(np.int64)
+        rows = pair // node_count
         summary = LoadSummary(lines_read, edges, loops, m - int(distinct))
         indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[first], minlength=node_count), out=indptr[1:])
+        np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
         return cls(
             indptr,
-            cols[first],
+            pair - rows * node_count,
             labels=labels,
             original_ids=original_ids,
             summary=summary,
@@ -393,6 +439,8 @@ class Graph:
 
     def to_dense(self, original: int) -> int:
         self._check_integer(original)
+        # a Python int: searchsorted compares int64 with uint64 in float64
+        original = int(original)
         i = int(np.searchsorted(self.original_ids, original))
         if i >= self.node_count or self.original_ids[i] != original:
             raise GraphError(f"unknown node id {original}")
@@ -441,7 +489,8 @@ class AnchorContext:
     nb          the anchor's sorted neighbour list
     code        int8 per node: 0 for a non-neighbour of v, else the
                 direction code of (v, x), or ``MUTUAL`` when undirected
-    back        ``back[i]`` is the position of v in the list of ``nb[i]``
+    back        ``back[i]`` is the position of v in the list of ``nb[i]``,
+                searched on first read (the oracle never reads it)
     ==========  ==========================================================
 
     Pairs inside N(v) whose members a route drew by position in ``nb`` are
@@ -457,8 +506,12 @@ class AnchorContext:
             self.code[self.nb] = g.labels[g.indptr[v] : g.indptr[v + 1]]
         else:
             self.code[self.nb] = MUTUAL
-        self.back = g.pos_of_many(self.nb, v)
+        self._g = g
         self._pairs: np.ndarray | None = None
+
+    @cached_property
+    def back(self) -> np.ndarray:
+        return self._g.pos_of_many(self.nb, self.v)
 
     def pair_codes(
         self, g: Graph, a: np.ndarray, b: np.ndarray,

@@ -67,13 +67,19 @@ def check_guard(
     g: Graph, v: int, limit: int | None = DEFAULT_GUARD, sizes: tuple[int, ...] = (3, 4)
 ) -> None:
     """Raise :class:`GuardExceededError` when ``sizes`` look too costly to count."""
+    if limit is not None:
+        _guard(g, g.stats(v), limit, sizes)
+
+
+def _guard(g: Graph, stats: NodeStats, limit: int | None, sizes: tuple[int, ...]) -> None:
+    """:func:`check_guard` on statistics already computed."""
     if limit is None:
         return
-    bound = candidate_bound(g.stats(v), sizes)
+    bound = candidate_bound(stats, sizes)
     if bound > limit:
         raise GuardExceededError(
-            f"node {g.to_original(v)} implies up to {bound} candidate subgraphs"
-            f" (limit {limit})"
+            f"node {g.to_original(stats.node)} implies up to {bound} candidate"
+            f" subgraphs (limit {limit})"
         )
 
 
@@ -125,8 +131,8 @@ def exact_orbit_degrees(
     """
     if not sizes or set(sizes) - {3, 4}:
         raise ValueError(f"sizes must hold 3, 4 or both, got {sizes!r}")
-    check_guard(g, v, guard, sizes)
     ctx = AnchorContext(g, v)
+    _guard(g, ctx.stats, guard, sizes)
     routes = [m for m in MODES["undirected"].routes if ROUTES[m].size + 1 in sizes]
     count = _count(g, ctx, [m for m in routes if route_defined(m, ctx.stats)])
     und = dict.fromkeys(range(15), 0) | count["undirected"] | {0: g.degree(v)}

@@ -277,10 +277,19 @@ def reference_load(lines, directed):
 
 
 @st.composite
+def narrow_ids(draw):
+    # ids less than 64 apart, anywhere below 2**63: their span is often
+    # below the endpoint count, so the load ranks them without a sort
+    base = draw(st.integers(0, 2**63 - 64))
+    return st.integers(base, base + draw(st.integers(1, 63)))
+
+
+@st.composite
 def edge_list_lines(draw):
-    # a small pool of sparse ids makes self loops common; repeated and
-    # reversed copies of drawn pairs add repeats and reciprocal arcs
-    ids = st.integers(0, 2**63 - 1)
+    # a small pool of ids, sparse or narrow, makes self loops common;
+    # repeated and reversed copies of drawn pairs add repeats and
+    # reciprocal arcs
+    ids = draw(st.one_of(st.just(st.integers(0, 2**63 - 1)), narrow_ids()))
     pool = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
     node = st.sampled_from(pool)
     pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=20))
@@ -315,18 +324,41 @@ def test_load_matches_set_reference(lines, directed):
     assert g.summary == summary
     assert dense.summary == dataclasses.replace(summary, lines_read=0)
     for h in (g, dense):
-        assert h.indptr.tolist() == indptr
-        assert h.indices.tolist() == indices
-        if directed:
-            assert h.labels.tolist() == labels
-        else:
-            assert h.labels is None
+        assert_arrays(h, indptr, indices, labels, directed)
+
+
+def assert_arrays(g, indptr, indices, labels, directed):
+    assert g.indptr.tolist() == indptr
+    assert g.indices.tolist() == indices
+    if directed:
+        assert g.labels.tolist() == labels
+    else:
+        assert g.labels is None
+
+
+def test_compaction_takes_the_dense_map_below_the_endpoint_count():
+    # four lines give six endpoints once the self loop is dropped; ids
+    # spanning five values take the presence array (with a hole at the
+    # loop's id), ids spanning six take np.unique
+    base = 2**63 - 64
+    for top, sorts in ((4, False), (5, True)):
+        lines = [f"{base + a} {base + b}" for a, b in ((0, top), (1, 2), (2, 1), (3, 3))]
+        for directed in (False, True):
+            indptr, indices, labels, ids, summary = reference_load(lines, directed)
+            text = io.StringIO("\n".join(lines) + "\n")
+            with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+                g = load_edge_list(text, directed=directed)
+            assert unique.called == sorts
+            assert g.original_ids.tolist() == ids and g.summary == summary
+            assert_arrays(g, indptr, indices, labels, directed)
 
 
 def test_from_arrays_refuses_graphs_too_large_for_the_edge_key():
     # row * n + col stays below n**2, which reaches 2**63 just past MAX_NODES;
-    # the check runs before any node-sized array is allocated
+    # the check runs before any node-sized array is allocated.  The load's
+    # sort key, the pair key over one direction bit, fits 64 bits unsigned.
     assert MAX_NODES**2 < 2**63 <= (MAX_NODES + 1) ** 2
+    assert 2 * MAX_NODES**2 < 2**64
     with pytest.raises(GraphError, match=r"2\*\*63"):
         Graph.from_edges([(0, 1)], node_count=MAX_NODES + 1)
     with pytest.raises(GraphError, match=r"2\*\*63"):
@@ -392,6 +424,18 @@ def test_id_compaction_and_map():
     # a bool or a float equal to an original id is not that id
     for original in (True, 7.0, np.float64(100.0), "7"):
         with pytest.raises(GraphError, match="integer"):
+            g.to_dense(original)
+
+
+def test_to_dense_takes_every_integer_type():
+    # searchsorted would compare int64 ids with a uint64 query in float64,
+    # where 2**62 + 1 rounds to 2**62
+    base = 2**62
+    g = load_edge_list(io.StringIO(f"{base} {base + 1}\n{base + 1} {base + 2}\n"))
+    for query in (int, np.int64, np.uint64):
+        assert [g.to_dense(query(base + i)) for i in range(3)] == [0, 1, 2]
+    for original in (np.uint64(2**63), np.uint64(2**64 - 1), 2**63, -(2**63) - 1):
+        with pytest.raises(GraphError, match="unknown node id"):
             g.to_dense(original)
 
 

@@ -173,6 +173,27 @@ def test_guard():
     check_guard(hub, 0, limit=None)  # disabled guard never raises
 
 
+def test_oracle_makes_no_back_queries_and_one_stats_call(monkeypatch):
+    # the guard is priced from the context's statistics, and the oracle
+    # never reads the context's back positions
+    calls = {"pos_of_many": 0, "stats": 0}
+    for name in calls:
+        def spy(self, *args, _name=name, _real=getattr(Graph, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(Graph, name, spy)
+    for g in (gnp(20, 0.3, 1), gnp_directed(20, 0.3, 1)):
+        for v, sizes in ((0, (3, 4)), (1, (3,)), (2, (4,))):
+            for guard in (oracle.DEFAULT_GUARD, None):
+                calls.update(pos_of_many=0, stats=0)
+                exact_orbit_degrees(g, v, guard=guard, sizes=sizes)
+                assert calls == {"pos_of_many": 0, "stats": 1}
+    calls.update(stats=0)
+    with pytest.raises(GuardExceededError):
+        exact_orbit_degrees(star_graph(60), 0, guard=10)
+    assert calls == {"pos_of_many": 0, "stats": 1}
+
+
 def test_oracle_counts_match_public_classifier():
     # the oracle's tallies by edge pattern and code triple must agree with
     # the classifiers applied to each member set, undirected and directed
