@@ -14,9 +14,10 @@ recomputed on every call, never kept on the graph, so memory stays flat
 however many anchors are estimated; an estimate computes its anchor's
 statistics once, in its :class:`AnchorContext`.  A graph is complete and
 immutable once constructed, ``two_paths_all`` included; construction
-rejects a malformed ``indptr`` and neighbour ids outside ``0..n-1``, and
+rejects a malformed ``indptr``, neighbour ids outside ``0..n-1`` and
+``original_ids`` that are not one strictly increasing id per node, and
 :meth:`Graph.validate` checks the other invariants (sorted lists, no self
-loops, symmetry, labels).
+loops, symmetry, labels that are direction codes).
 
 One int64 key orders the pairs: (row, col) has key ``row * n + col``, which
 fits while ``n**2`` is below 2**63 (``MAX_NODES``).  Loading maps the ids
@@ -28,11 +29,12 @@ contain the anchor of an estimate are answered by an
 :class:`AnchorContext`, built once per estimate and never cached on the
 graph: a gather from a per-node code array and from the anchor's back
 positions.  Pairs of two neighbours of the anchor, given by their positions
-in its list, are answered by the context too
-(:meth:`AnchorContext.pair_codes`, which states when it builds its d x d
-code matrix).  Every other pair lookup, scalar or batched, is one search
-of the sorted edge keys (``Graph._find``), and a lookup that needs an edge
-raises :class:`NotANeighborError` for a pair that is not one.
+in its list alone, are answered by the context too
+(:meth:`AnchorContext.pair_codes`: 0 for a non-edge, else the direction
+code seen from the first, ``MUTUAL`` when undirected).  Every other pair
+lookup, scalar or batched, is one search of the sorted edge keys
+(``Graph._find``), and a lookup that needs an edge raises
+:class:`NotANeighborError` for a pair that is not one.
 
 An edge list whose every line fits a strict grammar (``_tokenize_edges``)
 is parsed by array operations over its bytes; any other input is read by
@@ -168,9 +170,6 @@ class Graph:
             self.labels = _freeze(np.asarray(labels, dtype=np.int8))
             if self.labels.shape != self.indices.shape:
                 raise GraphError("labels must align with adjacency entries")
-        if original_ids is None:
-            original_ids = np.arange(self.node_count, dtype=np.int64)
-        self.original_ids = _freeze(np.asarray(original_ids, dtype=np.int64))
         self.summary = summary
         self.degrees = _freeze(np.diff(self.indptr))
         ends_ok = (
@@ -180,6 +179,13 @@ class Graph:
         )
         if not ends_ok or self.degrees.min() < 0:
             raise GraphError("indptr must rise from 0 to len(indices)")
+        if original_ids is None:
+            original_ids = np.arange(self.node_count, dtype=np.int64)
+        self.original_ids = _freeze(np.asarray(original_ids, dtype=np.int64))
+        # to_dense searches them, so they must rise, one per node
+        ids_ok = self.original_ids.shape == (self.node_count,)
+        if not ids_ok or np.any(np.diff(self.original_ids) <= 0):
+            raise GraphError("original_ids must rise strictly, one per node")
         # read as unsigned, a negative id is above every valid one
         if self.indices.view(np.uint64).max() >= self.node_count:
             raise GraphError("neighbour id out of range")
@@ -469,6 +475,7 @@ class Graph:
         require(self.has_edges(self.indices, rows), "asymmetric edge ({v}, {u})")
         if self.directed:
             a, b = self.labels, self.direction_codes(self.indices, rows)
+            require((a >= OUT) & (a <= MUTUAL), "label on ({v}, {u}) not a direction")
             ok = ((a == MUTUAL) & (b == MUTUAL)) | (a + b == OUT + IN)
             require(ok, "label mismatch on ({v}, {u})")
 
@@ -494,7 +501,7 @@ class AnchorContext:
     ==========  ==========================================================
 
     Pairs inside N(v) whose members a route drew by position in ``nb`` are
-    answered by :meth:`pair_codes`.
+    answered by :meth:`pair_codes` from those positions alone.
     """
 
     def __init__(self, g: Graph, v: int):
@@ -513,27 +520,23 @@ class AnchorContext:
     def back(self) -> np.ndarray:
         return self._g.pos_of_many(self.nb, self.v)
 
-    def pair_codes(
-        self, g: Graph, a: np.ndarray, b: np.ndarray,
-        ia: np.ndarray, ib: np.ndarray, directed: bool,
-    ) -> np.ndarray:
-        """Per pair (a, b) of neighbours of v, at positions ``ia``, ``ib`` of
-        ``nb``: 0 for a non-edge, else nonzero, and the direction code of
-        (a, b) as seen from a when ``directed``.
+    def pair_codes(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        """Int8 code per pair of neighbours of v at positions ``ia``, ``ib``
+        of ``nb``: 0 for a non-edge, else the direction code of (nb[ia],
+        nb[ib]) as seen from the first, or ``MUTUAL`` when undirected.
 
-        The answers come from a d x d int8 code matrix over the positions in
-        ``nb`` (entry (i, j) is 0 for no edge, else the direction code of
-        (nb[i], nb[j]), or ``MUTUAL`` when undirected).  It is built from
-        one gather of the neighbours' lists (``two_paths + d`` entries),
-        keeping those whose ``code`` is nonzero, by the first batch for
-        which the matrix and the gather take no more bytes than three int64
-        columns of the batch: d**2 + 8 * (two_paths + d) <= 24 * len(a).
-        The context keeps it, and every later batch reads it, whatever its
-        size.  Until then the pairs search the graph's edge keys.
+        The answers come from a d x d code matrix over the positions in
+        ``nb``, built from one gather of the neighbours' lists
+        (``two_paths + d`` entries), keeping those whose ``code`` is
+        nonzero, by the first batch for which the matrix and the gather
+        take no more bytes than three int64 columns of the batch:
+        d**2 + 8 * (two_paths + d) <= 24 * len(ia).  The context keeps it,
+        and every later batch reads it, whatever its size.  Until then the
+        pairs search the graph's edge keys, with the same answers.
         """
-        d = len(self.nb)
+        g, d = self._g, len(self.nb)
         size = d * d + 8 * (self.stats.two_paths + d)
-        if self._pairs is None and size <= 24 * len(a):
+        if self._pairs is None and size <= 24 * len(ia):
             at, ends = g.list_entries(self.nb)
             hit = np.flatnonzero(self.code[g.indices[at]])
             at = at[hit]
@@ -543,11 +546,10 @@ class AnchorContext:
             self._pairs[i, j] = g.labels[at] if g.directed else MUTUAL
         if self._pairs is not None:
             return self._pairs[ia, ib]
+        a, b = self.nb[ia], self.nb[ib]
         edge = g.has_edges(a, b)
-        if not directed:
-            return edge
         c = np.zeros(len(a), dtype=np.int8)
-        c[edge] = g.direction_codes(a[edge], b[edge])
+        c[edge] = g.direction_codes(a[edge], b[edge]) if g.directed else MUTUAL
         return c
 
 

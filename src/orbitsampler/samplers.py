@@ -42,23 +42,26 @@ one batch of integers in ``1..total`` and answers it through a guide table
 over the cumulative array: equal buckets of the value range, each with the
 answers at its two ends, so a draw whose bucket holds one answer is a
 gather and only the others are searched, in one ``np.searchsorted``.  The
-answers are those of a search of every draw.  The routes keep the index
-``iu`` of the neighbour they drew, so the position of v in the list of u is
-the gather ``back[iu]``, and the classifiers test pairs (v, x) by gathering
-the context's code array (nonzero = edge, and the direction code of (v, x)
-when directed).
+answers are those of a search of every draw.  R32, R41 and R42 keep the
+index ``iu`` of the neighbour they drew, so the position of v in the list
+of u is the gather ``back[iu]``.  R43 skips by value instead: it zeroes
+the weight of every entry equal to v, and its step from w moves each draw
+at or past u one entry on (the lists are sorted).  The classifiers test
+pairs (v, x) by gathering the context's code array (nonzero = edge, and
+the direction code of (v, x) when directed).
 
 :func:`draw_batch` returns a route's member columns after the anchor
 (``Route.size`` of them), then the positions its classifier reads: R31 and
 R41 the positions in N(v) of u and w (``Route.local``), R32 the adjacency
 index of its second step, whose direction code is ``g.labels`` there.  A
-pair of two such members is answered by the context
-(``AnchorContext.pair_codes``, which states when it builds its d x d code
+pair of two such members is answered by the context from their positions
+alone (``ctx.pair_codes(iu, iw)``: 0 for a non-edge, else the direction
+code of (u, w) as seen from u; it states when it builds its d x d code
 matrix and when it searches the edge keys instead).  The other pairs
-without the anchor (R41's and R42's (w, r), R43's (u, r) and its step from
-w back past u) always search the edge keys.  The batch functions take the
-context in place of the anchor's id, and :func:`tally_orbits` hands its
-caller's context to both the draws and the classification.
+without the anchor (R41's and R42's (w, r), R43's (u, r)) always search
+the edge keys.  The batch functions take the context in place of the
+anchor's id, and :func:`tally_orbits` hands its caller's context to both
+the draws and the classification.
 """
 
 from __future__ import annotations
@@ -172,12 +175,16 @@ def _batch_r43(g: Graph, ctx: AnchorContext, k: int, rng: np.random.Generator):
     at, ends = g.list_entries(ctx.nb)
     cand = g.indices[at]
     weight = g.degrees[cand] - 1
-    weight[ends - g.degrees[ctx.nb] + ctx.back] = 0
+    weight[cand == ctx.v] = 0
     acc = g._acc("walk", ctx.stats, weight, ctx.stats.three_walks)
     pick = _weighted_pick(acc, k, rng)
     u = ctx.nb[np.searchsorted(ends, pick, side="right")]
     w = cand[pick]
-    return u, w, g.indices[_second_step(g, w, g.pos_of_many(w, u), rng)]
+    # r: uniform in N(w) - {u}; the list is sorted, so skipping u's entry
+    # is skipping every draw at or past it, found by value
+    at = g.indptr[w] + rng.integers(0, g.degrees[w] - 1)
+    at += g.indices[at] >= u
+    return u, w, g.indices[at]
 
 
 @dataclass(frozen=True)
@@ -255,7 +262,7 @@ def classify_wedge_batch(
 ) -> np.ndarray:
     """Orbits for draws of the form (v; u, w) with u, w both neighbours of
     v, drawn at positions ``iu``, ``iw`` of ``ctx.nb``."""
-    c = ctx.pair_codes(g, u, w, iu, iw, directed)
+    c = ctx.pair_codes(iu, iw)
     if not directed:
         return ORBIT3[0b011 + 0b100 * (c != 0)]
     return _DIR3_FLAT[16 * ctx.code[u] + 4 * ctx.code[w] + c]
@@ -298,8 +305,7 @@ def classify_quad_batch(
         elif a == "v":
             edge = ctx.code[cols[b]] != 0
         elif a in pos and b in pos:
-            codes = ctx.pair_codes(g, cols[a], cols[b], pos[a], pos[b], False)
-            edge = codes != 0
+            edge = ctx.pair_codes(pos[a], pos[b]) != 0
         else:
             edge = g.has_edges(cols[a], cols[b])
         pattern = pattern + bit * edge
