@@ -15,19 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import (
-    MODES,
-    BudgetConfig,
-    Estimate,
-    OrbitReport,
-    check_mode,
-    estimate_orbit_degrees,
-)
+from .estimators import BudgetConfig, Estimate, OrbitReport, estimate_orbit_degrees
 from .experiment import exact_mode_counts, run_experiment
 from .graph import Graph, GraphError, load_edge_list
 from .oracle import DEFAULT_GUARD, GuardExceededError
 from .orbits import orbit_table
 from .report import dumps, report_rows, report_to_dict
+from .samplers import MODES
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_GUARD = 0, 1, 2, 3
 
@@ -173,7 +167,6 @@ def _cmd_estimate(args) -> int:
     budget = _budget_from_args(args)
     _at_least(args.seed, 0, "--seed")
     g = _load_graph(args)
-    check_mode(g, args.mode)
     v = _pick_node(g, args)
     report = estimate_orbit_degrees(g, v, args.mode, budget, args.seed)
     _emit_report(args, report, g.to_original(v))
@@ -183,7 +176,6 @@ def _cmd_estimate(args) -> int:
 def _cmd_exact(args) -> int:
     _at_least(args.oracle_guard, 0, "--oracle-guard")
     g = _load_graph(args)
-    check_mode(g, args.mode)
     v = _pick_node(g, args)
     mapping = exact_mode_counts(g, v, args.mode, args.oracle_guard)
     report = OrbitReport(
@@ -211,7 +203,6 @@ def _cmd_evaluate(args) -> int:
     _at_least(args.workers, 1, "--workers")
     _at_least(args.oracle_guard, 0, "--oracle-guard")
     g = _load_graph(args)
-    check_mode(g, args.mode)
     v = _pick_node(g, args)
     report = run_experiment(
         g,

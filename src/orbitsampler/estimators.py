@@ -29,9 +29,10 @@ normalizers.  Those keep their raw, possibly negative value;
 ``Estimate.clamped`` gives the floored convenience value.  The directed3
 mode runs R31 and R32 for the thirty 3-node directed orbits; a route's
 probability for a directed orbit is its probability for the orbit's
-undirected shape.  :data:`MODES` holds what the rest of the package needs
-to know of each mode.  Bias numerators and solved rows are read from
-:mod:`orbitsampler.orbits` (``IDENTITIES`` and ``SOLVED``).
+undirected shape.  The mode table, :data:`orbitsampler.samplers.MODES`,
+lives beside the routes it draws; each route's probabilities are
+:func:`orbitsampler.samplers.bias_vector`'s, and the solved rows are
+:data:`orbitsampler.orbits.SOLVED`.
 """
 
 from __future__ import annotations
@@ -43,37 +44,9 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .graph import AnchorContext, Graph, GraphError
-from .orbits import IDENTITIES, SOLVED, UNORBIT
-from .samplers import ROUTES, tally_orbits
-
-
-@dataclass(frozen=True)
-class Mode:
-    """What one estimation mode draws and reports."""
-
-    routes: tuple[str, ...]  # in pipeline (and budget split) order
-    orbits: tuple[int, ...]  # the orbit ids a report carries
-    shape: tuple[int, ...]  # per tally index, the orbit whose bias applies
-
-
-MODES = {
-    "undirected": Mode(("R32", "R41", "R42"), tuple(range(15)), tuple(range(15))),
-    "directed3": Mode(
-        ("R31", "R32"),
-        tuple(range(1, 31)),
-        (0,) + tuple(UNORBIT[i] for i in range(1, 31)),
-    ),
-}
-
-
-def check_mode(g: Graph, mode: str) -> None:
-    """Refuse a mode ``g`` cannot run: ValueError for an unknown mode,
-    GraphError for directed3 on a graph without direction labels."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "directed3" and not g.directed:
-        raise GraphError("mode directed3 needs a directed graph (--directed)")
+from .graph import AnchorContext, Graph
+from .orbits import IDENTITIES, SOLVED
+from .samplers import MODES, bias_vector, check_mode, route_defined, tally_orbits
 
 
 # The orbits R41 and R42 reach (those of their rows), whose pairwise
@@ -238,12 +211,11 @@ def estimate_orbit_degrees(
     streams = np.random.SeedSequence(seed).spawn(len(spec.routes))
     routes, hits, probs = [], [], []
     for m, stream in zip(spec.routes, streams):
-        name = ROUTES[m].normalizer
-        denom, row = getattr(st, name), IDENTITIES[name]
-        if denom > 0:  # the route is defined at v
+        if route_defined(m, st):
             rng = np.random.default_rng(stream)
             hits.append(tally_orbits(g, ctx, m, ks[m], rng, directed))
-            probs.append([row.get(s, 0) / denom for s in spec.shape])
+            bias = bias_vector(m, st)
+            probs.append([bias.get(s, 0.0) for s in spec.shape])
             routes.append(m)
     size = (len(routes), len(spec.shape))
     draws = np.array([ks[m] for m in routes])

@@ -17,11 +17,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import MODES, BudgetConfig, check_mode, estimate_orbit_degrees
+from .estimators import BudgetConfig, estimate_orbit_degrees
 from .graph import Graph
 from .metrics import l1_l2, nrmse, topk_detection
 from .oracle import DEFAULT_GUARD, GuardExceededError, exact_orbit_degrees
-from .samplers import ROUTES
+from .samplers import MODES, ROUTES, check_mode
 
 TOPK_LEVELS = (5, 10, 15)
 
@@ -132,6 +132,7 @@ def run_experiment(
     """
     if runs < 2:
         raise ValueError("experiments need at least two runs")
+    check_mode(g, mode)
     matrix, times = run_pipeline_matrix(g, v, mode, budget, runs, seed, workers)
     spec = MODES[mode]
     ids = spec.orbits

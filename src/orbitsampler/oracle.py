@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import MODES
 from .graph import AnchorContext, Graph, NodeStats
 from .orbits import CENTER_IDS, IDENTITIES, SOLVED, TRIANGLE_IDS, UNORBIT, orbit_table
-from .samplers import ROUTES, classify_batch, route_defined, selections
+from .samplers import MODES, ROUTES, classify_batch, route_defined, selections
 
 DEFAULT_GUARD = 10**6
 
@@ -95,12 +94,10 @@ def _count(g: Graph, ctx: AnchorContext, routes) -> dict[str, dict[int, int]]:
     """Per mode, the counts at the tally indices that ``routes`` (of R32,
     R41 and R42) reach: the first reaching route's hits over every
     selection, divided by the coefficient of the index's shape orbit in the
-    route's identity row.  On a directed graph a 3-node subgraph is
-    classified once, by its direction codes."""
-    modes = {
-        m: "directed3" if g.directed and ROUTES[m].size == 2 else "undirected"
-        for m in routes
-    }
+    route's identity row.  On a directed graph a route that directed3
+    draws is classified by direction codes."""
+    directed = MODES["directed3"].routes if g.directed else ()
+    modes = {m: "directed3" if m in directed else "undirected" for m in routes}
     hits = {m: np.zeros(len(MODES[modes[m]].shape), dtype=np.int64) for m in routes}
     for m, cols in selections(g, ctx, routes):
         orbits = classify_batch(g, ctx, m, cols, modes[m] == "directed3")
@@ -126,7 +123,7 @@ def exact_orbit_degrees(
     and undirected orbits 1 and 3 are its class sums.  ``sizes`` restricts
     which subgraph sizes are counted, and the guard bounds only those
     (directed orbits only need size 3, see
-    :data:`orbitsampler.estimators.MODES`).  The counts are Python ints.
+    :data:`orbitsampler.samplers.MODES`).  The counts are Python ints.
     ``sizes`` must hold 3, 4 or both, else ``ValueError``.
     """
     if not sizes or set(sizes) - {3, 4}:

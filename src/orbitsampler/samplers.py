@@ -25,6 +25,11 @@ bias the estimates.
 A route can draw at a node exactly where its normalizer is positive
 (:func:`route_defined`): ``wedges > 0`` means degree >= 2.
 
+:data:`MODES`, beside the routes it names, is the one mode table: per mode,
+the routes it draws (in budget-split order), the orbit ids it reports and,
+per tally index, the orbit whose bias applies (their count is the tally
+length); :func:`check_mode` refuses a mode that a graph cannot run.
+
 :func:`draw_batch` draws ``k`` subgraphs of one route at once with vectorized
 arithmetic and consumes a ``numpy.random.Generator``, so identical seeds give
 identical draw sequences.  The ``classify_*_batch`` functions label draws
@@ -71,8 +76,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import AnchorContext, Graph, NodeStats
-from .orbits import DIR3, IDENTITIES, ORBIT3, ORBIT4, PAIRS
+from .graph import AnchorContext, Graph, GraphError, NodeStats
+from .orbits import DIR3, IDENTITIES, ORBIT3, ORBIT4, PAIRS, UNORBIT
 
 
 class CannotSampleError(ValueError):
@@ -218,9 +223,33 @@ ROUTES = {
 }
 METHOD_ORDER = tuple(ROUTES)
 
-# Tally length per ``directed`` flag: one bin for every orbit id the
-# classification tables hold.
-_TALLY_LENGTH = {False: int(ORBIT4.max()) + 1, True: int(DIR3.max()) + 1}
+
+@dataclass(frozen=True)
+class Mode:
+    """What one estimation mode draws and reports."""
+
+    routes: tuple[str, ...]  # in pipeline (and budget split) order
+    orbits: tuple[int, ...]  # the orbit ids a report carries
+    shape: tuple[int, ...]  # per tally index, the orbit whose bias applies
+
+
+MODES = {
+    "undirected": Mode(("R32", "R41", "R42"), tuple(range(15)), tuple(range(15))),
+    "directed3": Mode(
+        ("R31", "R32"),
+        tuple(range(1, 31)),
+        (0,) + tuple(UNORBIT[i] for i in range(1, 31)),
+    ),
+}
+
+
+def check_mode(g: Graph, mode: str) -> None:
+    """Refuse a mode ``g`` cannot run: ValueError for an unknown mode,
+    GraphError for directed3 on a graph without direction labels."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "directed3" and not g.directed:
+        raise GraphError("mode directed3 needs a directed graph (--directed)")
 
 
 def route_defined(method: str, stats: NodeStats) -> bool:
@@ -350,13 +379,15 @@ def tally_orbits(
 ) -> np.ndarray:
     """Histogram of anchor orbits over ``k`` draws of one route.
 
-    Undirected tallies have length 15 (index = orbit id); directed tallies
-    have length 31 and are only defined for the 3-node routes.  Draws and
-    classification share the anchor context ``ctx``.
+    A tally has one bin per tally index of its mode's ``shape``: 15 when
+    undirected (index = orbit id), 31 when ``directed``, which only the
+    3-node routes allow.  Draws and classification share the anchor
+    context ``ctx``.
     """
     cols = draw_batch(g, ctx, method, k, rng)
     orbits = classify_batch(g, ctx, method, cols, directed)
-    return np.bincount(orbits, minlength=_TALLY_LENGTH[directed])
+    mode = MODES["directed3" if directed else "undirected"]
+    return np.bincount(orbits, minlength=len(mode.shape))
 
 
 _SELECTION_CHUNK = 1 << 14  # rows per batch of R41's and R42's selections

@@ -130,6 +130,23 @@ def test_exact_mode_counts_refuses_directed3_without_labels():
         exact_mode_counts(g, 0, "bogus", None)
 
 
+def test_run_experiment_refuses_the_mode_before_its_pool(monkeypatch):
+    # a mode the graph cannot run is refused before any process is forked
+    from orbitsampler import experiment
+    from orbitsampler.graph import Graph, GraphError
+
+    def no_pool(method):
+        raise AssertionError(f"a {method} context was made")
+
+    monkeypatch.setattr(experiment.multiprocessing, "get_context", no_pool)
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
+    budget = BudgetConfig(total=30)
+    with pytest.raises(GraphError, match="--directed"):
+        run_experiment(g, 2, "directed3", budget, runs=2, seed=0, workers=2)
+    with pytest.raises(ValueError, match="unknown mode"):
+        run_experiment(g, 2, "bogus", budget, runs=2, seed=0, workers=2)
+
+
 def test_help_lists_every_command_once(capsys):
     from orbitsampler import cli
 

@@ -1,8 +1,10 @@
 """Oracle tests: enumeration correctness, identities, and cross counters."""
 
+import ast
 import dataclasses
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,3 +375,17 @@ def test_sizes_must_hold_three_or_four(paw):
     for sizes, orbits in (((3,), range(1, 4)), ((4,), range(4, 15))):
         part = exact_orbit_degrees(paw, 2, sizes=sizes).undirected
         assert part == {i: whole[i] if i in orbits or i == 0 else 0 for i in range(15)}
+
+
+def test_oracle_imports_nothing_from_the_estimator():
+    # the ground truth must not lean on the code it checks
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module or ''}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert not parts & {"estimators", "experiment"}, sorted(names)
+    assert "samplers.MODES" in names
