@@ -14,10 +14,12 @@ recomputed on every call, never kept on the graph, so memory stays flat
 however many anchors are estimated; an estimate computes its anchor's
 statistics once, in its :class:`AnchorContext`.  A graph is complete and
 immutable once constructed, ``two_paths_all`` included; construction
-rejects a malformed ``indptr``, neighbour ids outside ``0..n-1`` and
-``original_ids`` that are not one strictly increasing id per node, and
-:meth:`Graph.validate` checks the other invariants (sorted lists, no self
-loops, symmetry, labels that are direction codes).
+rejects arrays of a non-integer dtype or with values that their int64
+(labels: int8) cast would change, a malformed ``indptr``, neighbour ids
+outside ``0..n-1`` and ``original_ids`` that are not one strictly
+increasing id per node, and :meth:`Graph.validate` checks the other
+invariants (sorted lists, no self loops, symmetry, labels that are
+direction codes).
 
 One int64 key orders the pairs: (row, col) has key ``row * n + col``, which
 fits while ``n**2`` is below 2**63 (``MAX_NODES``).  Loading maps the ids
@@ -124,6 +126,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integers(a, dtype, name: str) -> np.ndarray:
+    """``a`` as an array of ``dtype``, refusing with :class:`GraphError` a
+    non-integer dtype (bool too) and any value the cast would change.  An
+    array already of ``dtype`` is returned as it is, with no pass over it."""
+    a = np.asarray(a)
+    if a.dtype == dtype:
+        return a
+    if a.size and a.dtype.kind not in "iu":
+        raise GraphError(f"{name} must be integers, got {a.dtype}")
+    cast = a.astype(dtype)
+    if not np.array_equal(cast, a):
+        raise GraphError(f"{name} hold values outside {np.dtype(dtype)}")
+    return cast
+
+
 def _compact_ids(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ids of ``ends`` in ascending order, and the rank of
     each endpoint among them.
@@ -156,8 +173,8 @@ class Graph:
         original_ids: np.ndarray | None = None,
         summary: LoadSummary | None = None,
     ):
-        self.indptr = _freeze(np.asarray(indptr, dtype=np.int64))
-        self.indices = _freeze(np.asarray(indices, dtype=np.int64))
+        self.indptr = _freeze(_integers(indptr, np.int64, "indptr"))
+        self.indices = _freeze(_integers(indices, np.int64, "indices"))
         if self.indptr.ndim != 1 or self.indices.ndim != 1:
             raise GraphError("indptr and indices must be one-dimensional")
         if not len(self.indices):
@@ -167,7 +184,7 @@ class Graph:
         self.directed = labels is not None
         self.labels = None
         if self.directed:
-            self.labels = _freeze(np.asarray(labels, dtype=np.int8))
+            self.labels = _freeze(_integers(labels, np.int8, "labels"))
             if self.labels.shape != self.indices.shape:
                 raise GraphError("labels must align with adjacency entries")
         self.summary = summary
@@ -181,7 +198,7 @@ class Graph:
             raise GraphError("indptr must rise from 0 to len(indices)")
         if original_ids is None:
             original_ids = np.arange(self.node_count, dtype=np.int64)
-        self.original_ids = _freeze(np.asarray(original_ids, dtype=np.int64))
+        self.original_ids = _freeze(_integers(original_ids, np.int64, "original_ids"))
         # to_dense searches them, so they must rise, one per node
         ids_ok = self.original_ids.shape == (self.node_count,)
         if not ids_ok or np.any(np.diff(self.original_ids) <= 0):
@@ -244,13 +261,10 @@ class Graph:
         CSR: a run of equal ``key >> 1`` is one edge, and the low bits at
         its ends are its direction.  The pair key must stay below 2**63, so
         more than ``MAX_NODES`` nodes raise :class:`GraphError`, before any
-        build, and so do endpoints of a non-integer dtype (bool too), which
-        a cast would truncate.
+        build, and so do endpoints of a non-integer dtype (bool too) and
+        ids that int64 cannot hold, which a cast would truncate or wrap.
         """
-        u, v = np.asarray(u), np.asarray(v)
-        if any(a.size and a.dtype.kind not in "iu" for a in (u, v)):
-            raise GraphError(f"node ids must be integers, got {u.dtype} and {v.dtype}")
-        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
+        u, v = (_integers(a, np.int64, "node ids") for a in (u, v))
         keep = u != v
         m = int(keep.sum())
         loops = len(u) - m

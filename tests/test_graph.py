@@ -383,6 +383,13 @@ def test_non_integer_ids_are_refused_not_truncated():
         Graph.from_edges([])
     g = Graph.from_arrays(np.array([0, 1], np.uint8), np.array([1, 2], np.int32))
     assert g.edge_count == 2
+    # nor wrapped: a cast would store these ids as -2**63 and -2**63 + 1
+    big = np.array([2**63, 2**63 + 1], np.uint64)
+    with pytest.raises(GraphError, match="node ids hold values outside int64"):
+        Graph.from_arrays(big[:1], big[1:], compact=True)
+    ids = np.array([2**62, 2**63 - 1], np.uint64)  # int64 holds these
+    wide = Graph.from_arrays(ids[:1], ids[1:], compact=True)
+    assert wide.original_ids.tolist() == [2**62, 2**63 - 1]
     for v in (3.0, 1.0, True, "1", None):
         with pytest.raises(GraphError, match="integer"):
             g.stats(v)
@@ -428,14 +435,23 @@ def test_id_compaction_and_map():
 
 
 @pytest.mark.parametrize(
-    "original_ids",
-    [[10, 5, 7], [1, 2], [4, 4, 9], [[1, 2, 3]]],
-    ids=["unsorted", "one-short", "repeated", "2d"],
+    "original_ids, message",
+    [
+        ([10, 5, 7], "must rise strictly"),
+        ([1, 2], "must rise strictly"),
+        ([4, 4, 9], "must rise strictly"),
+        ([[1, 2, 3]], "must rise strictly"),
+        # a cast would build [1, 2, 3], where to_dense(2) answers 1
+        ([1.5, 2.7, 3.9], "must be integers"),
+        # a cast would wrap them to -2**63 and up, still rising
+        (np.array([2**63, 2**63 + 1, 2**63 + 2], np.uint64), "hold values outside"),
+    ],
+    ids=["unsorted", "one-short", "repeated", "2d", "float", "uint64-past-int64"],
 )
-def test_construction_rejects_unusable_original_ids(original_ids):
+def test_construction_rejects_unusable_original_ids(original_ids, message):
     # on a 3-node path: to_dense searches the ids and to_original indexes
     # them, so each of these would answer wrongly or raise IndexError
-    with pytest.raises(GraphError, match="original_ids must rise strictly"):
+    with pytest.raises(GraphError, match=f"original_ids {message}"):
         Graph(np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]), None, original_ids)
 
 
@@ -791,11 +807,17 @@ def test_validate_rejects_broken_invariant(indptr, indices, labels, message):
         # built unchecked, this graph's edge keys would be a 2 x 2 matrix
         ([0, 1, 2], [[1], [0]], None, "one-dimensional"),
         ([0, 1, 2], [1, 0], [[OUT], [IN]], "labels must align"),
+        # a cast would build each of these with other values: indptr
+        # [0, 1, 3, 4], indices [1, 0], labels [1, 2, 1, 2] (valid codes)
+        ([0.5, 1, 3, 4], [1, 0, 2, 1], None, "indptr must be integers"),
+        ([0, 1, 2], [True, False], None, "indices must be integers"),
+        ([0, 1, 3, 4], [1, 0, 2, 1], [257, 258, 1, 2], "labels hold values outside"),
     ],
     ids=[
         "id-too-large", "id-negative", "id-very-negative", "aliasing-key",
         "indptr-past-end", "indptr-late-start", "indptr-falls",
         "indptr-empty", "indptr-2d", "indices-2d", "labels-2d",
+        "indptr-float", "indices-bool", "labels-past-int8",
     ],
 )
 def test_construction_rejects_malformed_arrays(indptr, indices, labels, message):
