@@ -96,8 +96,8 @@ def _count(g: Graph, ctx: AnchorContext, routes) -> dict[str, dict[int, int]]:
     selection, divided by the coefficient of the index's shape orbit in the
     route's identity row.  On a directed graph a route that directed3
     draws is classified by direction codes."""
-    directed = MODES["directed3"].routes if g.directed else ()
-    modes = {m: "directed3" if m in directed else "undirected" for m in routes}
+    coded = MODES["directed3"].routes if g.directed else ()
+    modes = {m: "directed3" if m in coded else "undirected" for m in routes}
     hits = {m: np.zeros(len(MODES[modes[m]].shape), dtype=np.int64) for m in routes}
     for m, cols in selections(g, ctx, routes):
         orbits = classify_batch(g, ctx, m, cols, modes[m] == "directed3")
