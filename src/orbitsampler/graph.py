@@ -22,21 +22,21 @@ invariants (sorted lists, no self loops, symmetry, labels that are
 direction codes).
 
 One int64 key orders the pairs: (row, col) has key ``row * n + col``, which
-fits while ``n**2`` is below 2**63 (``MAX_NODES``).  Loading maps the ids
-to ``0..n-1`` through a presence array over their span when the span is
-below the endpoint count, else by ``np.unique``; then one value sort (no
-argsort) of the uint64 keys ``(row * n + col) << 1 | reverse`` merges
-repeated lines, orders the CSR and gives the direction labels.  Pairs that
-contain the anchor of an estimate are answered by an
-:class:`AnchorContext`, built once per estimate and never cached on the
-graph: a gather from a per-node code array and from the anchor's back
-positions.  Pairs of two neighbours of the anchor, given by their positions
-in its list alone, are answered by the context too
-(:meth:`AnchorContext.pair_codes`: 0 for a non-edge, else the direction
-code seen from the first, ``MUTUAL`` when undirected).  Every other pair
-lookup, scalar or batched, is one search of the sorted edge keys
-(``Graph._find``), and a lookup that needs an edge raises
-:class:`NotANeighborError` for a pair that is not one.
+fits while ``n**2`` is below 2**63 (``MAX_NODES``).  Loading maps the ids to
+``0..n-1`` through a presence array over their span when the span is below
+the endpoint count, else by ``np.unique``; then one value sort (no argsort)
+of the uint64 keys ``(row * n + col) << 1 | reverse`` merges repeated lines,
+orders the CSR and gives the direction labels, in place: at the build's peak
+the caller's endpoints and two int64 arrays over the adjacency entries are
+alive (:meth:`Graph.from_arrays`).  Pairs that contain the anchor of an
+estimate are answered by an :class:`AnchorContext`, built once per estimate:
+a gather from a per-node code array and from the anchor's back positions.
+Pairs of two neighbours of the anchor, given by their positions in its list
+alone, are answered by the context too (:meth:`AnchorContext.pair_codes`: 0
+for a non-edge, else the direction code seen from the first, ``MUTUAL`` when
+undirected).  Every other pair lookup, scalar or batched, is one search of
+the sorted edge keys (``Graph._find``), and a lookup that needs an edge
+raises :class:`NotANeighborError` for a pair that is not one.
 
 An edge list whose every line fits a strict grammar (``_tokenize_edges``)
 is parsed by array operations over its bytes; any other input is read by
@@ -146,19 +146,20 @@ def _compact_ids(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each endpoint among them.
 
     While the ids span fewer values than there are endpoints, a presence
-    array over the span and its running count give the ranks in linear
-    time; ids spread wider (up to 2**63) take the sort of ``np.unique``.
+    array over the span and its running count rank them in linear time,
+    over ``ends``; ids spread wider (up to 2**63) take ``np.unique``'s sort.
     """
     lo = int(ends.min())
     span = int(ends.max()) - lo + 1
     if span >= len(ends):
         return np.unique(ends, return_inverse=True)
-    ends = ends - lo
+    ends -= lo
     present = np.zeros(span, dtype=bool)
     present[ends] = True
     rank = np.cumsum(present, dtype=np.int64)
     rank -= 1
-    return np.flatnonzero(present) + lo, rank[ends]
+    np.take(rank, ends, out=ends, mode="clip")  # "raise" buffers out
+    return np.flatnonzero(present) + lo, ends
 
 
 class Graph:
@@ -174,7 +175,7 @@ class Graph:
         summary: LoadSummary | None = None,
     ):
         self.indptr = _freeze(_integers(indptr, np.int64, "indptr"))
-        self.indices = _freeze(_integers(indices, np.int64, "indices"))
+        self.indices = _integers(indices, np.int64, "indices")  # frozen below
         if self.indptr.ndim != 1 or self.indices.ndim != 1:
             raise GraphError("indptr and indices must be one-dimensional")
         if not len(self.indices):
@@ -206,16 +207,19 @@ class Graph:
         # read as unsigned, a negative id is above every valid one
         if self.indices.view(np.uint64).max() >= self.node_count:
             raise GraphError("neighbour id out of range")
-        # Two-edge walks leaving each node, built (and csum freed) before the
-        # edge keys, whose temporaries are larger, so the peaks do not add.
+        # Two-edge walks leaving each node, built in place: "clip" clips no
+        # id in range, and take copies read-only indices, so they wait.
         csum = np.zeros(len(self.indices) + 1, dtype=np.int64)
-        np.cumsum(self.degrees[self.indices], out=csum[1:])
+        np.take(self.degrees, self.indices, out=csum[1:], mode="clip")
+        _freeze(self.indices)
+        np.cumsum(csum[1:], out=csum[1:])
         self._two_paths_all = _freeze(np.diff(csum[self.indptr]) - self.degrees)
         del csum
         # Sorted (row, neighbour) keys, one per adjacency entry, so a key's
         # index is the entry's index.  Every pair lookup searches them (_find).
-        rows = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
-        self._edge_keys = _freeze(rows * self.node_count + self.indices)
+        keys = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
+        keys *= self.node_count
+        self._edge_keys = _freeze(np.add(keys, self.indices, out=keys))
 
     # -- construction -----------------------------------------------------
 
@@ -253,24 +257,32 @@ class Graph:
         ``compact`` maps the distinct ids to ``0..n-1`` and keeps them as
         ``original_ids``.  The counts land in the graph's :class:`LoadSummary`.
 
-        ``compact`` ranks the ids through a presence array over their span
-        and its running count when the span is below the endpoint count,
-        and by ``np.unique`` otherwise (:func:`_compact_ids`).  Each line
-        gives two adjacency entries, and one value sort of their uint64 keys
+        ``compact`` ranks the ids (:func:`_compact_ids`).  Each line gives
+        two adjacency entries, and one value sort of their uint64 keys
         ``(row * n + col) << 1 | reverse`` merges repeats and orders the
         CSR: a run of equal ``key >> 1`` is one edge, and the low bits at
-        its ends are its direction.  The pair key must stay below 2**63, so
-        more than ``MAX_NODES`` nodes raise :class:`GraphError`, before any
-        build, and so do endpoints of a non-integer dtype (bool too) and
-        ids that int64 cannot hold, which a cast would truncate or wrap.
+        its ends are its direction.  ``u`` and ``v`` are only read: the
+        build works in place over one copy of the kept endpoints, so at its
+        peak ``u``, ``v`` and two int64 arrays over the entries are alive,
+        the sorted keys and their run heads (then ``indices`` and the edge
+        keys of ``Graph.__init__``).  The pair key must stay below 2**63, so
+        more than ``MAX_NODES`` nodes raise :class:`GraphError` before any
+        build, as do endpoint arrays of a non-integer dtype (bool too), not
+        one-dimensional or of unequal length, and ids that int64 cannot
+        hold, which a cast would change.
         """
         u, v = (_integers(a, np.int64, "node ids") for a in (u, v))
+        if u.ndim != 1 or u.shape != v.shape:
+            raise GraphError("endpoint arrays must be one-dimensional, of one length")
         keep = u != v
         m = int(keep.sum())
         loops = len(u) - m
         if not m:
             raise EmptyGraphError("no usable edges")
-        ends = np.concatenate((u[keep], v[keep]))
+        ends = np.empty(2 * m, dtype=np.int64)
+        ends[:m] = u[keep]
+        ends[m:] = v[keep]
+        del keep
         original_ids = None
         if compact:
             original_ids, ends = _compact_ids(ends)
@@ -282,47 +294,37 @@ class Graph:
         if node_count > MAX_NODES:
             raise GraphError(f"{node_count} nodes: edge keys need n**2 below 2**63")
         # Line i gives the entries (u_i, v_i) at i and (v_i, u_i) at m + i.
-        # Each entry's uint64 key is its pair key row * n + col shifted left
-        # over one bit, set on the reverse entries (2 * n**2 < 2**64).  One
-        # value sort of the keys groups repeated lines and orders the CSR.
-        key = ends * node_count
-        key[:m] += ends[m:]
-        key[m:] += ends[:m]
-        del ends
-        key = key.view(np.uint64)
+        # Over ``ends``, their pair keys (a col is the other half's key // n)
+        # shift left over one bit, set on the reverse ones (2 * n**2 < 2**64).
+        ends *= node_count
+        ends[:m] += ends[m:] // node_count
+        ends[m:] += ends[:m] // node_count
+        key = ends.view(np.uint64)
         key <<= 1
         key[m:] |= 1
         key.sort()
+        # The reverse bits, a byte each.  A run's forward entries (bit 0) sort
+        # before its reverse ones (bit 1): the row has an arc out when the
+        # run's first bit is 0 and an arc in when its last bit is 1.
+        low = key.astype(np.uint8) & 1 if directed else None
+        key >>= 1
         # an entry opens a run where its pair key differs from the last one
-        opens = np.empty(len(key), dtype=bool)
-        opens[0] = True
-        np.greater(key[1:] ^ key[:-1], 1, out=opens[1:])
-        starts = np.flatnonzero(opens)
-        del opens
-        first = key[starts]
-        edges = distinct = len(starts) // 2
+        opens = np.append(True, key[1:] != key[:-1])
+        pair = key[opens].view(np.int64)
+        del ends, key
+        edges = distinct = len(pair) // 2
         labels = None
         if directed:
-            # A run's forward entries (bit 0) sort before its reverse ones
-            # (bit 1): the row has an arc out when the run's first bit is 0
-            # and an arc in when its last bit is 1.  Each distinct arc is
-            # OUT at exactly one entry, its tail's.
-            last = key[np.append(starts[1:], len(key)) - 1]
-            labels = np.int8(OUT) * ((first & 1) == 0) + np.int8(IN) * ((last & 1) == 1)
+            # each distinct arc is OUT at exactly one entry, its tail's
+            labels = np.int8(OUT) * (low[opens] == 0)
+            labels += np.int8(IN) * (low[np.append(opens[1:], True)] == 1)
             distinct = np.count_nonzero(labels & OUT)
-        del key
-        pair = (first >> 1).view(np.int64)
-        rows = pair // node_count
+        del low, opens
         summary = LoadSummary(lines_read, edges, loops, m - int(distinct))
-        indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
-        return cls(
-            indptr,
-            pair - rows * node_count,
-            labels=labels,
-            original_ids=original_ids,
-            summary=summary,
-        )
+        indptr = np.arange(node_count + 1, dtype=np.int64) * node_count
+        indptr = np.searchsorted(pair, indptr)  # row i's first key >= i * n
+        np.remainder(pair, node_count, out=pair)
+        return cls(indptr, pair, labels, original_ids, summary)
 
     # -- adjacency queries --------------------------------------------------
 

@@ -215,11 +215,27 @@ def test_clean_file_takes_the_fast_path_from_every_source(tmp_path, monkeypatch)
             assert (getattr(g, name) == getattr(graphs[0], name)).all(), name
 
 
-def test_fast_load_peak_stays_within_scanner_peak_plus_file(tmp_path):
+def random_edge_file(tmp_path):
+    """A 200k-line edge list over 50k ids, behind one comment line."""
     rng = np.random.default_rng(5)
     ends = rng.integers(0, 50_000, size=(200_000, 2))
     path = tmp_path / "big.txt"
     path.write_text("# generated\n" + "".join(f"{u} {v}\n" for u, v in ends.tolist()))
+    return path
+
+
+def peak(load):
+    """The graph ``load()`` returns, and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        g = load()
+        return g, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fast_load_peak_stays_within_scanner_peak_plus_file(tmp_path):
+    path = random_edge_file(tmp_path)
 
     def scanner_load():
         with open(path, encoding="ascii", errors="replace") as lines:
@@ -228,19 +244,24 @@ def test_fast_load_peak_stays_within_scanner_peak_plus_file(tmp_path):
             pairs[:, 0], pairs[:, 1], compact=True, lines_read=count
         )
 
-    def peak(load):
-        tracemalloc.start()
-        try:
-            g = load()
-            return g, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     slow, slow_peak = peak(scanner_load)
     fast, fast_peak = peak(lambda: load_edge_list(path))
     assert fast.summary == slow.summary
     assert (fast.indices == slow.indices).all()
     assert fast_peak <= slow_peak + path.stat().st_size
+
+
+def test_load_peak_stays_within_twice_the_graph_beyond_file_and_pairs(tmp_path):
+    # The build works in place: beyond the file's bytes and the parsed pairs
+    # (16 B a line), a load holds at most twice the arrays of its graph.
+    path = random_edge_file(tmp_path)
+    for directed in (False, True):
+        g, top = peak(lambda: load_edge_list(path, directed))
+        arrays = (g.indptr, g.indices, g.labels, g.original_ids, g.degrees)
+        arrays += (g.two_paths_all(), g._edge_keys)
+        graph_bytes = sum(a.nbytes for a in arrays if a is not None)
+        bound = path.stat().st_size + 16 * g.summary.lines_read + 2 * graph_bytes
+        assert top <= bound, (directed, top, bound)
 
 
 def reference_load(lines, directed):
@@ -394,6 +415,47 @@ def test_non_integer_ids_are_refused_not_truncated():
         with pytest.raises(GraphError, match="integer"):
             g.stats(v)
     assert g.stats(np.int32(1)) == g.stats(1)
+
+
+def test_from_arrays_refuses_malformed_endpoint_arrays():
+    # numpy's own IndexError or broadcast ValueError must not leak out, and
+    # 2-d arrays of one shape must not be read as their flattened pairs
+    column = np.array([[0], [1]])
+    for u, v in (
+        ([0], [1, 2, 3]), ([0, 1], [1, 2, 3]), (column, np.array([1, 2])),
+        (column, column + 1), (np.int64(0), np.int64(1)),
+    ):
+        with pytest.raises(GraphError, match="one-dimensional, of one length"):
+            Graph.from_arrays(u, v)
+        with pytest.raises(GraphError, match="one-dimensional, of one length"):
+            Graph.from_arrays(u, v, directed=True, compact=True)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("compact", [False, True])
+def test_from_arrays_only_reads_its_endpoint_arrays(directed, compact):
+    # The build works in place over its own buffer.  Columns of one pairs
+    # array, as load_edge_list passes them, with a self loop and repeats,
+    # with no line dropped (where skipping the copy would alias the caller's
+    # buffer), and with ids spread wide enough for np.unique's ranking.
+    inputs = [
+        [(0, 1), (2, 2), (1, 2), (2, 0), (0, 1), (2, 1)],
+        [(5, 7), (7, 9), (9, 5), (7, 5)],
+    ]
+    if compact:  # dense, these ids would exceed MAX_NODES
+        inputs.append([(0, 2**40), (2**40, 3), (3, 0)])
+    for lines in inputs:
+        pairs = np.array(lines, dtype=np.int64)
+        before = pairs.copy()
+        g = Graph.from_arrays(pairs[:, 0], pairs[:, 1], directed, compact=compact)
+        assert (pairs == before).all(), lines
+        pairs.setflags(write=False)
+        h = Graph.from_arrays(pairs[:, 0], pairs[:, 1], directed, compact=compact)
+        assert h.summary == g.summary
+        for name in ("indptr", "indices", "labels", "original_ids", "_edge_keys"):
+            a, b = getattr(g, name), getattr(h, name)
+            assert (a is None and b is None) or (a == b).all(), name
+        g.validate()
 
 
 def test_node_queries_refuse_ids_outside_the_graph():
